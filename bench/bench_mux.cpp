@@ -1,11 +1,10 @@
 // Concurrent-stitching experiment (acceptance gate for the multi-protocol
 // round multiplexer):
 //
-//   A batch of independent long walks is stitched three ways from the same
-//   prepared inventory: kOff (legacy walk-at-a-time), kSerial (the
-//   conflict-aware schedule, one lane per Network::run) and kMux (the same
-//   schedule with every non-conflicting group executed as one multiplexed
-//   run). Two gates:
+//   A batch of independent long walks is stitched two ways from the same
+//   prepared inventory: kSerial (the conflict-aware schedule, one lane per
+//   Network::run) and kMux (the same schedule with every non-conflicting
+//   group executed as one multiplexed run). Two gates:
 //
 //   * Round fusion (deterministic, binds on EVERY host): mux-of-8 must cut
 //     the stitch-phase round count >= 2x vs the serial schedule. Rounds
@@ -144,16 +143,14 @@ int run_experiment() {
       "MUX / concurrent cross-walk stitching vs sequential",
       "16 stitched walks of length 4096: the conflict-aware schedule run "
       "as mux-of-8 groups (one Network::run per wave) vs one lane at a "
-      "time vs the legacy walk-at-a-time path; mux must fuse stitch "
-      "rounds >=2x and results must match the serial schedule exactly");
+      "time; mux must fuse stitch rounds >=2x and results must match the "
+      "serial schedule exactly");
 
   const unsigned hw = std::thread::hardware_concurrency();
   const unsigned wall_threads = hw >= 8 ? 8 : (hw >= 1 ? hw : 1);
 
   // Deterministic comparison at 1 thread (round counts are
   // thread-invariant; these runs also give the 1-thread wall trajectory).
-  const ModeResult off1 = run_mode_best(g, diameter, requests,
-                                        service::MuxMode::kOff, 1);
   const ModeResult serial1 = run_mode_best(g, diameter, requests,
                                            service::MuxMode::kSerial, 1);
   const ModeResult mux1 = run_mode_best(g, diameter, requests,
@@ -179,10 +176,6 @@ int run_experiment() {
       wall_threads == 1 ? mux1
                         : run_mode_best(g, diameter, requests,
                                         service::MuxMode::kMux, wall_threads);
-  const ModeResult off_w =
-      wall_threads == 1 ? off1
-                        : run_mode_best(g, diameter, requests,
-                                        service::MuxMode::kOff, wall_threads);
 
   const double round_fusion =
       mux1.stitch_rounds == 0
@@ -191,16 +184,10 @@ int run_experiment() {
                 static_cast<double>(mux1.stitch_rounds);
   const double wall_speedup =
       mux_w.wall_ms == 0.0 ? 0.0 : serial_w.wall_ms / mux_w.wall_ms;
-  const double wall_vs_off =
-      mux_w.wall_ms == 0.0 ? 0.0 : off_w.wall_ms / mux_w.wall_ms;
 
   bench::Table table({"mode", "stitch rounds", "batch rounds", "waves",
                       "conflicts", "wall ms (1t)",
                       "wall ms (" + std::to_string(wall_threads) + "t)"});
-  table.add_row({"off (legacy)", bench::fmt_u64(off1.stitch_rounds),
-                 bench::fmt_u64(off1.batch_rounds), "-", "-",
-                 bench::fmt_double(off1.wall_ms, 1),
-                 bench::fmt_double(off_w.wall_ms, 1)});
   table.add_row({"serial", bench::fmt_u64(serial1.stitch_rounds),
                  bench::fmt_u64(serial1.batch_rounds),
                  bench::fmt_u64(serial1.groups),
@@ -221,7 +208,6 @@ int run_experiment() {
   json.add("width", static_cast<std::uint64_t>(kWidth));
   json.add("hw_threads", static_cast<std::uint64_t>(hw));
   json.add("wall_threads", static_cast<std::uint64_t>(wall_threads));
-  json.add("stitch_rounds_off", off1.stitch_rounds);
   json.add("stitch_rounds_serial", serial1.stitch_rounds);
   json.add("stitch_rounds_mux", mux1.stitch_rounds);
   json.add("batch_rounds_mux", mux1.batch_rounds);
@@ -231,14 +217,11 @@ int run_experiment() {
   json.add("stitches", mux1.stitches);
   json.add("round_fusion", round_fusion);
   json.add("round_fusion_gate", kRoundFusionGate);
-  json.add("wall_ms_off_t1", off1.wall_ms);
   json.add("wall_ms_serial_t1", serial1.wall_ms);
   json.add("wall_ms_mux_t1", mux1.wall_ms);
-  json.add("wall_ms_off_tw", off_w.wall_ms);
   json.add("wall_ms_serial_tw", serial_w.wall_ms);
   json.add("wall_ms_mux_tw", mux_w.wall_ms);
   json.add("wall_speedup", wall_speedup);
-  json.add("wall_vs_off", wall_vs_off);
   json.add("wall_gate8", kWallGate8);
   json.add("wall_floor_mid", kWallFloorMid);
   json.add("deterministic", identical ? 1 : 0);
@@ -259,15 +242,14 @@ int run_experiment() {
   std::printf(
       "acceptance: mux == serial schedule: %s; stitch-round fusion %.2fx "
       "(>=%.1fx gate %s); wall mux-vs-serial @%ut %.2fx (>=%.1fx gate %s; "
-      ">=%.2fx floor %s); legacy-vs-mux wall %.2fx (info)\n",
+      ">=%.2fx floor %s)\n",
       identical ? "PASS" : "FAIL", round_fusion, kRoundFusionGate,
       pass_rounds ? "PASS" : "FAIL", wall_threads, wall_speedup, kWallGate8,
       !enforce8 ? "SKIP, <8 hw threads" : (pass8 ? "PASS" : "FAIL"),
       kWallFloorMid,
       !enforce_mid
           ? (enforce8 ? "SKIP, 8t gate binds" : "SKIP, <4 hw threads")
-          : (pass_mid ? "PASS" : "FAIL"),
-      wall_vs_off);
+          : (pass_mid ? "PASS" : "FAIL"));
   json.write();
   return identical && pass_rounds && pass8 && pass_mid ? 0 : 1;
 }

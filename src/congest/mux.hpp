@@ -29,6 +29,11 @@
 // argument is inductive: per-lane queues and rng make round-r sends a
 // function of the lane's own round-(r-1) state alone.
 //
+// A one-lane run needs no mux: Network::run(protocol, streams) swaps a
+// walk's streams in for the run and produces the same draws, deliveries
+// and round/message counts, so the stitch scheduler builds a ProtocolMux
+// only for waves of two or more lanes.
+//
 // A ProtocolMux is single-use: construct, add lanes, run once, read the
 // per-lane stats. Lane protocols must follow the usual shard-safety
 // contract; the mux itself only adds node-indexed or worker-indexed state.

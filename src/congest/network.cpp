@@ -957,6 +957,21 @@ RunStats Network::run(Protocol& protocol, std::uint64_t max_rounds) {
   return run_with_lanes(protocol, 1, max_rounds);
 }
 
+RunStats Network::run(Protocol& protocol, std::vector<Rng>& node_streams,
+                      std::uint64_t max_rounds) {
+  if (node_streams.size() != node_rngs_.size()) {
+    throw std::invalid_argument("Network::run: one stream per node required");
+  }
+  struct SwapBack {
+    std::vector<Rng>& a;
+    std::vector<Rng>& b;
+    ~SwapBack() { a.swap(b); }
+  };
+  node_rngs_.swap(node_streams);
+  const SwapBack restore{node_rngs_, node_streams};
+  return run_with_lanes(protocol, 1, max_rounds);
+}
+
 RunStats Network::run_multiplexed(Protocol& protocol, unsigned lanes,
                                   std::uint64_t max_rounds) {
   if (lanes == 0 || lanes > kMaxLanes) {

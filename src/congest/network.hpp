@@ -328,6 +328,14 @@ class Network {
   /// Throws std::runtime_error if `max_rounds` is exceeded -- a protocol bug.
   RunStats run(Protocol& protocol, std::uint64_t max_rounds = 10'000'000);
 
+  /// Like run(), but Context::rng draws from `node_streams` (one per node)
+  /// instead of the network's own streams: the two vectors are swapped for
+  /// the run and swapped back afterwards, also when the protocol throws.
+  /// A protocol run this way draws exactly what it would draw as a
+  /// ProtocolMux lane holding the same streams, without the mux.
+  RunStats run(Protocol& protocol, std::vector<Rng>& node_streams,
+               std::uint64_t max_rounds = 10'000'000);
+
   /// Runs a multiplexed protocol (normally a congest::ProtocolMux) with
   /// `lanes` independent message lanes: every (directed edge, lane) pair
   /// gets its own FIFO backlog, so each lane's queueing and delivery pacing

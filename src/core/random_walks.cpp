@@ -31,6 +31,7 @@ std::uint64_t StitchEngine::max_connector_visits() const noexcept {
 StitchEngine::StitchEngine(congest::Network& net, Params params,
                            std::uint32_t diameter)
     : net_(&net), params_(params), diameter_(diameter),
+      stream_salt_(net.graph().node_count() != 0 ? net.node_rng(0)() : 0),
       store_(net.graph().node_count()),
       trajectories_(net.graph().node_count()) {
   if (params_.record_trajectories &&
@@ -91,40 +92,44 @@ void StitchEngine::prepare(std::uint64_t k, std::uint64_t l) {
   pending_prepared_ = prepared_count;
 }
 
-WalkResult StitchEngine::naive_walk_result(NodeId source, std::uint64_t l,
-                                           std::uint32_t walk_id,
-                                           bool record_start,
-                                           bool record_positions) {
-  NaiveSegmentProtocol::Job job{source, l, walk_id, 0, record_start};
-  NaiveSegmentProtocol protocol(
-      net_->graph(), {job},
-      params_.record_trajectories && record_positions ? &positions_ : nullptr,
-      params_.transition);
-  WalkResult result;
-  result.stats = net_->run(protocol);
-  result.counters.naive_tail_steps = l;
-  result.destination = protocol.destinations()[0];
-  total_ += result.stats;
-  return result;
-}
-
 WalkResult StitchEngine::walk(NodeId source, std::uint64_t l,
                               std::uint32_t walk_id, bool record_positions) {
-  return walk_impl(source, l, walk_id, /*defer_tail=*/false, 0,
-                   record_positions);
-}
-
-WalkResult StitchEngine::walk_deferring_tail(NodeId source, std::uint64_t l,
-                                             std::uint32_t walk_id,
-                                             bool record_positions) {
-  return walk_impl(source, l, walk_id, /*defer_tail=*/true, 0,
-                   record_positions);
+  return complete_walk(source, l, walk_id, 0, record_positions);
 }
 
 WalkResult StitchEngine::continue_walk(NodeId source, std::uint64_t l,
                                        std::uint32_t walk_id,
                                        std::uint64_t start_step) {
-  return walk_impl(source, l, walk_id, /*defer_tail=*/false, start_step);
+  return complete_walk(source, l, walk_id, start_step, true);
+}
+
+WalkResult StitchEngine::walk_deferring_tail(NodeId source, std::uint64_t l,
+                                             std::uint32_t walk_id,
+                                             bool record_positions) {
+  WalkTask task = start_walk_task(source, l, walk_id, record_positions);
+  while (!task.finished()) task.step_solo();
+  return task.result();
+}
+
+WalkResult StitchEngine::complete_walk(NodeId source, std::uint64_t l,
+                                       std::uint32_t walk_id,
+                                       std::uint64_t start_step,
+                                       bool record_positions) {
+  if (!deferred_tails_.empty() || !deferred_forward_.empty() ||
+      !deferred_reverse_.empty()) {
+    throw std::logic_error(
+        "StitchEngine::walk: deferred tails are pending (run them first)");
+  }
+  WalkTask task =
+      start_walk_task(source, l, walk_id, record_positions, start_step);
+  while (!task.finished()) task.step_solo();
+  WalkResult result = task.result();
+  const TailOutcome tail = run_deferred_tails();
+  if (!tail.destinations.empty()) result.destination = tail.destinations[0];
+  result.stats += tail.stats;
+  result.counters.regen = run_deferred_regen();
+  result.stats += result.counters.regen;
+  return result;
 }
 
 std::vector<std::uint64_t> StitchEngine::unused_counts_by_source() const {
@@ -228,8 +233,7 @@ StitchEngine::TailOutcome StitchEngine::run_deferred_tails() {
                  deferred_tails_.size());
   // Canonical ascending-walk_id order: tail tokens draw from the SHARED
   // node streams, so the job order must not depend on the mux scheduler's
-  // task completion order. Legacy callers defer in walk_id order already
-  // (stable: preserves their order).
+  // task completion order.
   std::stable_sort(deferred_tails_.begin(), deferred_tails_.end(),
                    [](const NaiveSegmentProtocol::Job& a,
                       const NaiveSegmentProtocol::Job& b) {
@@ -253,20 +257,21 @@ StitchEngine::TailOutcome StitchEngine::run_deferred_tails() {
 
 StitchEngine::WalkTask::WalkTask(StitchEngine& engine, NodeId source,
                                  std::uint64_t l, std::uint32_t walk_id,
-                                 bool record_positions)
+                                 bool record_positions,
+                                 std::uint64_t start_step)
     : engine_(&engine), source_(source), l_(l), walk_id_(walk_id),
+      start_step_(start_step),
       record_(engine.params_.record_trajectories && record_positions),
-      current_(source),
-      rngs_(congest::ProtocolMux::derive_lane_rngs(
-          engine.net_->seed(), walk_id,
-          engine.net_->graph().node_count())) {
+      current_(source) {
   result_.counters.lambda = engine.lambda_;
   result_.counters.phase1 = engine.pending_phase1_;
   result_.counters.walks_prepared = engine.pending_prepared_;
   engine.pending_phase1_ = {};
   engine.pending_prepared_ = 0;
   result_.stats += result_.counters.phase1;
-  if (record_) {
+  // The source knows it is step 0 (a continuation's source was recorded
+  // as the previous segment's last step).
+  if (record_ && start_step == 0) {
     engine.positions_[source].push_back(WalkPosition{walk_id, 0});
   }
   begin_stitch_or_finish();
@@ -274,7 +279,13 @@ StitchEngine::WalkTask::WalkTask(StitchEngine& engine, NodeId source,
 
 void StitchEngine::WalkTask::begin_stitch_or_finish() {
   // "While length of walk completed is at most l - 2*lambda" (Algorithm 1).
+  // A naive-mode engine (lambda > l) never enters the loop.
   if (completed_ + 2 * static_cast<std::uint64_t>(engine_->lambda_) <= l_) {
+    if (rngs_.empty()) {
+      rngs_ = congest::ProtocolMux::derive_lane_rngs(
+          engine_->net_->seed(), engine_->stream_salt_ ^ walk_id_,
+          engine_->net_->graph().node_count());
+    }
     protocol_ = std::make_unique<congest::BfsTreeProtocol>(
         engine_->net_->graph(), current_);
     step_ = Step::kBfs;
@@ -323,8 +334,11 @@ void StitchEngine::WalkTask::advance(const congest::RunStats& lane_stats) {
       if (step_ == Step::kResample) {
         throw std::logic_error("StitchEngine: GET-MORE-WALKS yielded none");
       }
-      // Pool at the connector is dry: GET-MORE-WALKS, scaled by the
-      // prepared walk count exactly as in walk_impl.
+      // All short walks from the connector are used up: GET-MORE-WALKS.
+      // When the engine serves k walks (MANY-RANDOM-WALKS), connectors can
+      // recur up to k times as often, so the batch is scaled by k -- the
+      // count aggregation makes the bigger batch free (still O(lambda)
+      // rounds, Lemma 2.2).
       const Params& params = engine_->params_;
       const std::uint32_t count = static_cast<std::uint32_t>(
           std::min<std::uint64_t>(
@@ -348,7 +362,7 @@ void StitchEngine::WalkTask::advance(const congest::RunStats& lane_stats) {
       break;
     case Step::kCommit:
       segments_.push_back(
-          Segment{candidate_, current_, completed_});
+          Segment{candidate_, current_, start_step_ + completed_});
       ++engine_->connector_visits_[current_];
       completed_ += candidate_.length;
       current_ = candidate_.holder;
@@ -372,7 +386,7 @@ void StitchEngine::WalkTask::finish() {
   if (tail > 0) {
     result_.counters.naive_tail_steps = tail;
     engine_->deferred_tails_.push_back(NaiveSegmentProtocol::Job{
-        current_, tail, walk_id_, completed_, false, record_});
+        current_, tail, walk_id_, start_step_ + completed_, false, record_});
   }
 
   // Regeneration jobs (Section 2.2), deferred into one batched replay.
@@ -392,20 +406,21 @@ void StitchEngine::WalkTask::finish() {
   }
 }
 
-StitchEngine::WalkTask StitchEngine::start_walk_task(NodeId source,
-                                                     std::uint64_t l,
-                                                     std::uint32_t walk_id,
-                                                     bool record_positions) {
+congest::RunStats StitchEngine::WalkTask::step_solo() {
+  const congest::RunStats stats = engine_->net_->run(*protocol_, rngs_);
+  engine_->total_ += stats;
+  advance(stats);
+  return stats;
+}
+
+StitchEngine::WalkTask StitchEngine::start_walk_task(
+    NodeId source, std::uint64_t l, std::uint32_t walk_id,
+    bool record_positions, std::uint64_t start_step) {
   if (!prepared_) throw std::logic_error("StitchEngine: prepare() first");
-  if (naive_mode_) {
-    throw std::logic_error(
-        "StitchEngine::start_walk_task: naive mode defers whole walks "
-        "(use walk_deferring_tail)");
-  }
   if (l > prepared_l_) {
     throw std::logic_error("StitchEngine: walk longer than prepared for");
   }
-  return WalkTask(*this, source, l, walk_id, record_positions);
+  return WalkTask(*this, source, l, walk_id, record_positions, start_step);
 }
 
 congest::RunStats StitchEngine::run_deferred_regen() {
@@ -433,171 +448,6 @@ congest::RunStats StitchEngine::run_deferred_regen() {
   const congest::RunStats stats = net_->run(regen);
   total_ += stats;
   return stats;
-}
-
-WalkResult StitchEngine::walk_impl(NodeId source, std::uint64_t l,
-                                   std::uint32_t walk_id, bool defer_tail,
-                                   std::uint64_t start_step,
-                                   bool record_positions) {
-  if (!prepared_) throw std::logic_error("StitchEngine: prepare() first");
-  if (l > prepared_l_) {
-    throw std::logic_error("StitchEngine: walk longer than prepared for");
-  }
-  const Graph& g = net_->graph();
-  const bool record = params_.record_trajectories && record_positions;
-
-  if (naive_mode_) {
-    if (defer_tail && l > 0) {
-      // The whole walk becomes one deferred token job so a batch of naive
-      // walks runs concurrently (O(k + l) rounds, the MANY-RANDOM-WALKS
-      // fallback) instead of sequentially.
-      deferred_tails_.push_back(NaiveSegmentProtocol::Job{
-          source, l, walk_id, start_step, true, record});
-      WalkResult result;
-      result.counters.lambda = lambda_;
-      result.counters.naive_tail_steps = l;
-      result.destination = source;  // real destination: run_deferred_tails()
-      return result;
-    }
-    WalkResult result = naive_walk_result(source, l, walk_id, true, record);
-    result.counters.lambda = lambda_;
-    return result;
-  }
-
-  WalkResult result;
-  result.counters.lambda = lambda_;
-  result.counters.phase1 = pending_phase1_;
-  result.counters.walks_prepared = pending_prepared_;
-  pending_phase1_ = {};
-  pending_prepared_ = 0;
-
-  // The source knows it is step `start_step` of the walk (node-local
-  // knowledge; for a continuation the previous phase already recorded it).
-  if (record && start_step == 0) {
-    positions_[source].push_back(WalkPosition{walk_id, 0});
-  }
-
-  // Phase 2: stitch short walks "while length of walk completed is at most
-  // l - 2*lambda" (Algorithm 1).
-  struct Segment {
-    SampleConvergecast::Candidate token;
-    NodeId from = kInvalidNode;
-    std::uint64_t offset = 0;
-  };
-  std::vector<Segment> segments;
-  congest::RunStats phase2;
-  NodeId current = source;
-  std::uint64_t completed = 0;
-  while (completed + 2 * static_cast<std::uint64_t>(lambda_) <= l) {
-    congest::BfsTree tree = congest::build_bfs_tree(*net_, current, phase2);
-
-    SampleConvergecast sample(tree, store_, current);
-    phase2 += net_->run(sample);
-    ++result.counters.sample_calls;
-    SampleConvergecast::Candidate candidate = sample.result();
-
-    if (candidate.count == 0) {
-      // All short walks from `current` are used up: GET-MORE-WALKS.
-      // When the engine serves k walks (MANY-RANDOM-WALKS), connectors can
-      // recur up to k times as often, so the batch is scaled by k -- the
-      // count aggregation makes the bigger batch free (still O(lambda)
-      // rounds, Lemma 2.2).
-      const std::uint32_t count = static_cast<std::uint32_t>(
-          std::min<std::uint64_t>(
-              static_cast<std::uint64_t>(
-                  params_.get_more_walks_count(l, lambda_, diameter_)) *
-                  prepared_k_,
-              1u << 20));
-      GetMoreWalksProtocol more(
-          g, current, count, lambda_, params_.random_lengths, store_,
-          params_.record_trajectories ? &trajectories_ : nullptr,
-          params_.transition);
-      phase2 += net_->run(more);
-      ++result.counters.get_more_walks_calls;
-
-      SampleConvergecast retry(tree, store_, current);
-      phase2 += net_->run(retry);
-      ++result.counters.sample_calls;
-      candidate = retry.result();
-      if (candidate.count == 0) {
-        throw std::logic_error("StitchEngine: GET-MORE-WALKS yielded none");
-      }
-    }
-
-    // Sweep 3: broadcast down the tree to delete the sampled token at its
-    // holder ("so that this random walk is not reused") and hand the walk
-    // token to it.
-    WalkStore* store = &store_;
-    const auto held_index = candidate.held_index;
-    congest::BroadcastProtocol commit(
-        tree,
-        congest::Message{0, {candidate.holder, candidate.held_index, 0, 0}},
-        [store, held_index](NodeId at, const congest::Message& m) {
-          if (at != static_cast<NodeId>(m.f[0])) return;
-          auto& held = store->held[at][held_index];
-          if (held.used) {
-            throw std::logic_error("StitchEngine: token already used");
-          }
-          held.used = true;
-        });
-    phase2 += net_->run(commit);
-
-    segments.push_back(Segment{candidate, current, start_step + completed});
-    ++connector_visits_[current];
-    completed += candidate.length;
-    current = candidate.holder;
-    ++result.counters.stitches;
-  }
-
-  // "Walk naively until l steps are completed (at most another 2*lambda)."
-  result.counters.phase2 = phase2;
-  result.stats += result.counters.phase1;
-  result.stats += phase2;
-  total_ += phase2;
-
-  NodeId destination = current;
-  const std::uint64_t tail = l - completed;
-  if (tail > 0) {
-    NaiveSegmentProtocol::Job job{current, tail, walk_id,
-                                  start_step + completed, false, record};
-    result.counters.naive_tail_steps = tail;
-    if (defer_tail) {
-      deferred_tails_.push_back(job);
-    } else {
-      NaiveSegmentProtocol protocol(
-          g, {job}, record ? &positions_ : nullptr, params_.transition);
-      const congest::RunStats tail_stats = net_->run(protocol);
-      result.stats += tail_stats;
-      total_ += tail_stats;
-      destination = protocol.destinations()[0];
-    }
-  }
-  result.destination = destination;
-
-  // Regeneration (Section 2.2): replay every stitched segment in parallel so
-  // all nodes learn their position(s).
-  if (record && !segments.empty()) {
-    std::vector<RegenerateProtocol::ForwardJob> forward;
-    std::vector<RegenerateProtocol::ReverseJob> reverse;
-    for (const Segment& s : segments) {
-      if (s.token.kind == WalkKind::kPhase1) {
-        forward.push_back(RegenerateProtocol::ForwardJob{
-            s.from, s.token.seq, s.offset, walk_id});
-      } else {
-        const HeldToken& held = store_.held[s.token.holder][s.token.held_index];
-        reverse.push_back(RegenerateProtocol::ReverseJob{
-            s.token.holder, s.from, s.token.length, held.arrival_slot,
-            s.offset, walk_id});
-      }
-    }
-    RegenerateProtocol regen(g, std::move(forward), std::move(reverse),
-                             trajectories_, positions_);
-    const congest::RunStats regen_stats = net_->run(regen);
-    result.counters.regen = regen_stats;
-    result.stats += regen_stats;
-    total_ += regen_stats;
-  }
-  return result;
 }
 
 SingleWalkOutput single_random_walk(congest::Network& net, NodeId source,
@@ -632,34 +482,15 @@ ManyWalksOutput many_random_walks(congest::Network& net,
   StitchEngine engine(net, params, diameter);
   engine.prepare(sources.size(), l);
 
-  if (engine.naive_mode()) {
-    // "If lambda > l then run the naive random walk algorithm, i.e., the
-    // sources find walks of length l simultaneously by sending tokens."
-    out.used_naive_fallback = true;
-    PositionTable positions;
-    if (params.record_trajectories) {
-      positions.resize(net.graph().node_count());
-    }
-    std::vector<NaiveSegmentProtocol::Job> jobs;
-    for (std::uint32_t i = 0; i < sources.size(); ++i) {
-      jobs.push_back(NaiveSegmentProtocol::Job{sources[i], l, i, 0, true});
-    }
-    NaiveSegmentProtocol protocol(
-        net.graph(), std::move(jobs),
-        params.record_trajectories ? &positions : nullptr,
-        params.transition);
-    out.stats = net.run(protocol);
-    out.destinations = protocol.destinations();
-    out.counters.lambda = engine.lambda();
-    out.counters.naive_tail_steps = l * sources.size();
-    out.positions = std::move(positions);
-    return out;
-  }
-
-  // Stitch the k walks one at a time (Section 2.3), but run all the naive
-  // tails concurrently at the end -- k independent tail tokens cost
-  // O(k + 2*lambda) rounds together instead of k * 2*lambda sequentially,
-  // keeping the total within Theorem 2.8's O~(sqrt(k l D) + k).
+  // "If lambda > l then run the naive random walk algorithm, i.e., the
+  // sources find walks of length l simultaneously by sending tokens": a
+  // naive-mode engine defers each whole walk as one token job. Otherwise
+  // the k walks are stitched one at a time (Section 2.3). Either way the
+  // naive tails run concurrently at the end -- k independent tail tokens
+  // cost O(k + 2*lambda) rounds together instead of k * 2*lambda
+  // sequentially, keeping the total within Theorem 2.8's
+  // O~(sqrt(k l D) + k).
+  out.used_naive_fallback = engine.naive_mode();
   for (std::uint32_t i = 0; i < sources.size(); ++i) {
     WalkResult walk = engine.walk_deferring_tail(sources[i], l, i);
     out.destinations.push_back(walk.destination);
@@ -671,8 +502,10 @@ ManyWalksOutput many_random_walks(congest::Network& net,
   for (std::size_t t = 0; t < tails.walk_ids.size(); ++t) {
     out.destinations[tails.walk_ids[t]] = tails.destinations[t];
   }
+  out.counters.regen = engine.run_deferred_regen();
+  out.stats += out.counters.regen;
   out.counters.lambda = engine.lambda();
-  out.positions = engine.positions();
+  out.positions = engine.drain_positions();
   return out;
 }
 

@@ -9,6 +9,10 @@
 //   * StitchEngine        -- the underlying engine (Phase 1 preparation +
 //     per-walk stitching), exposed for applications that amortize Phase 1
 //     across walks (RST, mixing-time estimation) and for the benchmarks.
+//     Phase 2 has one implementation, StitchEngine::WalkTask: walk(),
+//     continue_walk(), walk_deferring_tail() and many_random_walks() drive
+//     one task on its own; the service's batch scheduler drives several as
+//     lanes of a congest::ProtocolMux.
 //
 // All functions take the network's diameter as an input; the paper assumes
 // it is known (it can be obtained in O(D) rounds by two BFS sweeps, which is
@@ -72,11 +76,14 @@ class StitchEngine {
   std::uint64_t prepared_k() const noexcept { return prepared_k_; }
 
   /// Phase 2: one l-step walk from `source`, stitching prepared short walks
-  /// (or walking naively in naive mode). `walk_id` tags recorded positions.
-  /// `record_positions` lets a caller opt a single walk out of position
-  /// recording + regeneration even when the engine records trajectories
-  /// (the serving layer's per-request `record_positions` flag); it is a
-  /// no-op when the engine does not record.
+  /// (or walking naively in naive mode), with its naive tail and
+  /// regeneration run before returning. `walk_id` tags recorded positions
+  /// and keys the walk's random streams, so walks on one engine need
+  /// distinct ids. `record_positions` lets a caller opt a single walk out
+  /// of position recording + regeneration even when the engine records
+  /// trajectories (the serving layer's per-request `record_positions`
+  /// flag); it is a no-op when the engine does not record. Throws
+  /// std::logic_error while deferred tails are pending.
   WalkResult walk(NodeId source, std::uint64_t l, std::uint32_t walk_id = 0,
                   bool record_positions = true);
 
@@ -109,8 +116,7 @@ class StitchEngine {
   /// destination per deferred walk_id plus the stats. Jobs run in
   /// ascending-walk_id order -- the canonical order is what keeps the
   /// shared-stream tail draws independent of the mux scheduler's task
-  /// completion order (legacy callers already defer in walk_id order, so
-  /// the sort is a no-op for them).
+  /// completion order.
   struct TailOutcome {
     std::vector<std::uint32_t> walk_ids;
     std::vector<NodeId> destinations;
@@ -118,20 +124,22 @@ class StitchEngine {
   };
   TailOutcome run_deferred_tails();
 
-  // --- Concurrent stitching (congest::ProtocolMux scheduling) ------------
+  // --- Phase 2: the resumable walk task ---------------------------------
 
-  /// A resumable per-walk stitch driver: the Phase-2 loop of walk_impl
-  /// unrolled into a state machine that exposes each traversal
-  /// (BFS-to-connector, sample convergecast, GET-MORE-WALKS, commit
-  /// broadcast) as a Protocol the caller runs -- solo or as one lane of a
-  /// ProtocolMux -- and then feeds back via advance(). All randomness is
-  /// drawn from the task's own per-node lane streams (keyed by walk_id
-  /// from the network seed), so the walk's outcome is independent of which
-  /// other walks it was co-scheduled with; cross-walk coupling through the
-  /// short-walk store is confined to the per-connector token pools, which
-  /// is exactly what the scheduler's connector-conflict rule serializes.
-  /// The naive tail and regeneration are deferred into the engine's
-  /// batched runs (run_deferred_tails / run_deferred_regen).
+  /// The Phase-2 driver: Algorithm 1's stitch loop as a resumable state
+  /// machine that exposes each traversal (BFS-to-connector, sample
+  /// convergecast, GET-MORE-WALKS, commit broadcast) as a Protocol the
+  /// caller runs -- solo via step_solo() or as one lane of a ProtocolMux
+  /// -- and then feeds back via advance(). All randomness is drawn from
+  /// the task's own per-node streams (keyed by walk_id and the engine's
+  /// stream salt from the network seed), so the walk's outcome is
+  /// independent of which other walks it was co-scheduled with;
+  /// cross-walk coupling through the short-walk store is confined to the
+  /// per-connector token pools, which is exactly what the scheduler's
+  /// connector-conflict rule serializes. The naive tail -- the whole walk
+  /// when l < 2*lambda or in naive mode -- and regeneration are deferred
+  /// into the engine's batched runs (run_deferred_tails /
+  /// run_deferred_regen).
   class WalkTask {
    public:
     WalkTask(WalkTask&&) = default;
@@ -144,11 +152,19 @@ class StitchEngine {
     std::uint32_t walk_id() const noexcept { return walk_id_; }
     /// The next traversal to run (valid while !finished()).
     congest::Protocol& protocol() noexcept { return *protocol_; }
-    /// Per-node lane streams for this walk (hand to ProtocolMux::add_lane).
+    /// Per-node lane streams for this walk (hand to ProtocolMux::add_lane;
+    /// valid while !finished()).
     std::vector<Rng>& lane_rngs() noexcept { return rngs_; }
+    /// True while the task holds a sampled token it has not committed: no
+    /// other task may sample its connector's pool until the commit runs.
+    bool holds_token() const noexcept { return step_ == Step::kCommit; }
     /// Consumes the completed traversal's per-lane stats and builds the
     /// next one (or finishes, deferring tail + regeneration jobs).
     void advance(const congest::RunStats& lane_stats);
+    /// Runs the next traversal on its own (one Network::run on the task's
+    /// streams), charges it to the engine's totals and advances. Returns
+    /// the traversal's cost.
+    congest::RunStats step_solo();
     /// Valid once finished(). The destination is the last connector until
     /// run_deferred_tails() resolves this walk_id's tail.
     const WalkResult& result() const noexcept { return result_; }
@@ -165,7 +181,8 @@ class StitchEngine {
     };
 
     WalkTask(StitchEngine& engine, NodeId source, std::uint64_t l,
-             std::uint32_t walk_id, bool record_positions);
+             std::uint32_t walk_id, bool record_positions,
+             std::uint64_t start_step);
     void begin_stitch_or_finish();
     void finish();
 
@@ -173,6 +190,7 @@ class StitchEngine {
     NodeId source_ = kInvalidNode;
     std::uint64_t l_ = 0;
     std::uint32_t walk_id_ = 0;
+    std::uint64_t start_step_ = 0;  ///< steps produced before this task
     bool record_ = false;
     Step step_ = Step::kDone;
     NodeId current_ = kInvalidNode;
@@ -187,15 +205,17 @@ class StitchEngine {
     WalkResult result_;
   };
 
-  /// Starts a resumable stitch task (requires a prepared, non-naive
-  /// engine; for naive mode use walk_deferring_tail, which already defers
-  /// the whole walk as one concurrent token job). The first task created
-  /// after prepare() absorbs the pending Phase-1 cost, like walk() does.
+  /// Starts a resumable stitch task (requires a prepared engine). A walk
+  /// with nothing to stitch -- l < 2*lambda, or naive mode -- finishes at
+  /// creation with the whole walk deferred as one tail job. The first
+  /// task created after prepare() absorbs the pending Phase-1 cost.
+  /// `start_step` continues a logical walk (see continue_walk).
   WalkTask start_walk_task(NodeId source, std::uint64_t l,
-                           std::uint32_t walk_id, bool record_positions);
+                           std::uint32_t walk_id, bool record_positions,
+                           std::uint64_t start_step = 0);
 
   /// Replays every deferred regeneration job (segments of walks finished
-  /// via WalkTask with record_positions) in one protocol run, in canonical
+  /// with record_positions) in one protocol run, in canonical
   /// ascending-walk_id order. No-op without record_trajectories.
   congest::RunStats run_deferred_regen();
 
@@ -273,16 +293,19 @@ class StitchEngine {
   PositionTable drain_positions();
 
  private:
-  WalkResult naive_walk_result(NodeId source, std::uint64_t l,
-                               std::uint32_t walk_id, bool record_start,
-                               bool record_positions);
-  WalkResult walk_impl(NodeId source, std::uint64_t l, std::uint32_t walk_id,
-                       bool defer_tail, std::uint64_t start_step = 0,
-                       bool record_positions = true);
+  /// One solo task plus its tail and regeneration (walk, continue_walk).
+  WalkResult complete_walk(NodeId source, std::uint64_t l,
+                           std::uint32_t walk_id, std::uint64_t start_step,
+                           bool record_positions);
 
   congest::Network* net_;
   Params params_;
   std::uint32_t diameter_;
+  /// Drawn from the network's node-0 stream at construction and mixed into
+  /// every task's stream key, so engines built one after another on the
+  /// same network (many_random_walks calls, RST phases) never replay each
+  /// other's coins even though they reuse walk ids.
+  std::uint64_t stream_salt_;
   std::uint32_t lambda_ = 0;
   bool naive_mode_ = false;
   bool prepared_ = false;

@@ -28,7 +28,6 @@ constexpr const char* kNames[] = {
     "compute.dispatch",  // kComputeDispatch
     "transmit.dispatch",  // kTransmitDispatch
     "compute.worker",    // kComputeWorker
-    "transmit.shard",    // kTransmitShard
     "transmit.fused.shard",  // kTransmitFusedShard
     "merge.shard",       // kMergeShard
     "barrier.wait",      // kBarrierWait

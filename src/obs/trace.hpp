@@ -42,8 +42,6 @@ enum class Name : std::uint16_t {
   kComputeDispatch,   ///< span: whole compute phase (driver)
   kTransmitDispatch,  ///< span: whole transmit phase (driver)
   kComputeWorker,     ///< span: one worker's compute_phase invocation
-  kTransmitShard,     ///< span: legacy unfused transmit_phase (kept so old
-                      ///  traces and tooling keep resolving the name)
   kTransmitFusedShard,  ///< span: one shard's fused stage-merge-deliver
                         ///  transmit_phase invocation
   kMergeShard,        ///< span: canonical-order staged replay within the

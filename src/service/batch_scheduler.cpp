@@ -70,28 +70,12 @@ std::vector<BatchScheduler::Unit> BatchScheduler::plan(
   return units;
 }
 
-void BatchScheduler::run_sequential(std::span<const Unit> units,
-                                    Outcome& out) {
-  // Stitch every unit, deferring all naive tails (whole-walk tails for
-  // units with length < 2*lambda or a naive-mode engine).
-  for (const Unit& u : units) {
-    const core::WalkResult walk =
-        engine_->walk_deferring_tail(u.source, u.length, u.walk_id, u.record);
-    RequestResult& result = out.results[u.request_index];
-    result.destinations[u.slot] = walk.destination;
-    result.stats += walk.stats;
-    result.counters += walk.counters;
-    out.stats += walk.stats;
-    out.counters += walk.counters;
-  }
-}
-
-void BatchScheduler::run_multiplexed(std::span<const Unit> units,
-                                     const MuxOptions& mux, Outcome& out) {
+void BatchScheduler::stitch(std::span<const Unit> units,
+                            const MuxOptions& mux, Outcome& out) {
   congest::Network& net = engine_->network();
   const Graph& g = net.graph();
-  const unsigned width =
-      std::min<unsigned>(mux.width, congest::Network::kMaxLanes);
+  const unsigned width = std::clamp<unsigned>(mux.width, 1,
+                                              congest::Network::kMaxLanes);
 
   struct OpenTask {
     core::StitchEngine::WalkTask task;
@@ -122,7 +106,7 @@ void BatchScheduler::run_multiplexed(std::span<const Unit> units,
         out.counters += walk.counters;
         // Phase-1 cost is attributed once (the first task absorbed the
         // engine's pending stats); the stitch traversals themselves are
-        // charged per GROUP run below, which is where the round sharing
+        // charged per wave run below, which is where the round sharing
         // shows up at batch level.
         out.stats += walk.counters.phase1;
         open.erase(open.begin() + i);
@@ -140,36 +124,40 @@ void BatchScheduler::run_multiplexed(std::span<const Unit> units,
   };
 
   harvest_and_refill();
+  std::vector<std::size_t> group;
+  std::vector<NodeId> claimed;
   while (!open.empty()) {
-    // Build this wave's group in lane order: a task joins unless its
-    // connector conflicts with one already admitted (then it waits a wave
-    // -- the sequential fallback). The first task always enters, so the
-    // schedule cannot stall.
-    std::vector<std::size_t> group;
-    std::vector<NodeId> claimed;
-    for (std::size_t i = 0; i < open.size(); ++i) {
-      const NodeId c = open[i].task.connector();
-      bool conflict = false;
-      for (const NodeId other : claimed) {
-        if (connectors_conflict(g, other, c, mux.conflict_radius,
-                                bfs_scratch)) {
-          conflict = true;
-          break;
+    // Build this wave's group: a task joins unless its connector conflicts
+    // with one already admitted (then it waits a wave). Tasks holding a
+    // sampled, uncommitted token claim first -- otherwise an older task
+    // reaching the same connector could sample that token again before
+    // the commit marks it used. Then the rest claim oldest first; the
+    // first claimant always enters, so the schedule cannot stall.
+    group.clear();
+    claimed.clear();
+    for (const bool holders : {true, false}) {
+      for (std::size_t i = 0; i < open.size(); ++i) {
+        if (open[i].task.holds_token() != holders) continue;
+        const NodeId c = open[i].task.connector();
+        const bool conflict = std::any_of(
+            claimed.begin(), claimed.end(), [&](NodeId other) {
+              return connectors_conflict(g, other, c, mux.conflict_radius,
+                                         bfs_scratch);
+            });
+        if (conflict) {
+          ++out.mux_conflicts;
+          continue;
         }
+        claimed.push_back(c);
+        group.push_back(i);
       }
-      if (conflict) {
-        ++out.mux_conflicts;
-        continue;
-      }
-      claimed.push_back(c);
-      group.push_back(i);
     }
     ++out.mux_groups;
     out.mux_lanes += group.size();
     obs::Span wave_span(obs::Name::kStitchWave, obs::kPidService, 0,
                         group.size());
 
-    if (mux.mode == MuxMode::kMux) {
+    if (mux.mode == MuxMode::kMux && group.size() > 1) {
       congest::ProtocolMux pmux(g.node_count());
       for (const std::size_t idx : group) {
         pmux.add_lane(open[idx].task.protocol(),
@@ -201,19 +189,13 @@ void BatchScheduler::run_multiplexed(std::span<const Unit> units,
             lane_run_stats(pmux.lane_stats(lane)));
       }
     } else {
-      // kSerial: the SAME schedule, each lane in its own (mux-of-1) run --
-      // the baseline the lane-isolation tests compare kMux against.
+      // One-lane waves, and every lane under kSerial: each task runs solo
+      // on its own streams -- bit-identical to a mux lane.
       for (const std::size_t idx : group) {
-        congest::ProtocolMux solo(g.node_count());
-        solo.add_lane(open[idx].task.protocol(),
-                      &open[idx].task.lane_rngs());
         obs::event(obs::Name::kWalkLane, 'B', obs::kPidMux, 0,
                    open[idx].unit->walk_id);
-        const congest::RunStats stats = net.run_multiplexed(solo, 1);
+        out.stats += open[idx].task.step_solo();
         obs::event(obs::Name::kWalkLane, 'E', obs::kPidMux, 0);
-        engine_->absorb_stats(stats);
-        out.stats += stats;
-        open[idx].task.advance(lane_run_stats(solo.lane_stats(0)));
       }
     }
     harvest_and_refill();
@@ -233,14 +215,7 @@ BatchScheduler::Outcome BatchScheduler::run(
   std::vector<Unit> units = plan(requests, first_walk_id);
   out.walks = units.size();
 
-  // A naive-mode engine already batches whole walks into the shared tail
-  // run; there is nothing to multiplex.
-  if (mux.mode == MuxMode::kOff || engine_->naive_mode() ||
-      mux.width <= 1) {
-    run_sequential(units, out);
-  } else {
-    run_multiplexed(units, mux, out);
-  }
+  stitch(units, mux, out);
 
   // One concurrent run finishes every deferred tail.
   const core::StitchEngine::TailOutcome tails = engine_->run_deferred_tails();
@@ -255,8 +230,7 @@ BatchScheduler::Outcome BatchScheduler::run(
     out.results[u.request_index].destinations[u.slot] = tails.destinations[t];
   }
 
-  // Batched regeneration of stitched segments (mux modes defer it; the
-  // legacy path regenerates inside each walk, leaving nothing deferred).
+  // Batched regeneration of every stitched segment.
   out.regen_stats = engine_->run_deferred_regen();
   out.stats += out.regen_stats;
   out.counters.regen += out.regen_stats;

@@ -2,29 +2,32 @@
 //
 // The scheduler turns a heterogeneous request batch into walk units and
 // drives one StitchEngine through them the way MANY-RANDOM-WALKS does
-// (Section 2.3): stitching runs per walk, but every naive tail -- including
-// the whole body of walks too short to stitch (l < 2*lambda) -- is deferred
-// and completed in ONE concurrent NaiveSegmentProtocol run, so k tails cost
-// O(k + 2*lambda) rounds instead of k * 2*lambda. Units run longest-first:
-// deep walks consume (and, via GET-MORE-WALKS, replenish) the inventory
-// early, so short walks behind them never stall on an empty pool.
+// (Section 2.3): every walk is a resumable StitchEngine::WalkTask, and
+// every naive tail -- including the whole body of walks too short to
+// stitch (l < 2*lambda) -- is deferred and completed in ONE concurrent
+// NaiveSegmentProtocol run, so k tails cost O(k + 2*lambda) rounds instead
+// of k * 2*lambda; regeneration is batched the same way. Units run
+// longest-first: deep walks consume (and, via GET-MORE-WALKS, replenish)
+// the inventory early, so short walks behind them never stall on an empty
+// pool.
 //
 // Concurrent stitching (MuxOptions): the paper's round analysis permits
 // interleaving the BFS/convergecast/broadcast traversals of *different*
-// walks when their connectors do not contend. With mode kMux the scheduler
-// keeps up to `width` walks open as resumable StitchEngine::WalkTasks and,
-// each wave, groups the tasks whose next traversals are pairwise
-// non-conflicting -- the only cross-walk coupling is through the short-walk
-// token pools, which are keyed by connector, so two traversals conflict
-// exactly when their connectors' radius-`conflict_radius` neighborhoods
-// intersect (radius 0, the default, is the precise ownership rule; larger
-// radii are defensive slack). Conflicting tasks wait a wave (fall back to
-// sequential). The group executes as one congest::ProtocolMux inside a
-// single Network::run, widening rounds so the parallel executor's
-// work-stealing pool finally bites; kSerial runs the *same* schedule one
-// lane at a time (the bit-identity baseline tests/test_mux.cpp compares
-// against), and kOff is the legacy walk-at-a-time path, byte-for-byte
-// unchanged.
+// walks when their connectors do not contend. The scheduler keeps up to
+// `width` tasks open and, each wave, groups the tasks whose next
+// traversals are pairwise non-conflicting -- the only cross-walk coupling
+// is through the short-walk token pools, which are keyed by connector, so
+// two traversals conflict exactly when their connectors'
+// radius-`conflict_radius` neighborhoods intersect (radius 0, the default,
+// is the precise ownership rule; larger radii are defensive slack).
+// Conflicting tasks wait a wave. A task holding a sampled but uncommitted
+// token claims its connector before any other task, so nobody samples
+// that token in between. A wave of two or more lanes executes as one
+// congest::ProtocolMux inside a single Network::run, widening rounds so
+// the parallel executor's work-stealing pool bites; a one-lane wave (every
+// wave at width 1) runs the task solo on its own streams, with no mux.
+// kSerial runs the *same* schedule one lane at a time -- the bit-identity
+// reference tests/test_mux.cpp and bench_mux compare kMux against.
 #pragma once
 
 #include <cstdint>
@@ -38,15 +41,15 @@ namespace drw::service {
 
 /// How the scheduler executes the stitch traversals of a batch.
 enum class MuxMode : std::uint8_t {
-  kOff,     ///< legacy sequential stitching (walk-at-a-time)
-  kSerial,  ///< conflict-aware schedule, each lane run solo (mux-of-1)
-  kMux,     ///< conflict-aware schedule, each group as one multiplexed run
+  kMux,     ///< each multi-lane wave as one multiplexed run
+  kSerial,  ///< the same schedule, each lane run solo (test reference)
 };
 
 struct MuxOptions {
-  MuxMode mode = MuxMode::kOff;
-  /// Maximum concurrently open walks (ProtocolMux lanes per group).
-  unsigned width = 8;
+  MuxMode mode = MuxMode::kMux;
+  /// Maximum concurrently open walks (lanes per wave); 1 stitches one walk
+  /// at a time.
+  unsigned width = 1;
   /// Two traversals conflict when their connectors are within distance
   /// 2 * conflict_radius (their radius-r neighborhoods intersect). 0 --
   /// connector equality -- is exact: token pools are keyed by connector.
@@ -74,7 +77,7 @@ class BatchScheduler {
     /// the per-request stats can legitimately exceed this.
     congest::RunStats stats;
     congest::RunStats tail_stats;        ///< the shared tail run alone
-    congest::RunStats regen_stats;       ///< batched regeneration (mux modes)
+    congest::RunStats regen_stats;       ///< the batched regeneration run
     core::WalkCounters counters;         ///< summed over all units
     std::uint64_t walks = 0;
     std::uint64_t mux_groups = 0;        ///< traversal waves executed
@@ -88,20 +91,19 @@ class BatchScheduler {
   static std::vector<Unit> plan(std::span<const WalkRequest> requests,
                                 std::uint32_t first_walk_id);
 
-  /// Runs the batch: per-unit stitching (sequential or conflict-aware
-  /// multiplexed, per `mux`) with deferred tails, one concurrent tail run,
-  /// batched regeneration, per-request assembly, and -- for units with
-  /// `record` on an engine that records trajectories -- path extraction
-  /// from the drained position table. The engine must be prepared for
-  /// (sum of counts, max length). A naive-mode engine ignores `mux`: its
-  /// walks are whole-length token jobs already batched into the tail run.
+  /// Runs the batch: conflict-aware stitching waves (per `mux`) with
+  /// deferred tails, one concurrent tail run, batched regeneration,
+  /// per-request assembly, and -- for units with `record` on an engine
+  /// that records trajectories -- path extraction from the drained
+  /// position table. The engine must be prepared for (sum of counts, max
+  /// length). On a naive-mode engine every task finishes at creation (its
+  /// whole walk is a token job in the tail run), so no wave runs.
   Outcome run(std::span<const WalkRequest> requests,
               std::uint32_t first_walk_id, const MuxOptions& mux = {});
 
  private:
-  void run_sequential(std::span<const Unit> units, Outcome& out);
-  void run_multiplexed(std::span<const Unit> units, const MuxOptions& mux,
-                       Outcome& out);
+  void stitch(std::span<const Unit> units, const MuxOptions& mux,
+              Outcome& out);
 
   core::StitchEngine* engine_;
 };

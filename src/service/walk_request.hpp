@@ -65,8 +65,9 @@ struct RequestResult {
   /// record_positions was set; empty otherwise.
   std::vector<std::vector<NodeId>> paths;
   /// Rounds/messages directly attributable to this request's walks
-  /// (stitching + any in-walk GET-MORE-WALKS + regeneration; the batch's
-  /// shared concurrent tail run is reported at batch level only).
+  /// (stitching + any in-walk GET-MORE-WALKS; the batch's shared
+  /// concurrent tail and regeneration runs are reported at batch level
+  /// only).
   congest::RunStats stats;
   /// Summed instrumentation over this request's walks.
   core::WalkCounters counters;

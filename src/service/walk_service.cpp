@@ -39,7 +39,7 @@ unsigned env_mux_width() {
 }
 
 /// The effective stitching width: explicit config, else DRW_MUX, else 1
-/// (sequential).
+/// (one walk at a time).
 unsigned resolve_mux_width(const ServiceConfig& config) {
   if (config.mux_width != 0) {
     return std::min(config.mux_width, congest::Network::kMaxLanes);
@@ -204,7 +204,6 @@ BatchReport WalkService::flush() {
 
   MuxOptions mux;
   mux.width = resolve_mux_width(config_);
-  mux.mode = mux.width >= 2 ? MuxMode::kMux : MuxMode::kOff;
   mux.conflict_radius = config_.mux_conflict_radius;
   report.mux_width = mux.width;
 

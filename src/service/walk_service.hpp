@@ -75,12 +75,12 @@ struct ServiceConfig {
   std::optional<congest::Partition> partition;
   /// Concurrent cross-walk stitching: the number of walks the batch
   /// scheduler may keep open as ProtocolMux lanes (see batch_scheduler.hpp).
-  /// 0 = auto (DRW_MUX env var, else 1); 1 = legacy sequential stitching;
-  /// widths of 2 or more multiplex non-conflicting traversals of that
-  /// many walks into shared Network rounds. Unlike threads/partition,
-  /// this changes WHICH exact walks are sampled (all widths are exact
-  /// l-step samples; width is part of the seed-reproducibility contract,
-  /// like the seed itself).
+  /// 0 = auto (DRW_MUX env var, else 1); 1 = one walk at a time, each
+  /// traversal in its own Network run; widths of 2 or more multiplex
+  /// non-conflicting traversals of that many walks into shared rounds.
+  /// Unlike threads/partition, this changes WHICH exact walks are sampled
+  /// (all widths are exact l-step samples; width is part of the
+  /// seed-reproducibility contract, like the seed itself).
   unsigned mux_width = 0;
   /// Conflict radius for mux grouping (0 = connector equality, the exact
   /// token-pool ownership rule; larger = defensive slack).

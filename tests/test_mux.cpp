@@ -14,6 +14,9 @@
 //     round/message stats -- across thread counts and partitions.
 //   * Conflict rule: units forced onto the same connector must serialize
 //     (mux_conflicts > 0) and still agree with the serial execution.
+//   * Token ownership: under a hot-key flood no short walk is consumed
+//     twice -- a task's sampled, uncommitted token stays its own -- and
+//     every recorded path is a walk.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -30,6 +33,7 @@
 #include "graph/generators.hpp"
 #include "obs/trace.hpp"
 #include "service/batch_scheduler.hpp"
+#include "service/walk_service.hpp"
 
 namespace drw {
 namespace {
@@ -411,6 +415,71 @@ TEST(Mux, ForcedConflictSerializes) {
   EXPECT_GT(muxed.conflicts, 0u) << "same-connector units must serialize";
   EXPECT_EQ(muxed.destinations, serial.destinations);
   EXPECT_EQ(muxed.request_stats, serial.request_stats);
+}
+
+/// Serves a hot-key sequence through WalkService at `width`: a two-walk
+/// warm-up from node 3, then `batches` batches that each mix 1-3 hot
+/// requests (8 walks of 1024 steps from node 7) with 0-3 light 1024-step
+/// requests of 1-2 walks from random sources, about 10% of them recorded.
+/// Every recorded path must be a walk of the requested length ending at
+/// its destination.
+void serve_hot_key_sequence(const Graph& g, std::uint32_t diameter,
+                            unsigned width, std::uint64_t seed,
+                            int batches) {
+  congest::Network net(g, 4);
+  service::ServiceConfig config;
+  config.params = core::Params::paper();
+  config.threads = 1;
+  config.enable_paths = true;
+  config.mux_width = width;
+  service::WalkService service(net, diameter, config);
+  service.serve({service::WalkRequest{3, 1024, 2, false}});
+
+  Rng rng(seed);
+  for (int b = 0; b < batches; ++b) {
+    std::vector<service::WalkRequest> batch;
+    for (auto hot = 1 + rng.next_below(3); hot > 0; --hot) {
+      batch.push_back(service::WalkRequest{7, 1024, 8, false});
+    }
+    for (auto light = rng.next_below(4); light > 0; --light) {
+      const auto source = static_cast<NodeId>(rng.next_below(g.node_count()));
+      const auto count = static_cast<std::uint32_t>(1 + rng.next_below(2));
+      batch.push_back(service::WalkRequest{source, 1024, count,
+                                           rng.next_below(10) == 0});
+    }
+    const service::BatchReport report = service.serve(batch);
+    for (const service::RequestResult& r : report.results) {
+      ASSERT_TRUE(r.ok()) << r.error();
+      for (std::size_t w = 0; w < r.paths.size(); ++w) {
+        const std::vector<NodeId>& path = r.paths[w];
+        ASSERT_EQ(path.size(), r.request.length + 1);
+        EXPECT_EQ(path.front(), r.request.source);
+        EXPECT_EQ(path.back(), r.destinations[w]);
+        for (std::size_t i = 1; i < path.size(); ++i) {
+          ASSERT_TRUE(g.has_edge(path[i - 1], path[i]))
+              << "width " << width << " seed " << seed << " batch " << b
+              << " step " << i;
+        }
+      }
+    }
+  }
+}
+
+TEST(Mux, HotKeyFloodNeverConsumesATokenTwice) {
+  // A task samples a token in one wave and commits it in a later one. An
+  // older task reaching the same connector in between must not sample
+  // that token again: the holder claims its connector first. Without that
+  // rule at least one of these sequences aborts with "token already used".
+  // The graph is the one `drw --graph=regular:128,4 --seed=4` builds.
+  Rng graph_rng(4 ^ 0xabcdef);
+  const Graph g = gen::random_regular(128, 4, graph_rng);
+  const std::uint32_t diameter = exact_diameter(g);
+  for (const unsigned width : {4u, 8u}) {
+    for (const std::uint64_t seed : {1u, 5u}) {
+      EXPECT_NO_THROW(serve_hot_key_sequence(g, diameter, width, seed, 8))
+          << "width " << width << " seed " << seed;
+    }
+  }
 }
 
 }  // namespace

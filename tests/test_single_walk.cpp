@@ -88,6 +88,43 @@ TEST(SingleWalk, RegeneratedPositionsFormTheWalk) {
   }
 }
 
+TEST(SingleWalk, ContinuedWalkFormsOnePathAcrossEpochs) {
+  // continue_walk extends a logical walk across prepare() epochs (the RST
+  // application's doubling phases): the positions recorded in both epochs
+  // together must form one valid walk with steps 0..l1+l2. The second
+  // epoch stitches on the same engine, or -- on odd runs -- walks naively
+  // on a second engine whose lambda exceeds l2.
+  Rng rng(6);
+  const Graph g = gen::random_geometric(30, 0.3, rng);
+  const std::uint32_t diameter = exact_diameter(g);
+  Params params = Params::paper();
+  params.record_trajectories = true;
+  params.lambda_override = 3;
+  Params naive = params;
+  naive.lambda_override = 64;
+  const std::uint64_t l1 = 24;
+  const std::uint64_t l2 = 31;
+  for (int run = 0; run < 10; ++run) {
+    Network net(g, 700 + run);
+    StitchEngine engine(net, params, diameter);
+    engine.prepare(1, l1);
+    const WalkResult first = engine.walk(2, l1, 0);
+    PositionTable positions = engine.drain_positions();
+
+    StitchEngine naive_engine(net, naive, diameter);
+    StitchEngine& second = run % 2 == 0 ? engine : naive_engine;
+    second.prepare(1, l2);
+    ASSERT_EQ(second.naive_mode(), run % 2 != 0);
+    const WalkResult rest =
+        second.continue_walk(first.destination, l2, 0, l1);
+    for (NodeId v = 0; v < g.node_count(); ++v) {
+      const auto& more = second.positions()[v];
+      positions[v].insert(positions[v].end(), more.begin(), more.end());
+    }
+    test::expect_valid_walk(g, positions, 0, l1 + l2, 2, rest.destination);
+  }
+}
+
 TEST(SingleWalk, GetMoreWalksPathIsExercisedAndValid) {
   // Repeated walks from one engine deplete the store and force
   // GET-MORE-WALKS; positions must stay valid (reverse replay).

@@ -13,8 +13,7 @@ Structural checks (always):
 
 Cross-check (when the producer recorded the metadata):
   * with otherData.threads == 1 and no drops, the summed transmit-shard
-    span time (the fused ``transmit.fused.shard`` spans; legacy
-    ``transmit.shard`` spans from pre-fusion traces count too) must land
+    span time (the ``transmit.fused.shard`` spans) must land
     within --tolerance (default 10%) of the driver's
     otherData.transmit_ms -- the acceptance gate tying the trace to
     RunStats. At threads > 1 shards transmit concurrently and span-sum is
@@ -97,10 +96,8 @@ def main() -> int:
             if name != ev["name"]:
                 fail(f"mismatched span on track {key}: "
                      f"B={name} closed by E={ev['name']}")
-            # The fused engine traces transmit.fused.shard; legacy traces
-            # carry transmit.shard. Either way the span brackets one
-            # shard's whole transmit pass, so both feed the same sum.
-            if ev["name"] in ("transmit.shard", "transmit.fused.shard"):
+            # Each span brackets one shard's whole transmit pass.
+            if ev["name"] == "transmit.fused.shard":
                 transmit_spans_us += ts - begin
         elif ph not in ("i", "C"):
             fail(f"unknown phase {ph!r}: {ev}")
