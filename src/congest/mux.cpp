@@ -86,32 +86,14 @@ void ProtocolMux::on_round(Context& ctx) {
   const NodeId v = ctx.self();
   WorkerSlot& slot = slots_[ctx.worker_];
   const auto lanes = static_cast<unsigned>(lanes_.size());
-
-  // Zero-copy path: the network already delivered into per-(node, lane)
-  // inboxes (wants_lane_inboxes + within budget), so every lane dispatches
-  // on its own span in place -- no partition scan, no scratch copies.
-  // Frozen lanes are simply skipped (the network clears their slots after
-  // this on_round), mirroring how a solo run discards a done() protocol's
-  // untransmitted backlog.
-  if (ctx.has_lane_inboxes()) {
-    for (unsigned l = 0; l < lanes; ++l) {
-      if (frozen_[l]) continue;
-      dispatch_lane(ctx, slot, l, v,
-                    ctx.lane_inbox(static_cast<std::uint16_t>(l)));
-    }
-    ctx.lane_ = 0;
-    ctx.lane_rng_ = nullptr;
-    ctx.inbox_ = std::span<const Delivery>();
-    return;
-  }
-
   const std::span<const Delivery> inbox = ctx.inbox();
 
   // Fast path: all of this node's deliveries belong to ONE lane (the
   // common case outside overlapping flood fronts) -- that lane dispatches
   // on the original span, no copy. Mixed inboxes are partitioned by lane
-  // into per-worker scratch; frozen lanes' messages are dropped either
-  // way.
+  // into per-worker scratch. Frozen lanes are skipped either way (the
+  // network clears the inbox after this on_round), mirroring how a solo
+  // run discards a done() protocol's untransmitted backlog.
   std::uint16_t only = 0;
   bool mixed = false;
   if (!inbox.empty()) {

@@ -84,11 +84,11 @@ class ProtocolMux final : public Protocol {
   const LaneStats& lane_stats(unsigned lane) const { return stats_[lane]; }
 
   void on_run_start(unsigned workers) override;
+  /// Splits the node's mixed inbox by Message::lane and dispatches each
+  /// lane in ascending id order on its own slice: an inbox that holds one
+  /// lane's messages is passed through uncopied, a mixed one is copied by
+  /// lane into per-worker scratch.
   void on_round(Context& ctx) override;
-  /// The mux demultiplexes by lane itself, so it opts into the network's
-  /// zero-copy per-(node, lane) inboxes; when the network declines (budget
-  /// or single lane) on_round falls back to partitioning the mixed inbox.
-  bool wants_lane_inboxes() const override { return true; }
   /// True when every lane's protocol reports done() (default-false lanes
   /// keep the run alive until global quiescence). Also the once-per-round
   /// driver hook where per-worker activity flags fold into the per-lane
@@ -112,8 +112,8 @@ class ProtocolMux final : public Protocol {
   };
 
   void count_round(unsigned lane, std::uint64_t round) const;
-  /// Shared per-lane dispatch body (activation rule, rng/lane retarget,
-  /// wake + accounting), used by both the zero-copy and the copying path.
+  /// Per-lane dispatch body (activation rule, rng/lane retarget, wake +
+  /// accounting) for one lane's slice `sub` of the node's inbox.
   void dispatch_lane(Context& ctx, WorkerSlot& slot, unsigned l, NodeId v,
                      std::span<const Delivery> sub);
 

@@ -103,24 +103,6 @@ std::uint64_t cut_chunks(std::uint32_t steal_chunk, std::uint32_t count,
   return work;
 }
 
-/// Parsed DRW_LANE_INBOX_MB (default 64): memory budget in MiB for the
-/// zero-copy per-(node, lane) inbox table. Multi-lane runs above the
-/// budget fall back to the mixed-inbox copying path (identical results).
-std::uint32_t env_lane_inbox_mb() {
-  static const std::uint32_t value = [] {
-    if (const char* env = std::getenv("DRW_LANE_INBOX_MB")) {
-      char* end = nullptr;
-      const unsigned long parsed = std::strtoul(env, &end, 10);
-      if (end != env) {
-        return static_cast<std::uint32_t>(
-            parsed < (1u << 20) ? parsed : (1u << 20));
-      }
-    }
-    return 64u;
-  }();
-  return value;
-}
-
 /// Parsed DRW_THREADS (0 = unset/invalid): an explicit width request, as
 /// opposed to the hardware-derived fallback.
 unsigned env_threads() {
@@ -175,17 +157,6 @@ void Context::wake_me() {
 
 Rng& Context::rng() {
   return lane_rng_ != nullptr ? *lane_rng_ : net_->node_rngs_[self_];
-}
-
-bool Context::has_lane_inboxes() const noexcept {
-  return net_->lane_inboxes_on_;
-}
-
-std::span<const Delivery> Context::lane_inbox(
-    std::uint16_t lane) const noexcept {
-  return std::span<const Delivery>(
-      net_->lane_inbox_[static_cast<std::size_t>(self_) *
-                            net_->lane_inbox_stride_ + lane]);
 }
 
 // --------------------------------------------------------------- WorkerPool
@@ -300,7 +271,6 @@ Network::Network(const Graph& g, std::uint64_t seed)
     }
   }
   inbox_.resize(n);
-  inbox_total_.assign(n, 0);
   wake_flag_.assign(n, 0);
 }
 
@@ -602,29 +572,12 @@ void Network::compute_phase(unsigned worker) {
       const std::uint32_t end = sh.chunk_end[c];
       for (std::uint32_t idx = begin; idx < end; ++idx) {
         const NodeId v = sh.active[idx];
-        if (lane_inboxes_on_) {
-          // Per-lane inboxes: the protocol demultiplexes itself through
-          // Context::lane_inbox; the mixed inbox() stays empty.
-          lane.deliveries += inbox_total_[v];
-          ctx.self_ = v;
-          ctx.inbox_ = std::span<const Delivery>();
-          running_->on_round(ctx);
-          if (inbox_total_[v] != 0) {
-            const std::size_t base =
-                static_cast<std::size_t>(v) * lane_inbox_stride_;
-            for (unsigned l = 0; l < lane_inbox_stride_; ++l) {
-              lane_inbox_[base + l].clear();
-            }
-            inbox_total_[v] = 0;
-          }
-        } else {
-          std::vector<Delivery>& in = inbox_[v];
-          lane.deliveries += in.size();
-          ctx.self_ = v;
-          ctx.inbox_ = std::span<const Delivery>(in);
-          running_->on_round(ctx);
-          in.clear();
-        }
+        std::vector<Delivery>& in = inbox_[v];
+        lane.deliveries += in.size();
+        ctx.self_ = v;
+        ctx.inbox_ = std::span<const Delivery>(in);
+        running_->on_round(ctx);
+        in.clear();
       }
     }
   }
@@ -661,17 +614,9 @@ void Network::transmit_phase(unsigned shard) {
     const std::uint64_t ep = edge_endpoints_[base_eid];
     const auto to = static_cast<NodeId>(ep & 0xffffffffu);
     const auto from = static_cast<NodeId>(ep >> 32);
-    if (lane_inboxes_on_) {
-      if (inbox_total_[to] == 0) sh.delivered.push_back(to);
-      ++inbox_total_[to];
-      lane_inbox_[static_cast<std::size_t>(to) * lane_inbox_stride_ +
-                  m.lane]
-          .push_back(Delivery{m, from});
-    } else {
-      std::vector<Delivery>& in = inbox_[to];
-      if (in.empty()) sh.delivered.push_back(to);
-      in.push_back(Delivery{m, from});
-    }
+    std::vector<Delivery>& in = inbox_[to];
+    if (in.empty()) sh.delivered.push_back(to);
+    in.push_back(Delivery{m, from});
     ++sh.transmitted;
   };
 
@@ -682,17 +627,9 @@ void Network::transmit_phase(unsigned shard) {
                                  std::uint64_t lo, std::uint64_t hi) {
     const std::uint64_t ep = edge_endpoints_[base_eid];
     const auto to = static_cast<NodeId>(ep & 0xffffffffu);
-    std::vector<Delivery>* in;
-    if (lane_inboxes_on_) {
-      if (inbox_total_[to] == 0) sh.delivered.push_back(to);
-      ++inbox_total_[to];
-      in = &lane_inbox_[static_cast<std::size_t>(to) * lane_inbox_stride_ +
-                        static_cast<std::uint16_t>(hdr)];
-    } else {
-      in = &inbox_[to];
-      if (in->empty()) sh.delivered.push_back(to);
-    }
-    in->push_back(
+    std::vector<Delivery>& in = inbox_[to];
+    if (in.empty()) sh.delivered.push_back(to);
+    in.push_back(
         Delivery{Message{static_cast<std::uint16_t>(hdr >> 16),
                          {lo & 0xffffffffull, lo >> 32,
                           hi & 0xffffffffull, hi >> 32},
@@ -851,18 +788,8 @@ void Network::transmit_phase(unsigned shard) {
   const NodeId node_end = shard_begin_[shard + 1];
   const std::size_t touched = sh.delivered.size() + sh.wake_scratch.size();
   if (touched * 8 >= static_cast<std::size_t>(node_end - node_begin)) {
-    if (lane_inboxes_on_) {
-      for (NodeId v = node_begin; v < node_end; ++v) {
-        if (inbox_total_[v] != 0 || wake_flag_[v] != 0) {
-          sh.active.push_back(v);
-        }
-      }
-    } else {
-      for (NodeId v = node_begin; v < node_end; ++v) {
-        if (!inbox_[v].empty() || wake_flag_[v] != 0) {
-          sh.active.push_back(v);
-        }
-      }
+    for (NodeId v = node_begin; v < node_end; ++v) {
+      if (!inbox_[v].empty() || wake_flag_[v] != 0) sh.active.push_back(v);
     }
   } else {
     sh.active.insert(sh.active.end(), sh.delivered.begin(),
@@ -882,38 +809,18 @@ void Network::chunk_active_list(Shard& sh) {
   // the inbox, and it is known exactly here. A hub with a flooded inbox
   // lands alone in its own chunk, so thieves can take everything else.
   sh.chunk_end.clear();
-  if (lane_inboxes_on_) {
-    sh.work = cut_chunks(
-        steal_chunk_, static_cast<std::uint32_t>(sh.active.size()),
-        [&](std::uint32_t idx) {
-          return std::uint64_t{1} + inbox_total_[sh.active[idx]];
-        },
-        sh.chunk_end);
-  } else {
-    sh.work = cut_chunks(
-        steal_chunk_, static_cast<std::uint32_t>(sh.active.size()),
-        [&](std::uint32_t idx) {
-          return std::uint64_t{1} + inbox_[sh.active[idx]].size();
-        },
-        sh.chunk_end);
-  }
+  sh.work = cut_chunks(
+      steal_chunk_, static_cast<std::uint32_t>(sh.active.size()),
+      [&](std::uint32_t idx) {
+        return std::uint64_t{1} + inbox_[sh.active[idx]].size();
+      },
+      sh.chunk_end);
 }
 
 void Network::reset_transients(bool aborted) {
   for (unsigned s = 0; s < workers_; ++s) {
     Shard& sh = shards_[s];
-    for (NodeId v : sh.delivered) {
-      if (lane_inboxes_on_) {
-        const std::size_t base =
-            static_cast<std::size_t>(v) * lane_inbox_stride_;
-        for (unsigned l = 0; l < lane_inbox_stride_; ++l) {
-          lane_inbox_[base + l].clear();
-        }
-        inbox_total_[v] = 0;
-      } else {
-        inbox_[v].clear();
-      }
-    }
+    for (NodeId v : sh.delivered) inbox_[v].clear();
     sh.delivered.clear();
     sh.active.clear();
     sh.chunk_end.clear();
@@ -943,8 +850,6 @@ void Network::reset_transients(bool aborted) {
     // start). Sweep everything so the aborted run cannot leak messages or
     // stuck wake flags into the next protocol.
     for (std::vector<Delivery>& in : inbox_) in.clear();
-    for (std::vector<Delivery>& in : lane_inbox_) in.clear();
-    if (lane_inboxes_on_) inbox_total_.assign(inbox_total_.size(), 0);
     wake_flag_.assign(wake_flag_.size(), 0);
   }
   // Only busy edges were cleared above; every other queue must already be
@@ -995,27 +900,6 @@ RunStats Network::run_with_lanes(Protocol& protocol, unsigned lanes,
   const auto start = Clock::now();
   obs::Span run_span(obs::Name::kNetRun, obs::kPidExecutor, 0, lanes);
   run_lanes_ = lanes;
-  // Zero-copy lane inboxes: only for multi-lane runs whose protocol
-  // demultiplexes by lane itself (wants_lane_inboxes), and only when the
-  // O(n x lanes) table of span headers fits the memory budget -- above it
-  // the run falls back to the mixed-inbox copying path, with identical
-  // results (the per-lane slices equal a by-lane partition of the mixed
-  // inbox in arrival order).
-  lane_inboxes_on_ = false;
-  if (lanes > 1 && protocol.wants_lane_inboxes()) {
-    const std::size_t slots =
-        static_cast<std::size_t>(graph_->node_count()) * lanes;
-    const std::uint64_t budget_mb = lane_inbox_budget_mb_ != 0
-                                        ? lane_inbox_budget_mb_
-                                        : env_lane_inbox_mb();
-    if (slots * sizeof(std::vector<Delivery>) <= budget_mb * (1ull << 20)) {
-      lane_inboxes_on_ = true;
-      lane_inbox_stride_ = lanes;
-      // Grow-only, and every slot is empty between runs, so a stride
-      // change cannot misplace pending messages.
-      if (lane_inbox_.size() < slots) lane_inbox_.resize(slots);
-    }
-  }
   ensure_executor();
   RunStats stats;
   stats.threads = workers_;

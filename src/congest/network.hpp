@@ -175,19 +175,10 @@ class Context {
  public:
   NodeId self() const noexcept { return self_; }
   std::uint64_t round() const noexcept { return round_; }
+  /// This round's deliveries in arrival order. On a multi-lane run the
+  /// top-level protocol (the ProtocolMux) sees every lane's messages
+  /// mixed; each lane protocol then sees only its own slice.
   std::span<const Delivery> inbox() const noexcept { return inbox_; }
-
-  /// True when this run delivers into per-(node, lane) inboxes owned by
-  /// the Network (multi-lane runs whose protocol opted in via
-  /// Protocol::wants_lane_inboxes and whose O(n x lanes) span table fits
-  /// the memory budget). inbox() is then empty during the top-level
-  /// dispatch; read lane_inbox(l) in place instead of partitioning a
-  /// mixed inbox into scratch copies.
-  bool has_lane_inboxes() const noexcept;
-  /// This node's pending deliveries for `lane`, in arrival order --
-  /// exactly the slice a per-lane partition of the mixed inbox would
-  /// yield, without the copy. Valid only when has_lane_inboxes().
-  std::span<const Delivery> lane_inbox(std::uint16_t lane) const noexcept;
 
   std::uint32_t degree() const noexcept;
   std::span<const NodeId> neighbors() const noexcept;
@@ -249,16 +240,6 @@ class Protocol {
   /// quiescence (no queued messages, no wakes). Called between rounds on
   /// the driver thread; it may read any protocol state.
   virtual bool done() const { return false; }
-
-  /// Opt-in for zero-copy per-(node, lane) inboxes on multi-lane runs:
-  /// the network then delivers each lane's messages into its own span
-  /// (read via Context::lane_inbox) instead of one mixed inbox, and
-  /// Context::inbox() is empty during dispatch. Only meaningful for
-  /// protocols that demultiplex by lane themselves (ProtocolMux); the
-  /// network may still decline when n x lanes exceeds the lane-inbox
-  /// memory budget, so opted-in protocols must keep the mixed-inbox path
-  /// working and branch on Context::has_lane_inboxes().
-  virtual bool wants_lane_inboxes() const { return false; }
 };
 
 class Network {
@@ -312,18 +293,6 @@ class Network {
   /// run builds it.
   std::size_t dispatch_grain() const noexcept { return grain_; }
 
-  /// Memory budget (MiB) for the zero-copy per-(node, lane) inbox table
-  /// on multi-lane runs: when n x lanes span headers would exceed it, the
-  /// run falls back to the mixed-inbox copying path (same results, see
-  /// Protocol::wants_lane_inboxes). 0 = auto: DRW_LANE_INBOX_MB env var
-  /// if set, else 64 MiB. Results are bit-identical either way -- the
-  /// budget only moves the memory/speed trade-off.
-  void set_lane_inbox_budget_mb(std::uint32_t mb) noexcept {
-    lane_inbox_budget_mb_ = mb;
-  }
-  /// True while the current/last run delivered into per-lane inboxes.
-  bool lane_inboxes_active() const noexcept { return lane_inboxes_on_; }
-
   /// Runs `protocol` to completion (quiescence or protocol.done()).
   /// Throws std::runtime_error if `max_rounds` is exceeded -- a protocol bug.
   RunStats run(Protocol& protocol, std::uint64_t max_rounds = 10'000'000);
@@ -343,6 +312,8 @@ class Network {
   /// budget applies per lane, mirroring the paper's interleaving analysis
   /// where non-contending traversals share rounds. `lanes` == 1 is
   /// identical to run(). Messages must carry Message::lane < lanes.
+  /// Every node keeps ONE inbox holding all lanes' deliveries in arrival
+  /// order; the protocol splits it by Message::lane (ProtocolMux does).
   RunStats run_multiplexed(Protocol& protocol, unsigned lanes,
                            std::uint64_t max_rounds = 10'000'000);
 
@@ -530,6 +501,8 @@ class Network {
   /// degree-proportional) per shard, rebuilt with the executor.
   std::vector<std::vector<std::uint32_t>> round0_chunk_end_;
   std::vector<std::uint64_t> round0_work_;
+  /// One inbox per node, holding every lane's deliveries in arrival
+  /// order. Written only by the node's owner shard.
   std::vector<std::vector<Delivery>> inbox_;
   std::vector<std::uint8_t> wake_flag_;
   std::unique_ptr<WorkerPool> pool_;
@@ -543,19 +516,6 @@ class Network {
   /// edge's owner shard (same discipline as the arena pools).
   std::vector<std::uint64_t> edge_mark_;
   std::uint64_t transmit_stamp_ = 0;
-
-  /// Zero-copy per-(node, lane) inboxes (multi-lane runs whose protocol
-  /// opted in and whose n x lanes table fits the budget): slot
-  /// [v * lane_inbox_stride_ + lane]. Grow-only like the arena; all slots
-  /// are empty between runs, so a stride change never misplaces messages.
-  /// inbox_total_[v] counts v's pending deliveries across lanes (chunk
-  /// weights, delivered-list bookkeeping and stats need the sum without
-  /// walking the stride). Owner-shard writes only, like inbox_.
-  std::vector<std::vector<Delivery>> lane_inbox_;
-  std::vector<std::uint32_t> inbox_total_;
-  unsigned lane_inbox_stride_ = 0;
-  bool lane_inboxes_on_ = false;
-  std::uint32_t lane_inbox_budget_mb_ = 0;  ///< 0 = env/default
 
   Protocol* running_ = nullptr;  ///< current protocol during run()
   std::uint64_t round_ = 0;

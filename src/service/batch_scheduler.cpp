@@ -10,36 +10,6 @@ namespace drw::service {
 
 namespace {
 
-/// True when dist(a, b) <= 2 * radius, i.e. the radius-`radius` balls
-/// around the two connectors intersect. radius 0 degenerates to equality
-/// (the exact rule: token pools are keyed by connector). The bounded BFS
-/// costs O(ball size) -- cheap for the small radii this knob is meant for.
-bool connectors_conflict(const Graph& g, NodeId a, NodeId b,
-                         std::uint32_t radius,
-                         std::vector<NodeId>& scratch) {
-  if (a == b) return true;
-  if (radius == 0) return false;
-  const std::uint32_t limit = 2 * radius;
-  // Bounded BFS from a; scratch holds the frontier/visited list.
-  scratch.clear();
-  scratch.push_back(a);
-  std::size_t begin = 0;
-  for (std::uint32_t depth = 0; depth < limit; ++depth) {
-    const std::size_t end = scratch.size();
-    for (std::size_t i = begin; i < end; ++i) {
-      for (const NodeId u : g.neighbors(scratch[i])) {
-        if (u == b) return true;
-        if (std::find(scratch.begin(), scratch.end(), u) == scratch.end()) {
-          scratch.push_back(u);
-        }
-      }
-    }
-    begin = end;
-    if (begin == scratch.size()) break;
-  }
-  return false;
-}
-
 congest::RunStats lane_run_stats(const congest::ProtocolMux::LaneStats& ls) {
   congest::RunStats stats;
   stats.rounds = ls.rounds;
@@ -84,7 +54,6 @@ void BatchScheduler::stitch(std::span<const Unit> units,
   std::vector<OpenTask> open;  // lane priority: oldest first
   open.reserve(width);
   std::size_t next_unit = 0;
-  std::vector<NodeId> bfs_scratch;
 
   // Harvest finished tasks into the outcome and top the lanes back up
   // (tasks of walks shorter than 2*lambda finish at creation, so the two
@@ -127,24 +96,21 @@ void BatchScheduler::stitch(std::span<const Unit> units,
   std::vector<std::size_t> group;
   std::vector<NodeId> claimed;
   while (!open.empty()) {
-    // Build this wave's group: a task joins unless its connector conflicts
-    // with one already admitted (then it waits a wave). Tasks holding a
-    // sampled, uncommitted token claim first -- otherwise an older task
-    // reaching the same connector could sample that token again before
-    // the commit marks it used. Then the rest claim oldest first; the
-    // first claimant always enters, so the schedule cannot stall.
+    // Build this wave's group: a task joins unless its connector was
+    // already claimed this wave (then it waits a wave) -- token pools are
+    // keyed by connector, so equal connectors are exactly the conflict.
+    // Tasks holding a sampled, uncommitted token claim first -- otherwise
+    // an older task reaching the same connector could sample that token
+    // again before the commit marks it used. Then the rest claim oldest
+    // first; the first claimant always enters, so the schedule cannot
+    // stall.
     group.clear();
     claimed.clear();
     for (const bool holders : {true, false}) {
       for (std::size_t i = 0; i < open.size(); ++i) {
         if (open[i].task.holds_token() != holders) continue;
         const NodeId c = open[i].task.connector();
-        const bool conflict = std::any_of(
-            claimed.begin(), claimed.end(), [&](NodeId other) {
-              return connectors_conflict(g, other, c, mux.conflict_radius,
-                                         bfs_scratch);
-            });
-        if (conflict) {
+        if (std::find(claimed.begin(), claimed.end(), c) != claimed.end()) {
           ++out.mux_conflicts;
           continue;
         }

@@ -17,15 +17,14 @@
 // `width` tasks open and, each wave, groups the tasks whose next
 // traversals are pairwise non-conflicting -- the only cross-walk coupling
 // is through the short-walk token pools, which are keyed by connector, so
-// two traversals conflict exactly when their connectors'
-// radius-`conflict_radius` neighborhoods intersect (radius 0, the default,
-// is the precise ownership rule; larger radii are defensive slack).
-// Conflicting tasks wait a wave. A task holding a sampled but uncommitted
-// token claims its connector before any other task, so nobody samples
-// that token in between. A wave of two or more lanes executes as one
-// congest::ProtocolMux inside a single Network::run, widening rounds so
-// the parallel executor's work-stealing pool bites; a one-lane wave (every
-// wave at width 1) runs the task solo on its own streams, with no mux.
+// two traversals conflict exactly when they share a connector (the
+// precise ownership rule). Conflicting tasks wait a wave. A task holding
+// a sampled but uncommitted token claims its connector before any other
+// task, so nobody samples that token in between. A wave of two or more
+// lanes executes as one congest::ProtocolMux inside a single
+// Network::run, widening rounds so the parallel executor's work-stealing
+// pool bites; a one-lane wave (every wave at width 1) runs the task solo
+// on its own streams, with no mux.
 // kSerial runs the *same* schedule one lane at a time -- the bit-identity
 // reference tests/test_mux.cpp and bench_mux compare kMux against.
 #pragma once
@@ -50,10 +49,6 @@ struct MuxOptions {
   /// Maximum concurrently open walks (lanes per wave); 1 stitches one walk
   /// at a time.
   unsigned width = 1;
-  /// Two traversals conflict when their connectors are within distance
-  /// 2 * conflict_radius (their radius-r neighborhoods intersect). 0 --
-  /// connector equality -- is exact: token pools are keyed by connector.
-  std::uint32_t conflict_radius = 0;
 };
 
 class BatchScheduler {

@@ -1,28 +1,12 @@
 #include "service/server.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <stdexcept>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace drw::service {
-namespace {
-
-/// Mirror of the service's effective stitching width (explicit config,
-/// else DRW_MUX, else 1) -- the cross-batch lane floor.
-unsigned effective_mux_width(const ServiceConfig& config) {
-  if (config.mux_width != 0) return config.mux_width;
-  if (const char* env = std::getenv("DRW_MUX")) {
-    const unsigned long parsed = std::strtoul(env, nullptr, 10);
-    if (parsed >= 1) return static_cast<unsigned>(parsed);
-  }
-  return 1;
-}
-
-}  // namespace
-
 WalkServer::WalkServer(WalkService& service, const csr::LoadedGraph& graph,
                        ServerConfig config)
     : service_(service),
@@ -34,7 +18,7 @@ WalkServer::WalkServer(WalkService& service, const csr::LoadedGraph& graph,
         // lanes of the next wave (unless the queue runs dry first).
         a.min_batch_requests =
             std::max<std::uint32_t>(a.min_batch_requests,
-                                    effective_mux_width(service.config()));
+                                    service.mux_width());
         return a;
       }()),
       epoch_(std::chrono::steady_clock::now()) {

@@ -53,6 +53,7 @@ unsigned resolve_mux_width(const ServiceConfig& config) {
 WalkService::WalkService(congest::Network& net, std::uint32_t diameter,
                          ServiceConfig config)
     : net_(&net), diameter_(diameter), config_(config),
+      mux_width_(resolve_mux_width(config)),
       engine_(net, engine_params(config), diameter),
       inventory_(net.graph().node_count()) {
   if (config_.lambda_slack < 1.0) {
@@ -74,7 +75,7 @@ WalkService::~WalkService() {
   obs::Tracer& tracer = obs::Tracer::instance();
   tracer.set_meta("transmit_ms", lifetime_.stats.transmit_ms);
   tracer.set_meta("threads", double(lifetime_.stats.threads));
-  tracer.set_meta("mux_width", double(resolve_mux_width(config_)));
+  tracer.set_meta("mux_width", double(mux_width_));
   tracer.flush();
   tracer.disable();
 }
@@ -203,8 +204,7 @@ BatchReport WalkService::flush() {
   report.naive_mode = engine_.naive_mode();
 
   MuxOptions mux;
-  mux.width = resolve_mux_width(config_);
-  mux.conflict_radius = config_.mux_conflict_radius;
+  mux.width = mux_width_;
   report.mux_width = mux.width;
 
   BatchScheduler scheduler(engine_);

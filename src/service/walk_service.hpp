@@ -82,9 +82,6 @@ struct ServiceConfig {
   /// (all widths are exact l-step samples; width is part of the
   /// seed-reproducibility contract, like the seed itself).
   unsigned mux_width = 0;
-  /// Conflict radius for mux grouping (0 = connector equality, the exact
-  /// token-pool ownership rule; larger = defensive slack).
-  std::uint32_t mux_conflict_radius = 0;
   /// Non-empty: arm the process-wide obs tracer and write a Chrome
   /// trace-event JSON (Perfetto-loadable) here when the service is
   /// destroyed. Equivalent to DRW_TRACE=<path> / `drw --trace=<path>`.
@@ -192,6 +189,10 @@ class WalkService {
   congest::Network& network() noexcept { return *net_; }
   std::uint32_t diameter() const noexcept { return diameter_; }
   const ServiceConfig& config() const noexcept { return config_; }
+  /// The stitching width every batch runs at: config.mux_width, else the
+  /// DRW_MUX env var, else 1, clamped to Network::kMaxLanes. Resolved once
+  /// at construction; the server's lane floor and trace metadata use it.
+  unsigned mux_width() const noexcept { return mux_width_; }
 
   /// Enqueues one request for the next flush(). Never throws: validation
   /// happens at the service boundary in flush(), where invalid requests
@@ -257,6 +258,7 @@ class WalkService {
   congest::Network* net_;
   std::uint32_t diameter_;
   ServiceConfig config_;
+  unsigned mux_width_;
   core::StitchEngine engine_;
   WalkInventory inventory_;
   std::vector<WalkRequest> pending_;

@@ -12,6 +12,8 @@
 //     bit-identical to kSerial (the SAME conflict-aware schedule, one lane
 //     at a time): same destinations, same recorded paths, same per-request
 //     round/message stats -- across thread counts and partitions.
+//   * Abort cleanup: a lane that throws mid-run leaves no deliveries,
+//     backlogs or wakes behind for the next run on the same Network.
 //   * Conflict rule: units forced onto the same connector must serialize
 //     (mux_conflicts > 0) and still agree with the serial execution.
 //   * Token ownership: under a hot-key flood no short walk is consumed
@@ -21,6 +23,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -186,58 +189,97 @@ TEST(Mux, LanesBitIdenticalToSoloRuns) {
   }
 }
 
-// The zero-copy lane-inbox table is memory-gated: a run over budget falls
-// back to the mixed-inbox copying demux. The two delivery paths must be
-// bit-identical. The graph is sized so the O(n x lanes) span table
-// (45000 slots) exceeds a 1 MiB budget -- the smallest non-auto setting --
-// while the default budget (64 MiB) keeps the zero-copy path on.
-TEST(Mux, LaneInboxBudgetFallbackIsBitIdentical) {
-  constexpr std::uint64_t kSeed = 6060;
-  constexpr unsigned kLanes = 5;
+// The multi-lane analogue of Network.ThrowMidComputeLeavesNoStaleDeliveries:
+// one lane throws mid-run while the storm lanes beside it have deliveries
+// in inboxes and backlogs in their per-(edge, lane) queues. The aborted
+// run must leave nothing behind -- a fresh mux on the same Network must
+// match the same mux on a fresh Network, lane for lane.
+TEST(Mux, ThrowingLaneLeavesNoStaleDeliveries) {
+  constexpr std::uint64_t kSeed = 5150;
+  constexpr unsigned kStormLanes = 3;
   Rng graph_rng(77);
-  const Graph g = gen::random_regular(9000, 4, graph_rng);
+  const Graph g = gen::random_regular(128, 4, graph_rng);
   const std::size_t n = g.node_count();
-  ASSERT_GT(n * kLanes * sizeof(std::vector<congest::Delivery>),
-            std::size_t{1} << 20)
-      << "graph too small to push the span table over a 1 MiB budget";
 
-  std::vector<std::vector<Rng>> lane_rngs;
-  for (unsigned l = 0; l < kLanes; ++l) {
-    lane_rngs.push_back(congest::ProtocolMux::derive_lane_rngs(kSeed, l, n));
-  }
+  /// Every node sends one token in round 0 and forwards what it receives;
+  /// the first node to receive a token in round `throw_round` throws.
+  class ThrowAtRound final : public congest::Protocol {
+   public:
+    explicit ThrowAtRound(std::uint64_t throw_round)
+        : throw_round_(throw_round) {}
+    void on_round(congest::Context& ctx) override {
+      if (ctx.round() == 0) {
+        ctx.send(0, congest::Message{1, {0, 0, 0, 0}});
+        return;
+      }
+      if (ctx.round() >= throw_round_) throw std::logic_error("lane boom");
+      for (std::size_t i = 0; i < ctx.inbox().size(); ++i) {
+        ctx.send(0, congest::Message{1, {0, 0, 0, 0}});
+      }
+    }
 
-  const auto run_with_budget = [&](std::uint32_t budget_mb, unsigned threads,
-                                   std::vector<LaneOutcome>* out) {
-    congest::Network net(g, kSeed);
-    net.set_threads(threads);
-    net.set_lane_inbox_budget_mb(budget_mb);
+   private:
+    std::uint64_t throw_round_;
+  };
+
+  // Runs kStormLanes storm lanes (lane streams keyed 0..) as one mux on
+  // `net` and returns their outcomes.
+  const auto run_storms = [&](congest::Network& net) {
     std::vector<std::unique_ptr<DigestStorm>> storms;
     std::vector<std::vector<Rng>> rngs;
     congest::ProtocolMux mux(n);
-    for (unsigned l = 0; l < kLanes; ++l) {
-      storms.push_back(std::make_unique<DigestStorm>(n, 1 + l % 2, 10));
-      rngs.push_back(lane_rngs[l]);
+    for (unsigned l = 0; l < kStormLanes; ++l) {
+      storms.push_back(std::make_unique<DigestStorm>(n, 1 + l % 3, 12));
+      rngs.push_back(congest::ProtocolMux::derive_lane_rngs(kSeed, l, n));
     }
-    for (unsigned l = 0; l < kLanes; ++l) mux.add_lane(*storms[l], &rngs[l]);
-    net.run_multiplexed(mux, kLanes);
-    out->clear();
-    for (unsigned l = 0; l < kLanes; ++l) {
-      out->push_back({storms[l]->digest(), mux.lane_stats(l).rounds,
-                      mux.lane_stats(l).messages});
+    for (unsigned l = 0; l < kStormLanes; ++l) {
+      mux.add_lane(*storms[l], &rngs[l]);
     }
+    const congest::RunStats stats = net.run_multiplexed(mux, kStormLanes);
+    std::vector<LaneOutcome> out;
+    for (unsigned l = 0; l < kStormLanes; ++l) {
+      out.push_back({storms[l]->digest(), mux.lane_stats(l).rounds,
+                     mux.lane_stats(l).messages});
+    }
+    out.push_back({0, stats.rounds, stats.messages});
+    return out;
   };
 
-  std::vector<LaneOutcome> zero_copy;
-  run_with_budget(/*budget_mb=*/0, /*threads=*/1, &zero_copy);  // 0 = default
   for (const unsigned threads : kThreadCounts) {
-    std::vector<LaneOutcome> fallback;
-    run_with_budget(/*budget_mb=*/1, threads, &fallback);
-    for (unsigned l = 0; l < kLanes; ++l) {
-      EXPECT_EQ(fallback[l].digest, zero_copy[l].digest)
+    congest::Network fresh(g, kSeed);
+    fresh.set_threads(threads);
+    const std::vector<LaneOutcome> want = run_storms(fresh);
+
+    congest::Network net(g, kSeed);
+    net.set_threads(threads);
+    {
+      // Storm lanes first and the thrower last, so the throw strands
+      // the storms' deliveries of the same round at later nodes.
+      std::vector<std::unique_ptr<DigestStorm>> storms;
+      std::vector<std::vector<Rng>> rngs;
+      congest::ProtocolMux mux(n);
+      for (unsigned l = 0; l < kStormLanes; ++l) {
+        storms.push_back(std::make_unique<DigestStorm>(n, 2, 20));
+        rngs.push_back(
+            congest::ProtocolMux::derive_lane_rngs(kSeed + 1, l, n));
+      }
+      for (unsigned l = 0; l < kStormLanes; ++l) {
+        mux.add_lane(*storms[l], &rngs[l]);
+      }
+      ThrowAtRound thrower(4);
+      mux.add_lane(thrower, nullptr);
+      EXPECT_THROW(net.run_multiplexed(mux, kStormLanes + 1),
+                   std::logic_error)
+          << "threads=" << threads;
+    }
+    const std::vector<LaneOutcome> got = run_storms(net);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t l = 0; l < got.size(); ++l) {
+      EXPECT_EQ(got[l].digest, want[l].digest)
           << "lane " << l << " threads=" << threads;
-      EXPECT_EQ(fallback[l].rounds, zero_copy[l].rounds)
+      EXPECT_EQ(got[l].rounds, want[l].rounds)
           << "lane " << l << " threads=" << threads;
-      EXPECT_EQ(fallback[l].messages, zero_copy[l].messages)
+      EXPECT_EQ(got[l].messages, want[l].messages)
           << "lane " << l << " threads=" << threads;
     }
   }

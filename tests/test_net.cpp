@@ -314,6 +314,21 @@ TEST(WalkServerLoopback, ServedResponsesMatchInProcessReplay) {
   }
 }
 
+TEST(WalkServer, LaneFloorIsTheServiceResolvedWidth) {
+  // The lane floor is the width the service actually runs at, so an
+  // oversized config is clamped to Network::kMaxLanes here as well.
+  csr::LoadedGraph lg;
+  lg.graph = gen::torus(4, 4);
+  congest::Network net(lg.graph, 1);
+  ServiceConfig sc;
+  sc.mux_width = 1000;
+  WalkService service(net, exact_diameter(lg.graph), sc);
+  EXPECT_EQ(service.mux_width(), congest::Network::kMaxLanes);
+  WalkServer server(service, lg, ServerConfig{});
+  EXPECT_EQ(server.queue().config().min_batch_requests,
+            congest::Network::kMaxLanes);
+}
+
 TEST(WalkServerLoopback, InvalidRequestsRejectBeforeAdmission) {
   csr::LoadedGraph lg;
   lg.graph = gen::grid(4, 4);

@@ -134,8 +134,9 @@ if [[ "${DRW_BENCH:-0}" == "1" ]]; then
   # Live-service smoke: boot `drw serve --listen` on an ephemeral port,
   # race a mixed-class client against a 40-request flood via `drw
   # request`, SIGTERM it, and demand the admission-log replay reproduce
-  # every response byte for byte (artifacts land in
-  # server_smoke_artifacts/ for upload on failure).
+  # every response byte for byte. Server and replay run at --mux=4 and the
+  # server's DRW_TRACE output must pass validate_trace.py (artifacts land
+  # in server_smoke_artifacts/ for upload on failure).
   python3 tools/server_smoke.py "$BUILD_DIR/drw"
   # Ingestion gate: every route (legacy per-line, bulk at t=1/2/8, converted
   # + mmap'd CSR) must carry the same graph, the bulk parser must beat the

@@ -693,7 +693,6 @@ int cmd_serve(const Args& args, const CliGraph& cg, std::uint32_t diameter) {
   // --stats-json wants the metrics registry's view of the run as well.
   if (!args.stats_json.empty()) obs::Registry::global().set_enabled(true);
   std::ostringstream batches_json;
-  unsigned effective_mux = 1;  // widest lane count any batch could open
 
   if (!args.listen.empty()) {
     // Always-on mode: serve walk requests over TCP until SIGTERM/SIGINT.
@@ -773,7 +772,6 @@ int cmd_serve(const Args& args, const CliGraph& cg, std::uint32_t diameter) {
     for (std::size_t i = at; i < end; ++i) service.submit(requests[i]);
     at = end;
     const service::BatchReport report = service.flush();
-    effective_mux = std::max(effective_mux, report.mux_width);
     if (!args.stats_json.empty()) {
       if (batch_no != 0) batches_json << ",\n";
       append_batch_report(batches_json, report);
@@ -894,7 +892,7 @@ int cmd_serve(const Args& args, const CliGraph& cg, std::uint32_t diameter) {
     obs::Tracer& tracer = obs::Tracer::instance();
     tracer.set_meta("transmit_ms", life.stats.transmit_ms);
     tracer.set_meta("threads", double(life.stats.threads));
-    tracer.set_meta("mux_width", double(effective_mux));
+    tracer.set_meta("mux_width", double(service.mux_width()));
   }
   return 0;
 }

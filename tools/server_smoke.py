@@ -12,17 +12,24 @@ stops it with SIGTERM and asserts the serving determinism contract:
     fresh process) to the BYTE-IDENTICAL `result[...]` lines the clients
     printed -- destinations, paths, statuses, ordering;
   * SIGTERM produces the `shutdown: clean | ...` summary with zero
-    rejections (nothing in this workload should bounce).
+    rejections (nothing in this workload should bounce);
+  * the trace the server wrote under DRW_TRACE passes
+    tools/validate_trace.py (its mux lanes stay below the recorded
+    mux_width).
+
+Server and replay both stitch at --mux=4, so multi-lane waves run over
+real sockets.
 
 Everything the run produced (server stdout, both client transcripts, the
-admission log, the replay output) is left under ./server_smoke_artifacts/
-so CI can upload it when a check fails.
+admission log, the server trace, the replay output) is left under
+./server_smoke_artifacts/ so CI can upload it when a check fails.
 
 Exit status 0 when every check passes, 1 otherwise.
 
 Usage: tools/server_smoke.py BUILD_DIR/drw
 """
 
+import json
 import os
 import shutil
 import signal
@@ -30,16 +37,23 @@ import subprocess
 import sys
 import time
 
-GRAPH_ARGS = ["--graph=torus:8x8", "--seed=7", "--paths"]
+GRAPH_ARGS = ["--graph=torus:8x8", "--seed=7", "--paths", "--mux=4"]
+MUX_PID = 2  # obs::kPidMux, as in validate_trace.py
+VALIDATE_TRACE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                              "validate_trace.py")
 
 # Mixed light workload: in-range sources on the 64-node torus, two requests
-# recording full trajectories.
+# recording full trajectories. Each length exceeds 2 * lambda for any batch
+# this run can form (lambda = sqrt(k l D) + k <= 1288 at k = 47 walks,
+# l = 4096, D = 8), so these walks always stitch, from distinct connectors,
+# and share mux waves; the hot-key flood alone serializes on its one
+# connector.
 LIGHT_REQUESTS = """\
-0 32 2 1
-5 48 1
-9 24 2
-17 16 1
-63 40 1 1
+0 4096 2 1
+5 3584 1
+9 3072 2
+17 4096 1
+63 3584 1 1
 """
 
 failures = []
@@ -68,6 +82,7 @@ def main() -> int:
     shutil.rmtree(work, ignore_errors=True)
     os.makedirs(work)
     adm_log = os.path.join(work, "admission.log")
+    trace = os.path.join(work, "trace_listen.json")
     light_req = os.path.join(work, "light.req")
     flood_req = os.path.join(work, "flood.req")
     with open(light_req, "w") as f:
@@ -78,12 +93,15 @@ def main() -> int:
 
     env = dict(os.environ)
     env.pop("DRW_FAILPOINTS", None)
+    env.pop("DRW_TRACE", None)
+    server_env = dict(env, DRW_TRACE=trace)
 
     print("server_smoke: booting the live server")
     server = subprocess.Popen(
         [drw, "serve"] + GRAPH_ARGS +
         ["--listen=127.0.0.1:0", f"--admission-log={adm_log}"],
-        env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
+        env=server_env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+        text=True)
     server_out = []
     try:
         port = None
@@ -144,6 +162,19 @@ def main() -> int:
             f.write(light.stdout if 'light' in dir() else "")
         with open(os.path.join(work, "flood.out"), "w") as f:
             f.write(flood_out if 'flood_out' in dir() else "")
+
+    validate = subprocess.run(
+        [sys.executable, VALIDATE_TRACE, trace],
+        capture_output=True, text=True, timeout=120)
+    print("    " + "\n    ".join(validate.stdout.strip().splitlines()))
+    check(validate.returncode == 0, "server trace passes validate_trace.py")
+    lanes = set()
+    if validate.returncode == 0:
+        with open(trace) as f:
+            lanes = {ev["tid"] for ev in json.load(f)["traceEvents"]
+                     if ev["pid"] == MUX_PID}
+    check(any(lane >= 1 for lane in lanes),
+          f"server ran multi-lane waves (mux lanes {sorted(lanes)})")
 
     # The determinism contract: replaying the admission log through a fresh
     # offline process reproduces every served line byte for byte.
