@@ -135,9 +135,9 @@ class JsonReport {
   std::vector<std::pair<std::string, std::string>> fields_;
 };
 
-/// The calibrated 2-thread executor speedup floor, enforced by the
-/// acceptance gates (bench_service, bench_skew) on 4..7-hardware-thread
-/// hosts where the >=2x@8 gate cannot bind. One value, one home: an
+/// The calibrated 2-thread executor speedup floor, enforced by bench_skew
+/// on every >=4-hardware-thread host and by bench_service on 4..7-thread
+/// hosts where its >=2x@8 gate cannot bind. One value, one home: an
 /// accidentally serialized executor measures ~1.0x, a healthy one >= ~1.5x
 /// on idle runners; 1.2 leaves headroom for noisy shared CI.
 inline constexpr double kSpeedupFloorT2 = 1.2;

@@ -114,9 +114,8 @@ ParallelPoint run_parallel_point_once(
     const Graph& g, std::uint32_t diameter, unsigned threads,
     std::span<const service::WalkRequest> reqs) {
   congest::Network net(g, 9001);
-  service::ServiceConfig config;
-  config.threads = threads;
-  service::WalkService svc(net, diameter, config);
+  net.set_threads(threads);
+  service::WalkService svc(net, diameter);
   ParallelPoint point;
   for (std::size_t at = 0; at < reqs.size(); at += 16) {
     for (std::size_t i = at; i < std::min(reqs.size(), at + 16); ++i) {

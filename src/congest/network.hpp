@@ -48,18 +48,16 @@
 //                 order, busy-list order and max-backlog accounting are
 //                 reproduced exactly (see transmit_phase).
 //
-//   Shards are contiguous node ranges balanced by DIRECTED-EDGE count by
-//   default (Partition::kEdgeWeighted, a prefix-sum over degrees) so that
-//   degree-skewed graphs -- stars, lollipops, power laws -- do not pile all
-//   edge traffic onto one worker; Partition::kNodeCount keeps the legacy
-//   equal-count split. Each directed edge is owned by exactly one shard (its
-//   destination node's), so both phases are lock-free apart from the chunk
-//   cursors. Delivery order into every inbox -- and therefore every RNG draw
-//   -- is bit-identical across all thread counts, all partition strategies
-//   and all steal-chunk sizes, including the fully inline 1-thread run.
-//   Configure with Network::set_threads() / set_partition() /
-//   set_steal_chunk() or the DRW_THREADS / DRW_PARTITION / DRW_STEAL_CHUNK
-//   environment variables.
+//   Shards are contiguous node ranges balanced by (1 + degree) weight, a
+//   prefix-sum over degrees, so that degree-skewed graphs -- stars,
+//   lollipops, power laws -- do not pile all edge traffic onto one worker.
+//   Each directed edge is owned by exactly one shard (its destination
+//   node's), so both phases are lock-free apart from the chunk cursors.
+//   Delivery order into every inbox -- and therefore every RNG draw -- is
+//   bit-identical across all thread counts and all steal-chunk sizes,
+//   including the fully inline 1-thread run. Configure with
+//   Network::set_threads() / set_steal_chunk() or the DRW_THREADS /
+//   DRW_STEAL_CHUNK environment variables.
 //
 //   Rounds whose work falls below the dispatch grain run inline on the
 //   driver thread (identical data flow and results). The grain is
@@ -155,15 +153,6 @@ struct RunStats {
     later -= earlier;
     return later;
   }
-};
-
-/// Shard partition strategy. Results are bit-identical under either; only
-/// wall time differs (kEdgeWeighted tracks per-round *work* on degree-skewed
-/// graphs, kNodeCount is the legacy equal-count split kept for A/B
-/// benchmarks -- see bench_skew).
-enum class Partition : std::uint8_t {
-  kNodeCount,     ///< contiguous ranges of equal node count
-  kEdgeWeighted,  ///< contiguous ranges of equal (1 + degree) weight
 };
 
 class Network;
@@ -264,22 +253,13 @@ class Network {
   void set_threads(unsigned threads);
   /// The worker count the next run() will use.
   unsigned threads() const noexcept;
-  /// The auto thread count (DRW_THREADS env var or hardware concurrency).
-  static unsigned default_threads();
-
-  /// Shard partition strategy for subsequent runs (default: DRW_PARTITION
-  /// env var -- "nodes" or "edges" -- else kEdgeWeighted). The executor is
-  /// rebuilt lazily on the next run() when this, the thread count, or the
-  /// steal-chunk grain changed; the graph itself is immutable per Network.
-  void set_partition(Partition partition) noexcept {
-    partition_setting_ = partition;
-  }
-  Partition partition() const noexcept { return partition_setting_; }
 
   /// Work-stealing chunk grain: target work units (1 + pending deliveries,
   /// or 1 + degree in round 0) per compute chunk. 0 = auto (DRW_STEAL_CHUNK
   /// env var, else derived from the dispatch grain). Small chunks balance
   /// better and interleave more under TSan; results never depend on it.
+  /// The executor is rebuilt lazily on the next run() when this or the
+  /// thread count changed; the graph itself is immutable per Network.
   void set_steal_chunk(std::uint32_t work) noexcept {
     steal_chunk_setting_ = work;
   }
@@ -432,8 +412,8 @@ class Network {
   /// unset and the pool is real).
   std::size_t calibrate_grain();
   /// (Re)builds the shard partition, edge ownership, arena pools, worker
-  /// pool and round-0 chunking when the effective thread count, partition
-  /// strategy, steal-chunk grain or lane count changed. Only between runs.
+  /// pool and round-0 chunking when the effective thread count, steal-chunk
+  /// grain or lane count changed. Only between runs.
   void ensure_executor();
   void build_partition();
   /// Cuts `shard`'s active list into steal chunks of ~steal_chunk_ work
@@ -466,11 +446,9 @@ class Network {
   std::vector<std::uint64_t> edge_endpoints_;
 
   unsigned threads_setting_ = 0;  ///< requested (0 = auto)
-  Partition partition_setting_;   ///< requested (ctor: DRW_PARTITION / edges)
   std::uint32_t steal_chunk_setting_ = 0;  ///< requested (0 = auto)
 
   unsigned workers_ = 0;  ///< executor width currently built
-  Partition built_partition_ = Partition::kEdgeWeighted;
   std::uint32_t built_steal_setting_ = 0;
   /// Message lanes of the current/next run: the arena holds one virtual
   /// edge queue per (directed edge, lane), id = lane * E + eid.

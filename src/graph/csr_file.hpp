@@ -15,8 +15,8 @@
 //
 // IMPORTANT: the text path of load_graph applies the SAME relabeling, so a
 // converted CSR and its source text file produce bit-identical serving
-// results (endpoints, paths, messages) at every thread count, partition,
-// and mux width -- including when a corrupt CSR degrades to text re-parse.
+// results (endpoints, paths, messages) at every thread count and mux
+// width -- including when a corrupt CSR degrades to text re-parse.
 //
 // On-disk format (version 1, native-endian, single-host cache):
 //

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <istream>
@@ -17,6 +16,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "resil/failpoint.hpp"
+#include "util/threads.hpp"
 
 namespace drw {
 namespace {
@@ -213,13 +213,7 @@ void for_each_line(const char* begin, const char* end, Fn&& fn) {
 }
 
 unsigned resolve_threads(unsigned requested) {
-  if (requested != 0) return requested;
-  if (const char* env = std::getenv("DRW_THREADS")) {
-    const int v = std::atoi(env);
-    if (v > 0) return static_cast<unsigned>(v);
-  }
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : hw;
+  return requested != 0 ? clamp_threads(requested) : default_threads();
 }
 
 /// Claims job indices [0, jobs) across up to `threads` workers.

@@ -13,8 +13,8 @@
 //      viewer, a truncated head is just a late start.
 //   3. Observation never branches execution: instrumentation points may
 //      read clocks and write events, nothing else. The determinism
-//      contract (bit-identical results at every thread count, partition,
-//      and mux width) holds with tracing on or off; tests enforce it.
+//      contract (bit-identical results at every thread count and mux
+//      width) holds with tracing on or off; tests enforce it.
 //
 // Flushing is NOT thread-safe against concurrent recording: call
 // Tracer::flush() only while no Network::run is in flight (the worker
@@ -22,7 +22,7 @@
 // the rings readable).
 //
 // Enabling: DRW_TRACE=file.json (process-wide, checked at static init),
-// ServiceConfig::trace_path, or `drw --trace=file.json`.
+// `drw --trace=file.json`, or Tracer::instance().enable() when embedding.
 
 #include <atomic>
 #include <cstdint>

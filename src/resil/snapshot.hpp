@@ -17,7 +17,7 @@
 //
 // Restoring a snapshot therefore yields *bit-identical* destinations, paths
 // and per-request stats for all subsequent batches versus the uninterrupted
-// run, at every thread count x partition x mux width.
+// run, at every thread count x mux width.
 //
 // On-disk format (version 1, native-endian, single-host checkpoint):
 //

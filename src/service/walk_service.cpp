@@ -59,25 +59,6 @@ WalkService::WalkService(congest::Network& net, std::uint32_t diameter,
   if (config_.lambda_slack < 1.0) {
     throw std::invalid_argument("WalkService: lambda_slack < 1");
   }
-  if (config_.threads != 0) net_->set_threads(config_.threads);
-  if (config_.partition) net_->set_partition(*config_.partition);
-  if (!config_.trace_path.empty()) {
-    obs::Tracer::instance().enable(config_.trace_path);
-    owns_trace_ = true;
-  }
-}
-
-WalkService::~WalkService() {
-  if (!owns_trace_) return;
-  // Cross-check metadata for tools/validate_trace.py: per-shard transmit
-  // span sums are only comparable to the driver's transmit_ms when one
-  // shard ran at a time.
-  obs::Tracer& tracer = obs::Tracer::instance();
-  tracer.set_meta("transmit_ms", lifetime_.stats.transmit_ms);
-  tracer.set_meta("threads", double(lifetime_.stats.threads));
-  tracer.set_meta("mux_width", double(mux_width_));
-  tracer.flush();
-  tracer.disable();
 }
 
 void WalkService::submit(const WalkRequest& request) {

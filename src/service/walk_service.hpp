@@ -23,7 +23,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -63,31 +62,15 @@ struct ServiceConfig {
   /// [lambda/slack, lambda*slack] of the engine's current lambda; outside
   /// that window the service re-prepares. Must be >= 1.
   double lambda_slack = 4.0;
-  /// Executor threads applied to the network on construction (0 = leave the
-  /// network's setting alone). Results are thread-count independent; this
-  /// only changes wall time. Per-batch wall time and the executor width
-  /// land in BatchReport::stats / ServiceStats::stats (wall_ms, threads;
-  /// per-phase compute/transmit/merge breakdowns ride along).
-  unsigned threads = 0;
-  /// Shard partition strategy applied on construction (nullopt = leave the
-  /// network's setting alone -- DRW_PARTITION env or edge-weighted).
-  /// Results are partition-independent; only wall time changes.
-  std::optional<congest::Partition> partition;
   /// Concurrent cross-walk stitching: the number of walks the batch
   /// scheduler may keep open as ProtocolMux lanes (see batch_scheduler.hpp).
   /// 0 = auto (DRW_MUX env var, else 1); 1 = one walk at a time, each
   /// traversal in its own Network run; widths of 2 or more multiplex
   /// non-conflicting traversals of that many walks into shared rounds.
-  /// Unlike threads/partition, this changes WHICH exact walks are sampled
-  /// (all widths are exact l-step samples; width is part of the
+  /// Unlike the network's thread count, this changes WHICH exact walks are
+  /// sampled (all widths are exact l-step samples; width is part of the
   /// seed-reproducibility contract, like the seed itself).
   unsigned mux_width = 0;
-  /// Non-empty: arm the process-wide obs tracer and write a Chrome
-  /// trace-event JSON (Perfetto-loadable) here when the service is
-  /// destroyed. Equivalent to DRW_TRACE=<path> / `drw --trace=<path>`.
-  /// Observation never branches execution; results are bit-identical with
-  /// tracing on or off.
-  std::string trace_path;
   /// Per-request validation caps (see RequestCaps; all default unlimited).
   RequestCaps caps;
   /// Non-empty: after every batch whose engine is prepared and non-naive,
@@ -183,8 +166,6 @@ class WalkService {
  public:
   WalkService(congest::Network& net, std::uint32_t diameter,
               ServiceConfig config = {});
-  /// Flushes the obs tracer iff this service armed it (trace_path).
-  ~WalkService();
 
   congest::Network& network() noexcept { return *net_; }
   std::uint32_t diameter() const noexcept { return diameter_; }
@@ -264,7 +245,6 @@ class WalkService {
   std::vector<WalkRequest> pending_;
   std::uint32_t next_walk_id_ = 0;
   ServiceStats lifetime_;
-  bool owns_trace_ = false;  ///< this instance armed the tracer
 };
 
 }  // namespace drw::service

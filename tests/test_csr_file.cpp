@@ -1,6 +1,6 @@
 // Binary CSR graph cache tier-1 (drw::csr): round-trip equality, degree
 // relabeling invariants, text-vs-CSR serving bit-identity across thread
-// count x partition x mux width, corruption/torn-file rejection with text
+// count x mux width, corruption/torn-file rejection with text
 // fallback, mmap view lifetime, and resil fingerprint agreement between
 // mmap'd and parsed loads.
 #include <gtest/gtest.h>
@@ -326,21 +326,19 @@ TEST(CsrFile, ShortWriteFailpointProducesARejectedTornFile) {
 
 // --------------------------------------------------- serving bit-identity
 
-ServiceConfig serve_config(unsigned threads, unsigned mux,
-                           congest::Partition partition) {
+ServiceConfig serve_config(unsigned mux) {
   ServiceConfig config;
   config.params = core::Params::paper();
   config.params.lambda_override = 4;  // stitching-heavy
   config.enable_paths = true;
-  config.threads = threads;
   config.mux_width = mux;
-  config.partition = partition;
   return config;
 }
 
-BatchReport serve_once(const csr::LoadedGraph& lg, const ServiceConfig& config,
-                       std::uint32_t diameter) {
+BatchReport serve_once(const csr::LoadedGraph& lg, unsigned threads,
+                       const ServiceConfig& config, std::uint32_t diameter) {
   congest::Network net(lg.graph, 4242);
+  net.set_threads(threads);
   WalkService service(net, diameter, config);
   // Sources in the USER id space, translated exactly like the CLI does.
   std::vector<WalkRequest> batch = {
@@ -352,8 +350,8 @@ BatchReport serve_once(const csr::LoadedGraph& lg, const ServiceConfig& config,
 }
 
 // The acceptance gate: a converted + mmap'd CSR serves bit-identically to
-// the text parse at every thread count x partition x mux width.
-TEST(CsrFile, TextAndCsrServeBitIdenticallyAcrossThreadsPartitionAndMux) {
+// the text parse at every thread count x mux width.
+TEST(CsrFile, TextAndCsrServeBitIdenticallyAcrossThreadsAndMux) {
   const std::string text = write_text_graph("drw_csr_serve.txt");
   const std::string bin = text + ".csr";
   csr::convert_edge_list(text, bin);
@@ -361,36 +359,30 @@ TEST(CsrFile, TextAndCsrServeBitIdenticallyAcrossThreadsPartitionAndMux) {
   const csr::LoadedGraph from_csr = csr::load_graph(bin);
   ASSERT_TRUE(from_csr.from_csr);
   const std::uint32_t diameter = exact_diameter(from_text.graph);
-  const congest::Partition partitions[] = {congest::Partition::kEdgeWeighted,
-                                           congest::Partition::kNodeCount};
 
   for (const unsigned mux : {1u, 4u}) {
-    for (const congest::Partition partition : partitions) {
-      for (const unsigned threads : {1u, 2u, 8u}) {
-        const std::string label =
-            "mux=" + std::to_string(mux) +
-            " partition=" + std::to_string(static_cast<int>(partition)) +
-            " threads=" + std::to_string(threads);
-        const ServiceConfig config = serve_config(threads, mux, partition);
-        const BatchReport a = serve_once(from_text, config, diameter);
-        const BatchReport b = serve_once(from_csr, config, diameter);
+    const ServiceConfig config = serve_config(mux);
+    for (const unsigned threads : {1u, 2u, 8u}) {
+      const std::string label =
+          "mux=" + std::to_string(mux) + " threads=" + std::to_string(threads);
+      const BatchReport a = serve_once(from_text, threads, config, diameter);
+      const BatchReport b = serve_once(from_csr, threads, config, diameter);
 
-        ASSERT_EQ(a.results.size(), b.results.size()) << label;
-        for (std::size_t i = 0; i < a.results.size(); ++i) {
-          EXPECT_EQ(a.results[i].status, b.results[i].status)
-              << label << " request " << i;
-          EXPECT_EQ(a.results[i].destinations, b.results[i].destinations)
-              << label << " request " << i;
-          EXPECT_EQ(a.results[i].paths, b.results[i].paths)
-              << label << " request " << i;
-        }
-        EXPECT_EQ(a.stats.rounds, b.stats.rounds) << label;
-        EXPECT_EQ(a.stats.messages, b.stats.messages) << label;
-        EXPECT_EQ(a.stitches, b.stitches) << label;
-        EXPECT_EQ(a.inventory_hits, b.inventory_hits) << label;
-        EXPECT_EQ(a.mux_groups, b.mux_groups) << label;
-        EXPECT_EQ(a.mux_conflicts, b.mux_conflicts) << label;
+      ASSERT_EQ(a.results.size(), b.results.size()) << label;
+      for (std::size_t i = 0; i < a.results.size(); ++i) {
+        EXPECT_EQ(a.results[i].status, b.results[i].status)
+            << label << " request " << i;
+        EXPECT_EQ(a.results[i].destinations, b.results[i].destinations)
+            << label << " request " << i;
+        EXPECT_EQ(a.results[i].paths, b.results[i].paths)
+            << label << " request " << i;
       }
+      EXPECT_EQ(a.stats.rounds, b.stats.rounds) << label;
+      EXPECT_EQ(a.stats.messages, b.stats.messages) << label;
+      EXPECT_EQ(a.stitches, b.stitches) << label;
+      EXPECT_EQ(a.inventory_hits, b.inventory_hits) << label;
+      EXPECT_EQ(a.mux_groups, b.mux_groups) << label;
+      EXPECT_EQ(a.mux_conflicts, b.mux_conflicts) << label;
     }
   }
 

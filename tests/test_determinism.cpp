@@ -1,10 +1,9 @@
 // Determinism of the parallel round executor (tier-1): the same seeded
 // workload must produce bit-identical results at every thread count --
 // delivery traces, walk endpoints, recorded paths, RunStats.messages --
-// and be invariant under the shard partition strategy (node-count vs
-// edge-weighted) and the work-stealing chunk grain, including on the
+// and be invariant under the work-stealing chunk grain, including on the
 // degree-skewed topologies (star, lollipop, power-law) where the
-// edge-weighted partition actually moves shard boundaries.
+// edge-weighted shard partition puts a hub alone in its shard.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -150,9 +149,8 @@ TEST(Determinism, ServiceBatchBitIdentical) {
   std::uint64_t baseline_rounds = 0;
   for (const unsigned threads : kThreadCounts) {
     congest::Network net(g, 99);
-    service::ServiceConfig config;
-    config.threads = threads;
-    service::WalkService svc(net, diameter, config);
+    net.set_threads(threads);
+    service::WalkService svc(net, diameter);
     EXPECT_EQ(net.threads(), threads);
     const service::BatchReport report = svc.serve(requests);
     std::vector<std::vector<NodeId>> destinations;
@@ -177,32 +175,28 @@ TEST(Determinism, ServiceBatchBitIdentical) {
 /// One executor configuration of the skew sweep.
 struct ExecConfig {
   unsigned threads;
-  congest::Partition partition;
   std::uint32_t steal_chunk;  // 0 = auto
 };
 
 std::string describe(const ExecConfig& c) {
-  return "threads=" + std::to_string(c.threads) + " partition=" +
-         (c.partition == congest::Partition::kEdgeWeighted ? "edges"
-                                                           : "nodes") +
+  return "threads=" + std::to_string(c.threads) +
          " steal_chunk=" + std::to_string(c.steal_chunk);
 }
 
-/// The cross product that must all collapse onto the 1-thread/node-count
-/// baseline: every thread count under both partition strategies, plus a
-/// forced chunk grain of 1 (every active node its own steal chunk -- the
-/// maximum-interleaving configuration the TSan CI leg also exercises).
+/// The cross product that must all collapse onto the 1-thread baseline:
+/// every thread count at the auto chunk grain, plus a forced grain of 1
+/// (every active node its own steal chunk -- the maximum-interleaving
+/// configuration the TSan CI leg also exercises).
 std::vector<ExecConfig> skew_configs() {
   std::vector<ExecConfig> configs;
   for (const unsigned threads : kThreadCounts) {
-    configs.push_back({threads, congest::Partition::kNodeCount, 0});
-    configs.push_back({threads, congest::Partition::kEdgeWeighted, 0});
-    configs.push_back({threads, congest::Partition::kEdgeWeighted, 1});
+    configs.push_back({threads, 0});
+    configs.push_back({threads, 1});
   }
   return configs;
 }
 
-TEST(Determinism, SkewedTopologyTracesInvariantAcrossPartitions) {
+TEST(Determinism, SkewedTopologyTracesInvariantAcrossExecutorConfigs) {
   Rng pl_rng(909);
   struct Family {
     const char* name;
@@ -221,7 +215,6 @@ TEST(Determinism, SkewedTopologyTracesInvariantAcrossPartitions) {
     for (const ExecConfig& config : skew_configs()) {
       congest::Network net(family.graph, 4321);
       net.set_threads(config.threads);
-      net.set_partition(config.partition);
       if (config.steal_chunk != 0) net.set_steal_chunk(config.steal_chunk);
       TracingStorm protocol(family.graph.node_count());
       const congest::RunStats stats = net.run(protocol);
@@ -243,10 +236,10 @@ TEST(Determinism, SkewedTopologyTracesInvariantAcrossPartitions) {
   }
 }
 
-TEST(Determinism, SkewedWalkEndpointsInvariantAcrossPartitions) {
+TEST(Determinism, SkewedWalkEndpointsInvariantAcrossExecutorConfigs) {
   // A serviced batch on the lollipop: walks pile into the clique, so the
-  // edge-weighted partition genuinely reshapes shard boundaries while the
-  // endpoints must not move.
+  // clique's shards carry most of the work while the endpoints must not
+  // move.
   const Graph g = gen::lollipop(24, 48);
   const std::uint32_t diameter = exact_diameter(g);
 
@@ -264,11 +257,9 @@ TEST(Determinism, SkewedWalkEndpointsInvariantAcrossPartitions) {
   bool first = true;
   for (const ExecConfig& config : skew_configs()) {
     congest::Network net(g, 777);
+    net.set_threads(config.threads);
     if (config.steal_chunk != 0) net.set_steal_chunk(config.steal_chunk);
-    service::ServiceConfig service_config;
-    service_config.threads = config.threads;
-    service_config.partition = config.partition;
-    service::WalkService svc(net, diameter, service_config);
+    service::WalkService svc(net, diameter);
     const service::BatchReport report = svc.serve(requests);
     std::vector<std::vector<NodeId>> destinations;
     for (const service::RequestResult& r : report.results) {
@@ -290,7 +281,7 @@ TEST(Determinism, SkewedWalkEndpointsInvariantAcrossPartitions) {
 TEST(Determinism, TracingOnDoesNotPerturbExecution) {
   // The obs invariant: observation never branches execution. The UNTRACED
   // 1-thread run is the baseline; every traced configuration (thread count
-  // x partition x forced chunk grain, metrics registry armed too) must
+  // x forced chunk grain, metrics registry armed too) must
   // reproduce it bit-for-bit.
   Rng graph_rng(1010);
   const Graph g = gen::random_regular(96, 4, graph_rng);
@@ -305,14 +296,13 @@ TEST(Determinism, TracingOnDoesNotPerturbExecution) {
     baseline_trace = protocol.trace();
   }
 
-  const std::string trace_path =
+  const std::string trace_file =
       ::testing::TempDir() + "obs_determinism_trace.json";
   for (const ExecConfig& config : skew_configs()) {
-    obs::Tracer::instance().enable(trace_path);
+    obs::Tracer::instance().enable(trace_file);
     obs::Registry::global().set_enabled(true);
     congest::Network net(g, 4242);
     net.set_threads(config.threads);
-    net.set_partition(config.partition);
     if (config.steal_chunk != 0) net.set_steal_chunk(config.steal_chunk);
     TracingStorm protocol(g.node_count());
     const congest::RunStats stats = net.run(protocol);
@@ -331,9 +321,8 @@ TEST(Determinism, TracingOnDoesNotPerturbExecution) {
 }
 
 TEST(Determinism, TracedServiceBatchBitIdentical) {
-  // Same invariant through the service layer: ServiceConfig::trace_path
-  // arms the tracer for the service's lifetime (flushed by its destructor)
-  // and must not move a single walk destination.
+  // Same invariant through the service layer: a tracer armed for the
+  // service's lifetime must not move a single walk destination.
   Rng graph_rng(1111);
   const Graph g = gen::random_regular(96, 4, graph_rng);
   const std::uint32_t diameter = exact_diameter(g);
@@ -346,16 +335,18 @@ TEST(Determinism, TracedServiceBatchBitIdentical) {
         256u << (i % 3), 1 + static_cast<std::uint32_t>(i % 2), false});
   }
 
+  const std::string trace_file =
+      ::testing::TempDir() + "obs_determinism_service.json";
   auto serve_once = [&](unsigned threads, bool traced) {
+    if (traced) obs::Tracer::instance().enable(trace_file);
     congest::Network net(g, 2025);
-    service::ServiceConfig config;
-    config.threads = threads;
-    if (traced) {
-      config.trace_path =
-          ::testing::TempDir() + "obs_determinism_service.json";
-    }
-    service::WalkService svc(net, diameter, config);
+    net.set_threads(threads);
+    service::WalkService svc(net, diameter);
     const service::BatchReport report = svc.serve(requests);
+    if (traced) {
+      obs::Tracer::instance().disable();
+      obs::Tracer::instance().flush();
+    }
     std::vector<std::vector<NodeId>> destinations;
     for (const service::RequestResult& r : report.results) {
       destinations.push_back(r.destinations);

@@ -212,8 +212,12 @@ TEST(GraphIo, ParallelParseMatchesSerialOnALargeGraph) {
   write_edge_list(buffer, g);
   const std::string text = buffer.str();
   const Graph serial = parse_edge_list(text);
-  for (const unsigned threads : {2u, 8u}) {
-    const Graph parallel = parse_edge_list_parallel(text, threads);
+  // 5000 is far above the shared worker cap: it must be clamped, not
+  // honored with one OS thread per chunk.
+  for (const unsigned threads : {2u, 8u, 5000u}) {
+    ParseStats stats;
+    const Graph parallel = parse_edge_list_parallel(text, threads, &stats);
+    EXPECT_LE(stats.threads, 256u) << "threads=" << threads;
     ASSERT_EQ(parallel.node_count(), serial.node_count());
     ASSERT_EQ(parallel.edge_count(), serial.edge_count());
     for (NodeId v = 0; v < serial.node_count(); ++v) {

@@ -4,14 +4,12 @@
 //     every lane, bit-identical protocol state (delivery-trace digests) and
 //     per-lane round/message counts as running that lane ALONE in its own
 //     Network::run (as a mux of one, with the same lane streams) -- on
-//     expander, star and power-law topologies, at threads {1, 2, 8} under
-//     both shard partitions (the TSan CI leg re-runs this binary under the
-//     node-count partition as well).
+//     expander, star and power-law topologies, at threads {1, 2, 8}.
 //   * Stitch level: BatchScheduler's kMux execution (groups of
 //     non-conflicting walk traversals in one multiplexed run) must be
 //     bit-identical to kSerial (the SAME conflict-aware schedule, one lane
 //     at a time): same destinations, same recorded paths, same per-request
-//     round/message stats -- across thread counts and partitions.
+//     round/message stats -- across thread counts.
 //   * Abort cleanup: a lane that throws mid-run leaves no deliveries,
 //     backlogs or wakes behind for the next run on the same Network.
 //   * Conflict rule: units forced onto the same connector must serialize
@@ -42,12 +40,9 @@ namespace drw {
 namespace {
 
 const unsigned kThreadCounts[] = {1, 2, 8};
-const congest::Partition kPartitions[] = {congest::Partition::kNodeCount,
-                                          congest::Partition::kEdgeWeighted};
 
-std::string describe(unsigned threads, congest::Partition partition) {
-  return "threads=" + std::to_string(threads) + " partition=" +
-         (partition == congest::Partition::kEdgeWeighted ? "edges" : "nodes");
+std::string describe(unsigned threads) {
+  return "threads=" + std::to_string(threads);
 }
 
 /// Rng-consuming token storm whose per-node digest is sensitive to
@@ -143,48 +138,42 @@ TEST(Mux, LanesBitIdenticalToSoloRuns) {
     }
 
     for (const unsigned threads : kThreadCounts) {
-      for (const congest::Partition partition : kPartitions) {
-        congest::Network net(family.graph, kSeed);
-        net.set_threads(threads);
-        net.set_partition(partition);
-        std::vector<std::unique_ptr<DigestStorm>> storms;
-        std::vector<std::vector<Rng>> rngs;
-        congest::ProtocolMux mux(n);
-        for (unsigned l = 0; l < kLanes; ++l) {
-          storms.push_back(
-              std::make_unique<DigestStorm>(n, 1 + l % 3, 12 + 4 * l));
-          rngs.push_back(lane_rngs[l]);
-        }
-        for (unsigned l = 0; l < kLanes; ++l) {
-          mux.add_lane(*storms[l], &rngs[l]);
-        }
-        const congest::RunStats stats = net.run_multiplexed(mux, kLanes);
-        std::uint64_t max_lane_rounds = 0;
-        std::uint64_t lane_messages = 0;
-        for (unsigned l = 0; l < kLanes; ++l) {
-          EXPECT_EQ(storms[l]->digest(), solo[l].digest)
-              << family.name << " lane " << l << " "
-              << describe(threads, partition);
-          EXPECT_EQ(mux.lane_stats(l).rounds, solo[l].rounds)
-              << family.name << " lane " << l << " "
-              << describe(threads, partition);
-          EXPECT_EQ(mux.lane_stats(l).messages, solo[l].messages)
-              << family.name << " lane " << l << " "
-              << describe(threads, partition);
-          max_lane_rounds = std::max(max_lane_rounds, solo[l].rounds);
-          lane_messages += solo[l].messages;
-        }
-        // The whole point: the mux run's network rounds track the WIDEST
-        // lane, not the sum, while total deliveries are conserved.
-        EXPECT_GE(stats.rounds, max_lane_rounds)
-            << family.name << " " << describe(threads, partition);
-        std::uint64_t solo_round_sum = 0;
-        for (const LaneOutcome& o : solo) solo_round_sum += o.rounds;
-        EXPECT_LT(stats.rounds, solo_round_sum)
-            << family.name << " " << describe(threads, partition);
-        EXPECT_EQ(stats.messages, lane_messages)
-            << family.name << " " << describe(threads, partition);
+      congest::Network net(family.graph, kSeed);
+      net.set_threads(threads);
+      std::vector<std::unique_ptr<DigestStorm>> storms;
+      std::vector<std::vector<Rng>> rngs;
+      congest::ProtocolMux mux(n);
+      for (unsigned l = 0; l < kLanes; ++l) {
+        storms.push_back(
+            std::make_unique<DigestStorm>(n, 1 + l % 3, 12 + 4 * l));
+        rngs.push_back(lane_rngs[l]);
       }
+      for (unsigned l = 0; l < kLanes; ++l) {
+        mux.add_lane(*storms[l], &rngs[l]);
+      }
+      const congest::RunStats stats = net.run_multiplexed(mux, kLanes);
+      std::uint64_t max_lane_rounds = 0;
+      std::uint64_t lane_messages = 0;
+      for (unsigned l = 0; l < kLanes; ++l) {
+        EXPECT_EQ(storms[l]->digest(), solo[l].digest)
+            << family.name << " lane " << l << " " << describe(threads);
+        EXPECT_EQ(mux.lane_stats(l).rounds, solo[l].rounds)
+            << family.name << " lane " << l << " " << describe(threads);
+        EXPECT_EQ(mux.lane_stats(l).messages, solo[l].messages)
+            << family.name << " lane " << l << " " << describe(threads);
+        max_lane_rounds = std::max(max_lane_rounds, solo[l].rounds);
+        lane_messages += solo[l].messages;
+      }
+      // The whole point: the mux run's network rounds track the WIDEST
+      // lane, not the sum, while total deliveries are conserved.
+      EXPECT_GE(stats.rounds, max_lane_rounds)
+          << family.name << " " << describe(threads);
+      std::uint64_t solo_round_sum = 0;
+      for (const LaneOutcome& o : solo) solo_round_sum += o.rounds;
+      EXPECT_LT(stats.rounds, solo_round_sum)
+          << family.name << " " << describe(threads);
+      EXPECT_EQ(stats.messages, lane_messages)
+          << family.name << " " << describe(threads);
     }
   }
 }
@@ -288,13 +277,13 @@ TEST(Mux, ThrowingLaneLeavesNoStaleDeliveries) {
 TEST(Mux, TracingOnDoesNotPerturbLanes) {
   // The obs invariant at the mux layer: per-lane digests and run totals
   // must be bit-identical with tracing on or off, at every mux width x
-  // thread count x partition. Baseline is the UNTRACED 1-thread run.
+  // thread count. Baseline is the UNTRACED 1-thread run.
   constexpr std::uint64_t kSeed = 7331;
   Rng graph_rng(77);
   const Graph g = gen::random_regular(128, 4, graph_rng);
   const std::size_t n = g.node_count();
   const unsigned kWidths[] = {1, 4};
-  const std::string trace_path = ::testing::TempDir() + "obs_mux_trace.json";
+  const std::string trace_file = ::testing::TempDir() + "obs_mux_trace.json";
 
   for (const unsigned width : kWidths) {
     std::vector<std::vector<Rng>> lane_rngs;
@@ -303,12 +292,10 @@ TEST(Mux, TracingOnDoesNotPerturbLanes) {
           congest::ProtocolMux::derive_lane_rngs(kSeed, l, n));
     }
 
-    auto run_once = [&](unsigned threads, congest::Partition partition,
-                        bool traced) {
-      if (traced) obs::Tracer::instance().enable(trace_path);
+    auto run_once = [&](unsigned threads, bool traced) {
+      if (traced) obs::Tracer::instance().enable(trace_file);
       congest::Network net(g, kSeed);
       net.set_threads(threads);
-      net.set_partition(partition);
       std::vector<std::unique_ptr<DigestStorm>> storms;
       std::vector<std::vector<Rng>> rngs;
       congest::ProtocolMux mux(n);
@@ -329,15 +316,11 @@ TEST(Mux, TracingOnDoesNotPerturbLanes) {
                              stats.messages);
     };
 
-    const auto baseline =
-        run_once(1, congest::Partition::kEdgeWeighted, /*traced=*/false);
+    const auto baseline = run_once(1, /*traced=*/false);
     for (const unsigned threads : kThreadCounts) {
-      for (const congest::Partition partition : kPartitions) {
-        const auto traced = run_once(threads, partition, /*traced=*/true);
-        EXPECT_EQ(traced, baseline)
-            << "width=" << width << " traced "
-            << describe(threads, partition);
-      }
+      const auto traced = run_once(threads, /*traced=*/true);
+      EXPECT_EQ(traced, baseline)
+          << "width=" << width << " traced " << describe(threads);
     }
   }
 }
@@ -356,11 +339,9 @@ struct BatchOutcome {
 
 BatchOutcome run_batch(const Graph& g, std::uint32_t diameter,
                        const std::vector<service::WalkRequest>& requests,
-                       service::MuxMode mode, unsigned threads,
-                       congest::Partition partition, bool record) {
+                       service::MuxMode mode, unsigned threads, bool record) {
   congest::Network net(g, 9099);
   net.set_threads(threads);
-  net.set_partition(partition);
   core::Params params = core::Params::paper();
   params.record_trajectories = record;
   core::StitchEngine engine(net, params, diameter);
@@ -407,30 +388,21 @@ TEST(Mux, StitchBatchBitIdenticalToSerialSchedule) {
   }
 
   const BatchOutcome serial =
-      run_batch(g, diameter, requests, service::MuxMode::kSerial, 1,
-                congest::Partition::kEdgeWeighted, true);
+      run_batch(g, diameter, requests, service::MuxMode::kSerial, 1, true);
   EXPECT_GT(serial.stitches, 0u) << "workload must actually stitch";
 
   for (const unsigned threads : kThreadCounts) {
-    for (const congest::Partition partition : kPartitions) {
-      const BatchOutcome muxed =
-          run_batch(g, diameter, requests, service::MuxMode::kMux, threads,
-                    partition, true);
-      EXPECT_EQ(muxed.destinations, serial.destinations)
-          << describe(threads, partition);
-      EXPECT_EQ(muxed.paths, serial.paths) << describe(threads, partition);
-      EXPECT_EQ(muxed.request_stats, serial.request_stats)
-          << describe(threads, partition);
-      EXPECT_EQ(muxed.stitches, serial.stitches)
-          << describe(threads, partition);
-      // Groups and conflicts are schedule properties, identical by
-      // construction; batch rounds must shrink (shared waves).
-      EXPECT_EQ(muxed.groups, serial.groups) << describe(threads, partition);
-      EXPECT_EQ(muxed.conflicts, serial.conflicts)
-          << describe(threads, partition);
-      EXPECT_LT(muxed.batch_rounds, serial.batch_rounds)
-          << describe(threads, partition);
-    }
+    const BatchOutcome muxed =
+        run_batch(g, diameter, requests, service::MuxMode::kMux, threads, true);
+    EXPECT_EQ(muxed.destinations, serial.destinations) << describe(threads);
+    EXPECT_EQ(muxed.paths, serial.paths) << describe(threads);
+    EXPECT_EQ(muxed.request_stats, serial.request_stats) << describe(threads);
+    EXPECT_EQ(muxed.stitches, serial.stitches) << describe(threads);
+    // Groups and conflicts are schedule properties, identical by
+    // construction; batch rounds must shrink (shared waves).
+    EXPECT_EQ(muxed.groups, serial.groups) << describe(threads);
+    EXPECT_EQ(muxed.conflicts, serial.conflicts) << describe(threads);
+    EXPECT_LT(muxed.batch_rounds, serial.batch_rounds) << describe(threads);
   }
 }
 
@@ -448,11 +420,9 @@ TEST(Mux, ForcedConflictSerializes) {
   }
 
   const BatchOutcome serial =
-      run_batch(g, diameter, requests, service::MuxMode::kSerial, 1,
-                congest::Partition::kEdgeWeighted, false);
+      run_batch(g, diameter, requests, service::MuxMode::kSerial, 1, false);
   const BatchOutcome muxed =
-      run_batch(g, diameter, requests, service::MuxMode::kMux, 2,
-                congest::Partition::kEdgeWeighted, false);
+      run_batch(g, diameter, requests, service::MuxMode::kMux, 2, false);
   EXPECT_GT(serial.stitches, 0u);
   EXPECT_GT(muxed.conflicts, 0u) << "same-connector units must serialize";
   EXPECT_EQ(muxed.destinations, serial.destinations);
@@ -469,9 +439,9 @@ void serve_hot_key_sequence(const Graph& g, std::uint32_t diameter,
                             unsigned width, std::uint64_t seed,
                             int batches) {
   congest::Network net(g, 4);
+  net.set_threads(1);
   service::ServiceConfig config;
   config.params = core::Params::paper();
-  config.threads = 1;
   config.enable_paths = true;
   config.mux_width = width;
   service::WalkService service(net, diameter, config);

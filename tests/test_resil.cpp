@@ -1,5 +1,5 @@
 // Resilience tier-1 (drw::resil): warm-restart bit-equivalence across
-// thread count x partition x mux width, torn/corrupt-snapshot detection
+// thread count x mux width, torn/corrupt-snapshot detection
 // degrading to cold start, deterministic failpoints (zero-overhead while
 // disarmed), exception-safe Network reuse after a throwing protocol, and
 // service-boundary validation caps with structured per-request errors.
@@ -8,7 +8,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -37,15 +36,12 @@ const unsigned kThreadCounts[] = {1, 2, 8};
 
 std::string tmp_path(const char* name) { return ::testing::TempDir() + name; }
 
-ServiceConfig resil_config(unsigned threads, unsigned mux,
-                           std::optional<congest::Partition> partition = {}) {
+ServiceConfig resil_config(unsigned mux) {
   ServiceConfig config;
   config.params = core::Params::paper();
   config.params.lambda_override = 4;  // tiny lambda: stitching-heavy batches
   config.enable_paths = true;
-  config.threads = threads;
   config.mux_width = mux;
-  config.partition = partition;
   return config;
 }
 
@@ -104,50 +100,46 @@ void expect_reports_identical(const BatchReport& got, const BatchReport& ref,
 
 // The acceptance gate: snapshot after batch 1, restore into a fresh
 // service, serve batch 2 -- bit-identical to the uninterrupted run at every
-// thread count x partition x mux width. Also cross-checks that all configs
-// sharing a mux width agree with each other (threads/partition never change
-// results; mux width legitimately does).
-TEST(Resil, WarmRestartBitIdenticalAcrossThreadsPartitionAndMux) {
+// thread count x mux width. Also cross-checks that all configs sharing a
+// mux width agree with each other (threads never change results; mux width
+// legitimately does).
+TEST(Resil, WarmRestartBitIdenticalAcrossThreadsAndMux) {
   Rng graph_rng(808);
   const Graph g = gen::random_regular(64, 4, graph_rng);
   const std::uint32_t diameter = exact_diameter(g);
   const std::string path = tmp_path("drw_resil_warm.snap");
-  const congest::Partition partitions[] = {congest::Partition::kEdgeWeighted,
-                                           congest::Partition::kNodeCount};
 
   for (const unsigned mux : {1u, 4u}) {
     bool have_mux_ref = false;
     BatchReport mux_ref;
-    for (const congest::Partition partition : partitions) {
-      for (const unsigned threads : kThreadCounts) {
-        const std::string label =
-            "mux=" + std::to_string(mux) + " partition=" +
-            std::to_string(static_cast<int>(partition)) +
-            " threads=" + std::to_string(threads);
+    for (const unsigned threads : kThreadCounts) {
+      const std::string label =
+          "mux=" + std::to_string(mux) + " threads=" + std::to_string(threads);
 
-        // Uninterrupted run: batch 1, checkpoint, batch 2 (the reference).
-        congest::Network net_a(g, 4242);
-        WalkService a(net_a, diameter, resil_config(threads, mux, partition));
-        a.serve(batch_one());
-        a.save_snapshot(path);
-        const BatchReport ref = a.serve(batch_two());
+      // Uninterrupted run: batch 1, checkpoint, batch 2 (the reference).
+      congest::Network net_a(g, 4242);
+      net_a.set_threads(threads);
+      WalkService a(net_a, diameter, resil_config(mux));
+      a.serve(batch_one());
+      a.save_snapshot(path);
+      const BatchReport ref = a.serve(batch_two());
 
-        // Warm restart: fresh network + service, adopt the checkpoint,
-        // serve the same batch 2.
-        congest::Network net_b(g, 4242);
-        WalkService b(net_b, diameter, resil_config(threads, mux, partition));
-        ASSERT_TRUE(b.restore_snapshot(path)) << label;
-        const BatchReport got = b.serve(batch_two());
-        expect_reports_identical(got, ref, label);
+      // Warm restart: fresh network + service, adopt the checkpoint,
+      // serve the same batch 2.
+      congest::Network net_b(g, 4242);
+      net_b.set_threads(threads);
+      WalkService b(net_b, diameter, resil_config(mux));
+      ASSERT_TRUE(b.restore_snapshot(path)) << label;
+      const BatchReport got = b.serve(batch_two());
+      expect_reports_identical(got, ref, label);
 
-        // Threads/partition are not part of the result contract: every
-        // config at this mux width must agree.
-        if (!have_mux_ref) {
-          mux_ref = ref;
-          have_mux_ref = true;
-        } else {
-          expect_reports_identical(ref, mux_ref, label + " vs mux baseline");
-        }
+      // Threads are not part of the result contract: every config at this
+      // mux width must agree.
+      if (!have_mux_ref) {
+        mux_ref = ref;
+        have_mux_ref = true;
+      } else {
+        expect_reports_identical(ref, mux_ref, label + " vs mux baseline");
       }
     }
   }
@@ -164,9 +156,10 @@ TEST(Resil, SnapshotAfterBatchPolicyRoundTripsUnderMux) {
   const std::string path = tmp_path("drw_resil_policy.snap");
   std::remove(path.c_str());
 
-  ServiceConfig config = resil_config(2, 4);
+  ServiceConfig config = resil_config(4);
   config.snapshot_path = path;
   congest::Network net_a(g, 99);
+  net_a.set_threads(2);
   WalkService a(net_a, diameter, config);
   a.serve(batch_one());  // policy checkpoint fires here
 
@@ -178,7 +171,8 @@ TEST(Resil, SnapshotAfterBatchPolicyRoundTripsUnderMux) {
   // Restore BEFORE serving batch 2 on `a`: its policy would overwrite the
   // post-batch-1 checkpoint this test is about.
   congest::Network net_b(g, 99);
-  WalkService b(net_b, diameter, resil_config(2, 4));
+  net_b.set_threads(2);
+  WalkService b(net_b, diameter, resil_config(4));
   ASSERT_TRUE(b.restore_snapshot(path));
 
   const BatchReport ref = a.serve(batch_two());
@@ -211,15 +205,16 @@ TEST(Resil, SnapshotRotationRestoresNewestValidGeneration) {
   // Restoring services rotate-aware (snapshot_keep) but never checkpoint
   // themselves (no snapshot_path), so restores don't disturb the files.
   const auto restorer_config = [&]() {
-    ServiceConfig config = resil_config(2, 1);
+    ServiceConfig config = resil_config(1);
     config.snapshot_keep = 3;
     return config;
   };
 
-  ServiceConfig writer = resil_config(2, 1);
+  ServiceConfig writer = resil_config(1);
   writer.snapshot_path = path;
   writer.snapshot_keep = 3;
   congest::Network net_a(g, 31);
+  net_a.set_threads(2);
   WalkService a(net_a, diameter, writer);
 
   a.serve(batch_one());  // checkpoint S1 -> .1
@@ -233,6 +228,7 @@ TEST(Resil, SnapshotRotationRestoresNewestValidGeneration) {
   // the uninterrupted run's batch 3. Restore BEFORE `a` serves it -- a's
   // policy rotates the files again the moment that batch retires.
   congest::Network net_b(g, 31);
+  net_b.set_threads(2);
   WalkService b(net_b, diameter, restorer_config());
   ASSERT_TRUE(b.restore_snapshot(path));
   const BatchReport ref3 = a.serve(batch_one());  // S2 -> S3; .1=S3 .2=S2 .3=S1
@@ -255,6 +251,7 @@ TEST(Resil, SnapshotRotationRestoresNewestValidGeneration) {
   // bit-identically to ref3 again.
   corrupt(slot_path(1));
   congest::Network net_c(g, 31);
+  net_c.set_threads(2);
   WalkService c(net_c, diameter, restorer_config());
   ASSERT_TRUE(c.restore_snapshot(path));
   expect_reports_identical(c.serve(batch_one()), ref3,
@@ -264,11 +261,13 @@ TEST(Resil, SnapshotRotationRestoresNewestValidGeneration) {
   // batch 1 -- from which batch_two replays a's second batch. That report
   // is recomputed from an independent uninterrupted run (a has moved on).
   congest::Network net_ref(g, 31);
-  WalkService uninterrupted(net_ref, diameter, resil_config(2, 1));
+  net_ref.set_threads(2);
+  WalkService uninterrupted(net_ref, diameter, resil_config(1));
   uninterrupted.serve(batch_one());
   const BatchReport ref2 = uninterrupted.serve(batch_two());
   corrupt(slot_path(2));
   congest::Network net_d(g, 31);
+  net_d.set_threads(2);
   WalkService d(net_d, diameter, restorer_config());
   ASSERT_TRUE(d.restore_snapshot(path));
   expect_reports_identical(d.serve(batch_two()), ref2,
@@ -277,6 +276,7 @@ TEST(Resil, SnapshotRotationRestoresNewestValidGeneration) {
   // Every generation corrupt: detected, cold start.
   corrupt(slot_path(3));
   congest::Network net_e(g, 31);
+  net_e.set_threads(2);
   WalkService e(net_e, diameter, restorer_config());
   EXPECT_FALSE(e.restore_snapshot(path));
 
@@ -296,13 +296,15 @@ TEST(Resil, SnapshotRotationFallsBackToPlainPathCheckpoint) {
   std::remove((path + ".1").c_str());
 
   congest::Network net_a(g, 13);
-  WalkService a(net_a, diameter, resil_config(2, 1));
+  net_a.set_threads(2);
+  WalkService a(net_a, diameter, resil_config(1));
   a.serve(batch_one());
   a.save_snapshot(path);  // keep == 1: plain path, no generations
 
-  ServiceConfig rotated = resil_config(2, 1);
+  ServiceConfig rotated = resil_config(1);
   rotated.snapshot_keep = 3;
   congest::Network net_b(g, 13);
+  net_b.set_threads(2);
   WalkService b(net_b, diameter, rotated);
   ASSERT_TRUE(b.restore_snapshot(path));
   const BatchReport ref = a.serve(batch_two());
@@ -322,7 +324,8 @@ TEST(Resil, CorruptSnapshotsAreDetectedAndDegradeToColdStart) {
   const std::string path = tmp_path("drw_resil_corrupt.snap");
 
   congest::Network net_a(g, 7);
-  WalkService a(net_a, diameter, resil_config(2, 1));
+  net_a.set_threads(2);
+  WalkService a(net_a, diameter, resil_config(1));
   a.serve(batch_one());
   a.save_snapshot(path);
 
@@ -340,7 +343,8 @@ TEST(Resil, CorruptSnapshotsAreDetectedAndDegradeToColdStart) {
 
   const auto expect_cold_start = [&](const std::string& why) {
     congest::Network net(g, 7);
-    WalkService s(net, diameter, resil_config(2, 1));
+    net.set_threads(2);
+    WalkService s(net, diameter, resil_config(1));
     EXPECT_FALSE(s.restore_snapshot(path)) << why;
     // Cold start still serves correctly.
     const BatchReport report = s.serve({{3, 12, 2, false}});
@@ -391,21 +395,24 @@ TEST(Resil, CorruptSnapshotsAreDetectedAndDegradeToColdStart) {
   write_bytes(pristine);
   {  // Fingerprint mismatch: same graph, different master seed.
     congest::Network net(g, 8);
-    WalkService s(net, diameter, resil_config(2, 1));
+    net.set_threads(2);
+    WalkService s(net, diameter, resil_config(1));
     EXPECT_FALSE(s.restore_snapshot(path));
   }
   {  // Fingerprint salt: a paths snapshot must not warm-start a service
      // with paths disabled (and vice versa).
     congest::Network net(g, 7);
-    ServiceConfig no_paths = resil_config(2, 1);
+    ServiceConfig no_paths = resil_config(1);
     no_paths.enable_paths = false;
+    net.set_threads(2);
     WalkService s(net, diameter, no_paths);
     EXPECT_FALSE(s.restore_snapshot(path));
   }
   std::remove(path.c_str());
   {  // Missing file.
     congest::Network net(g, 7);
-    WalkService s(net, diameter, resil_config(2, 1));
+    net.set_threads(2);
+    WalkService s(net, diameter, resil_config(1));
     EXPECT_FALSE(s.restore_snapshot(path));
   }
 }
@@ -413,7 +420,8 @@ TEST(Resil, CorruptSnapshotsAreDetectedAndDegradeToColdStart) {
 TEST(Resil, SaveSnapshotRequiresAPreparedEngine) {
   const Graph g = gen::torus(4, 4);
   congest::Network net(g, 3);
-  WalkService s(net, exact_diameter(g), resil_config(1, 1));
+  net.set_threads(1);
+  WalkService s(net, exact_diameter(g), resil_config(1));
   EXPECT_THROW(s.save_snapshot(tmp_path("drw_resil_never.snap")),
                std::logic_error);
 }
@@ -432,7 +440,8 @@ TEST_F(ResilFailpointTest, ShortWriteTornSnapshotFailsValidation) {
   const std::string path = tmp_path("drw_resil_torn.snap");
 
   congest::Network net_a(g, 11);
-  WalkService a(net_a, diameter, resil_config(1, 1));
+  net_a.set_threads(1);
+  WalkService a(net_a, diameter, resil_config(1));
   a.serve(batch_one());
 
   resil::arm_failpoints("snapshot.write@1:short_write");
@@ -445,13 +454,15 @@ TEST_F(ResilFailpointTest, ShortWriteTornSnapshotFailsValidation) {
   EXPECT_FALSE(rc.error.empty());
 
   congest::Network net_b(g, 11);
-  WalkService b(net_b, diameter, resil_config(1, 1));
+  net_b.set_threads(1);
+  WalkService b(net_b, diameter, resil_config(1));
   EXPECT_FALSE(b.restore_snapshot(path));
   // Cold start serves fine; an intact re-write then restores warm.
   b.serve(batch_one());
   a.save_snapshot(path);
   congest::Network net_c(g, 11);
-  WalkService c(net_c, diameter, resil_config(1, 1));
+  net_c.set_threads(1);
+  WalkService c(net_c, diameter, resil_config(1));
   EXPECT_TRUE(c.restore_snapshot(path));
   std::remove(path.c_str());
 }
@@ -483,7 +494,8 @@ TEST_F(ResilFailpointTest, ServiceBatchFaultLosesNoRequests) {
   Rng graph_rng(919);
   const Graph g = gen::random_regular(32, 4, graph_rng);
   congest::Network net(g, 13);
-  WalkService s(net, exact_diameter(g), resil_config(2, 1));
+  net.set_threads(2);
+  WalkService s(net, exact_diameter(g), resil_config(1));
 
   resil::arm_failpoints("service.batch@2:throw");
   s.serve({{0, 12, 2, false}});  // hit 1 passes
@@ -614,7 +626,8 @@ TEST_F(ResilFailpointTest, DisarmedSitesStayOffTheSlowPath) {
   std::vector<NodeId> disarmed_dests;
   {
     congest::Network net(g, 21);
-    WalkService s(net, diameter, resil_config(2, 1));
+    net.set_threads(2);
+    WalkService s(net, diameter, resil_config(1));
     const BatchReport report = s.serve(batch_one());
     for (const auto& r : report.results) {
       disarmed_dests.insert(disarmed_dests.end(), r.destinations.begin(),
@@ -631,7 +644,8 @@ TEST_F(ResilFailpointTest, DisarmedSitesStayOffTheSlowPath) {
   std::vector<NodeId> armed_dests;
   {
     congest::Network net(g, 21);
-    WalkService s(net, diameter, resil_config(2, 1));
+    net.set_threads(2);
+    WalkService s(net, diameter, resil_config(1));
     const BatchReport report = s.serve(batch_one());
     for (const auto& r : report.results) {
       armed_dests.insert(armed_dests.end(), r.destinations.begin(),
@@ -706,11 +720,12 @@ TEST(Resil, RequestCapsComeBackAsStructuredStatuses) {
   const Graph g = gen::random_regular(32, 4, graph_rng);
   const std::uint32_t diameter = exact_diameter(g);
 
-  ServiceConfig config = resil_config(2, 1);
+  ServiceConfig config = resil_config(1);
   config.caps.max_count = 4;
   config.caps.max_length = 50;
   config.caps.max_batch_walks = 6;
   congest::Network net(g, 7);
+  net.set_threads(2);
   WalkService s(net, diameter, config);
 
   const BatchReport report = s.serve({

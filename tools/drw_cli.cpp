@@ -88,9 +88,6 @@ using namespace drw;
                "           [--samples=N] [--naive] [--lazy] [--mh]\n"
                "           [--threads=N]  (executor threads; 0 = auto,\n"
                "                           results identical at any count)\n"
-               "           [--partition=nodes|edges]  (shard balance; results\n"
-               "                           identical under either strategy)\n"
-               "           [--steal-chunk=N]  (work-stealing grain; 0 = auto)\n"
                "           [--mux=N]  (serve: concurrent stitching width;\n"
                "                       0 = auto via DRW_MUX, 1 = sequential)\n"
                "           [--requests=FILE] [--batch-size=N] [--paths]\n"
@@ -160,8 +157,6 @@ struct Args {
   std::uint32_t batch_size = 8;
   bool paths = false;
   unsigned threads = 0;  // 0 = auto (DRW_THREADS env / hardware)
-  std::optional<congest::Partition> partition;  // nullopt = network default
-  std::uint32_t steal_chunk = 0;  // 0 = auto (DRW_STEAL_CHUNK env / derived)
   unsigned mux = 0;  // serve: stitching width; 0 = auto (DRW_MUX env / 1)
   std::string trace_file;  // non-empty: obs tracer armed for the command
   std::string stats_json;  // serve: write the full stats JSON here
@@ -221,17 +216,6 @@ Args parse_args(int argc, char** argv) {
     } else if (auto v = flag_value(a, "--threads")) {
       args.threads =
           static_cast<unsigned>(std::strtoul(v->c_str(), nullptr, 10));
-    } else if (auto v = flag_value(a, "--partition")) {
-      if (*v == "nodes") {
-        args.partition = congest::Partition::kNodeCount;
-      } else if (*v == "edges") {
-        args.partition = congest::Partition::kEdgeWeighted;
-      } else {
-        usage("--partition must be nodes or edges");
-      }
-    } else if (auto v = flag_value(a, "--steal-chunk")) {
-      args.steal_chunk =
-          static_cast<std::uint32_t>(std::strtoul(v->c_str(), nullptr, 10));
     } else if (auto v = flag_value(a, "--mux")) {
       args.mux =
           static_cast<unsigned>(std::strtoul(v->c_str(), nullptr, 10));
@@ -429,12 +413,10 @@ CliGraph load_cli_graph(const Args& args) {
   return cg;
 }
 
-/// Applies the executor overrides (--threads / --partition / --steal-chunk;
-/// results are bit-identical at every setting).
+/// Applies the --threads override (results are bit-identical at every
+/// thread count).
 void configure_threads(congest::Network& net, const Args& args) {
   if (args.threads != 0) net.set_threads(args.threads);
-  if (args.partition) net.set_partition(*args.partition);
-  if (args.steal_chunk != 0) net.set_steal_chunk(args.steal_chunk);
 }
 
 int cmd_walk(const Args& args, const CliGraph& cg, std::uint32_t diameter) {
@@ -667,10 +649,8 @@ void handle_stop_signal(int) {
 int cmd_serve(const Args& args, const CliGraph& cg, std::uint32_t diameter) {
   const Graph& g = cg.lg.graph;
   congest::Network net(g, args.seed);
-  if (args.steal_chunk != 0) net.set_steal_chunk(args.steal_chunk);
+  configure_threads(net, args);
   service::ServiceConfig config;
-  config.threads = args.threads;
-  config.partition = args.partition;
   config.params = core::Params::paper();
   config.params.transition = args.model;
   config.enable_paths = args.paths;
@@ -843,13 +823,11 @@ int cmd_serve(const Args& args, const CliGraph& cg, std::uint32_t diameter) {
                 static_cast<double>(life.stats.rounds));
   std::printf("executor: %u thread(s), %.1f ms wall inside Network::run "
               "(compute %.1f / transmit %.1f / merge %.1f cpu-ms; "
-              "%llu chunks stolen; grain %zu, steal chunk %u, %s shards)\n",
+              "%llu chunks stolen; grain %zu, steal chunk %u)\n",
               life.stats.threads, life.stats.wall_ms, life.stats.compute_ms,
               life.stats.transmit_ms, life.stats.merge_ms,
               static_cast<unsigned long long>(life.stats.steals),
-              net.dispatch_grain(), net.steal_chunk(),
-              net.partition() == congest::Partition::kEdgeWeighted
-                  ? "edge-weighted" : "node-count");
+              net.dispatch_grain(), net.steal_chunk());
 
   if (!args.stats_json.empty()) {
     std::ofstream out(args.stats_json);
@@ -876,10 +854,8 @@ int cmd_serve(const Args& args, const CliGraph& cg, std::uint32_t diameter) {
     out << "{\"batches\":[\n" << batches_json.str() << "\n],\n"
         << "\"lifetime\":" << lifetime_json.str() << ",\n"
         << "\"executor\":{\"dispatch_grain\":" << net.dispatch_grain()
-        << ",\"steal_chunk\":" << net.steal_chunk() << ",\"partition\":\""
-        << (net.partition() == congest::Partition::kEdgeWeighted
-                ? "edge-weighted" : "node-count")
-        << "\",\"graph_source\":\"" << config.graph_source << "\"},\n"
+        << ",\"steal_chunk\":" << net.steal_chunk()
+        << ",\"graph_source\":\"" << config.graph_source << "\"},\n"
         << "\"registry\":" << obs::Registry::global().snapshot_json()
         << "}\n";
     std::printf("stats json: %s\n", args.stats_json.c_str());
