@@ -1,7 +1,9 @@
 // Shared support for the experiment harness: aligned table printing, series
 // bookkeeping, log-log slope fits, and machine-readable result files. Every
 // bench binary prints the paper-vs-measured series for its experiment
-// (EXPERIMENTS.md records the mapping), then runs its registered
+// (the comment at the top of each bench names it: E1-E11 map to the
+// paper's theorems and lemmas, the rest are acceptance gates and perf
+// trajectories), then runs its registered
 // google-benchmark timings; perf-trajectory benches additionally emit a
 // BENCH_<name>.json via JsonReport.
 #pragma once
@@ -143,7 +145,7 @@ class JsonReport {
 inline constexpr double kSpeedupFloorT2 = 1.2;
 
 /// Emits the per-phase executor timing breakdown of a RunStats under
-/// `<prefix>compute_ms` / `transmit_ms` / `merge_ms` / `steals`, so bench
+/// `<prefix>compute_ms` / `transmit_ms` / `merge_ms`, so bench
 /// JSON consumers (tools/bench_diff.py, the CI trajectory diff) can
 /// attribute wall-clock movement to a phase.
 inline void add_phase_fields(JsonReport& json, const std::string& prefix,
@@ -151,7 +153,6 @@ inline void add_phase_fields(JsonReport& json, const std::string& prefix,
   json.add(prefix + "compute_ms", stats.compute_ms);
   json.add(prefix + "transmit_ms", stats.transmit_ms);
   json.add(prefix + "merge_ms", stats.merge_ms);
-  json.add(prefix + "steals", stats.steals);
 }
 
 /// Folds the armed obs::Registry into the flat bench JSON as

@@ -12,12 +12,12 @@
 //     arms CI even on small shared runners.
 //   * Wall clock (hardware-gated, mirroring bench_skew's ladder): >= 1.5x
 //     over sequential stitching at 8 threads on >= 8-hw-thread hosts --
-//     fused waves are wide enough for the work-stealing pool, sequential
-//     traversals are not. On 4..7-thread hosts the calibrated floor is
-//     1.0x at the native width ("multiplexing must not pessimize"): the
-//     per-round mux bookkeeping costs a few percent that narrower pools
-//     cannot always win back, so the speedup claim there is carried by the
-//     deterministic round gate. Trajectory-only below 4.
+//     fused waves are wide enough to keep every shard's worker busy,
+//     sequential traversals are not. On 4..7-thread hosts the calibrated
+//     floor is 1.0x at the native width ("multiplexing must not
+//     pessimize"): the per-round mux bookkeeping costs a few percent that
+//     narrower pools cannot always win back, so the speedup claim there is
+//     carried by the deterministic round gate. Trajectory-only below 4.
 //
 //   kMux results must be bit-identical to kSerial (same destinations,
 //   same per-walk stats) -- the lane-isolation invariant, re-checked here

@@ -2,11 +2,11 @@
 //
 //   On degree-skewed graph families -- star, lollipop, power-law -- an
 //   equal-node-count shard split would pile most edge traffic onto one
-//   worker while the rest idle. The edge-weighted partition plus
-//   work-stealing must keep the parallelism: the 2-thread executor must
-//   clear the calibrated speedup floor on at least one of the
-//   star/lollipop/power-law families, while results stay bit-identical
-//   at 1, 2 and 8 threads. An expander rides along as the no-skew control.
+//   worker while the rest idle. The edge-weighted partition must keep the
+//   parallelism: the 2-thread executor must clear the calibrated speedup
+//   floor on at least one of the star/lollipop/power-law families, while
+//   results stay bit-identical at 1, 2 and 8 threads. An expander rides
+//   along as the no-skew control.
 //
 //   The 2-thread floor binds when the host has >= 4 hardware threads;
 //   below that the experiment still runs and emits the BENCH_skew.json
@@ -154,7 +154,7 @@ int run_experiment() {
   };
 
   bench::banner(
-      "SKEW / edge-weighted shards + work-stealing on skewed degrees",
+      "SKEW / edge-weighted shards on skewed degrees",
       "degree-proportional token storms on star/lollipop/power-law (the "
       "lower-bound gadget shapes) vs an expander control: same seeded "
       "storm at {1t, 2t, 8t}; results must be bit-identical, wall time "
@@ -168,7 +168,6 @@ int run_experiment() {
   bool deterministic = true;
   double best_gated_speedup2 = 0.0;
   std::size_t grain = 0;
-  std::uint32_t steal_chunk = 0;
   for (const Family& family : families) {
     const FamilyResult r = run_family(family.name, family.graph);
     deterministic = deterministic && r.deterministic;
@@ -193,7 +192,7 @@ int run_experiment() {
   }
   table.print();
 
-  // The executor knobs actually in effect (one probe network; the grain is
+  // The dispatch grain actually in effect (one probe network; the grain is
   // per-width, so build it at the widest sweep point).
   {
     congest::Network probe(families[0].graph, 1);
@@ -201,10 +200,8 @@ int run_experiment() {
     SkewStorm tiny(families[0].graph.node_count(), 0);
     (void)probe.run(tiny);
     grain = probe.dispatch_grain();
-    steal_chunk = probe.steal_chunk();
   }
   json.add("dispatch_grain", static_cast<std::uint64_t>(grain));
-  json.add("steal_chunk", steal_chunk);
   json.add("hw_threads", static_cast<std::uint64_t>(hw));
   json.add("speedup_floor_t2", kSpeedupFloorT2);
   json.add("best_gated_speedup2", best_gated_speedup2);

@@ -25,9 +25,9 @@
 // lanes produces, for every lane, bit-identical protocol state, delivery
 // traces and per-lane round/message counts as running that lane alone in
 // its own Network::run (as a mux of one, i.e. with the same lane streams)
-// -- at every thread count and steal-chunk grain. The
-// argument is inductive: per-lane queues and rng make round-r sends a
-// function of the lane's own round-(r-1) state alone.
+// -- at every thread count. The argument is inductive: per-lane queues
+// and rng make round-r sends a function of the lane's own round-(r-1)
+// state alone.
 //
 // A one-lane run needs no mux: Network::run(protocol, streams) swaps a
 // walk's streams in for the run and produces the same draws, deliveries

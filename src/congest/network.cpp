@@ -14,7 +14,6 @@
 #include <limits>
 #include <mutex>
 #include <stdexcept>
-#include <string>
 #include <thread>
 
 namespace drw::congest {
@@ -47,47 +46,6 @@ long long env_parallel_grain() {
     return -1ll;
   }();
   return value;
-}
-
-/// Parsed DRW_STEAL_CHUNK (0 = unset): target work units per compute
-/// steal-chunk, overriding the grain-derived default.
-std::uint32_t env_steal_chunk() {
-  static const std::uint32_t value = [] {
-    if (const char* env = std::getenv("DRW_STEAL_CHUNK")) {
-      char* end = nullptr;
-      const unsigned long parsed = std::strtoul(env, &end, 10);
-      if (end != env && parsed >= 1) {
-        return static_cast<std::uint32_t>(
-            parsed < (1u << 30) ? parsed : (1u << 30));
-      }
-    }
-    return 0u;
-  }();
-  return value;
-}
-
-/// Cuts `count` items into chunks of ~`steal_chunk` accumulated weight
-/// units: the single source of truth for the steal-chunk boundary
-/// invariant, shared by the round-0 (degree-weighted) and steady-state
-/// (inbox-weighted) builders. Appends cumulative chunk ends to `chunk_end`
-/// and returns the total weight.
-template <typename WeightFn>
-std::uint64_t cut_chunks(std::uint32_t steal_chunk, std::uint32_t count,
-                         WeightFn&& weight,
-                         std::vector<std::uint32_t>& chunk_end) {
-  std::uint64_t acc = 0;
-  std::uint64_t work = 0;
-  for (std::uint32_t idx = 0; idx < count; ++idx) {
-    const std::uint64_t w = weight(idx);
-    acc += w;
-    work += w;
-    if (acc >= steal_chunk) {
-      chunk_end.push_back(idx + 1);
-      acc = 0;
-    }
-  }
-  if (acc > 0) chunk_end.push_back(count);
-  return work;
 }
 
 }  // namespace
@@ -271,19 +229,6 @@ unsigned Network::resolve_threads() const noexcept {
 
 unsigned Network::threads() const noexcept { return resolve_threads(); }
 
-std::uint32_t Network::resolve_steal_chunk() const noexcept {
-  if (steal_chunk_setting_ != 0) return steal_chunk_setting_;
-  const std::uint32_t env = env_steal_chunk();
-  if (env != 0) return env;
-  // Auto: a fraction of the dispatch grain, so a round that barely
-  // justifies the pool still splits into several stealable pieces, while
-  // wide rounds do not drown in cursor traffic.
-  const std::size_t derived = grain_ / 8;
-  if (derived < 16) return 16;
-  if (derived > 1024) return 1024;
-  return static_cast<std::uint32_t>(derived);
-}
-
 std::size_t Network::calibrate_grain() {
   // Dispatch overhead: the fixed cost of waking every pool worker and
   // re-joining at the barrier, measured as the best of a few empty
@@ -338,8 +283,8 @@ void Network::build_partition() {
   // Contiguous ranges balanced by (1 + degree) prefix sums, so per-shard
   // edge traffic -- the round executor's actual work -- is near-equal even
   // when degrees are wildly skewed. A node heavier than a whole share (a
-  // star center) yields empty neighbor shards; work-stealing absorbs what
-  // the partition cannot split.
+  // star center) yields empty neighbor shards: a single node's step cannot
+  // be split, so its worker simply carries the heavier round.
   const std::uint64_t total =
       static_cast<std::uint64_t>(n) + graph_->directed_edge_count();
   std::uint64_t acc = 0;
@@ -353,26 +298,25 @@ void Network::build_partition() {
   }
   for (; cut < workers_; ++cut) shard_begin_[cut] = static_cast<NodeId>(n);
 
-  node_shard_.resize(n);
+  std::vector<std::uint32_t> node_shard(n);
+  round0_work_.assign(workers_, 0);
   for (unsigned s = 0; s < workers_; ++s) {
     for (NodeId v = shard_begin_[s]; v < shard_begin_[s + 1]; ++v) {
-      node_shard_[v] = s;
+      node_shard[v] = s;
+      round0_work_[s] += 1 + graph_->degree(v);
     }
   }
 
   const std::size_t edges = graph_->directed_edge_count();
   edge_owner_.resize(edges);
   for (std::size_t eid = 0; eid < edges; ++eid) {
-    edge_owner_[eid] = node_shard_[graph_->directed_edge_target(eid)];
+    edge_owner_[eid] = node_shard[graph_->directed_edge_target(eid)];
   }
 }
 
 void Network::ensure_executor() {
   const unsigned want = resolve_threads();
-  if (want == workers_ && steal_chunk_setting_ == built_steal_setting_ &&
-      run_lanes_ <= arena_lanes_) {
-    return;
-  }
+  if (want == workers_ && run_lanes_ <= arena_lanes_) return;
 
   if (want != workers_) {
     workers_ = want;
@@ -387,9 +331,7 @@ void Network::ensure_executor() {
       grain_ = calibrate_grain();
     }
   }
-  built_steal_setting_ = steal_chunk_setting_;
   if (run_lanes_ > arena_lanes_) arena_lanes_ = run_lanes_;
-  steal_chunk_ = resolve_steal_chunk();
 
   build_partition();
   // One virtual FIFO per (directed edge, lane): a multiplexed run gives
@@ -403,27 +345,9 @@ void Network::ensure_executor() {
   edge_mark_.assign(graph_->directed_edge_count() * arena_lanes_, 0);
   shards_.assign(workers_, Shard{});
   lanes_.assign(workers_, WorkerLane{});
-  cursors_ = std::make_unique<ChunkCursor[]>(workers_);
   staged_.assign(workers_,
                  std::vector<std::vector<PendingSend>>(workers_));
   token_staged_.assign(workers_, std::vector<TokenColumns>(workers_));
-  seg_marks_.assign(workers_, std::vector<std::vector<SegMark>>(workers_));
-  wake_staged_.assign(workers_, std::vector<std::vector<NodeId>>(workers_));
-
-  // Round-0 chunking: every node is active with an empty inbox, so weight
-  // by 1 + degree (initialization work -- e.g. Phase 1 seeding eta*deg
-  // short walks -- is typically degree-proportional).
-  round0_chunk_end_.assign(workers_, {});
-  round0_work_.assign(workers_, 0);
-  for (unsigned s = 0; s < workers_; ++s) {
-    const NodeId begin = shard_begin_[s];
-    round0_work_[s] = cut_chunks(
-        steal_chunk_, shard_begin_[s + 1] - begin,
-        [&](std::uint32_t idx) {
-          return std::uint64_t{1} + graph_->degree(begin + idx);
-        },
-        round0_chunk_end_[s]);
-  }
 }
 
 void Network::stage_send(unsigned worker, NodeId from, std::uint32_t slot,
@@ -444,12 +368,6 @@ void Network::stage_send(unsigned worker, NodeId from, std::uint32_t slot,
   WorkerLane& lane = lanes_[worker];
   std::vector<PendingSend>& bucket = staged_[worker][owner];
   TokenColumns& tokens = token_staged_[worker][owner];
-  std::vector<SegMark>& marks = seg_marks_[worker][owner];
-  if (marks.empty() || marks.back().chunk != lane.chunk) {
-    marks.push_back(
-        SegMark{lane.chunk, static_cast<std::uint32_t>(bucket.size()),
-                static_cast<std::uint32_t>(tokens.hdr.size())});
-  }
   const std::uint32_t veid =
       eid + msg_lane * static_cast<std::uint32_t>(
                            graph_->directed_edge_count());
@@ -472,26 +390,18 @@ void Network::stage_send(unsigned worker, NodeId from, std::uint32_t slot,
 void Network::stage_wake(unsigned worker, NodeId self) {
   if (!wake_flag_[self]) {
     wake_flag_[self] = 1;
-    wake_staged_[worker][node_shard_[self]].push_back(self);
+    // Worker s runs only shard s's nodes, so the waking node is its own.
+    shards_[worker].woken.push_back(self);
     ++lanes_[worker].wakes;
   }
 }
 
 void Network::dispatch(std::size_t work,
-                       void (Network::*phase)(unsigned),
-                       bool collaborative) {
+                       void (Network::*phase)(unsigned)) {
   if (workers_ == 1 || work < grain_) {
-    parallel_round_ = false;
-    if (collaborative) {
-      // A collaborative phase drains every shard's chunk cursor itself; a
-      // single inline call covers all shards in canonical order.
-      (this->*phase)(0);
-    } else {
-      for (unsigned s = 0; s < workers_; ++s) (this->*phase)(s);
-    }
+    for (unsigned s = 0; s < workers_; ++s) (this->*phase)(s);
     return;
   }
-  parallel_round_ = true;
   pool_->run([this, phase](unsigned s) { (this->*phase)(s); });
 }
 
@@ -503,35 +413,13 @@ void Network::compute_phase(unsigned worker) {
   ctx.net_ = this;
   ctx.round_ = round_;
   ctx.worker_ = worker;
-  // Drain the own shard's chunks first (cache locality: its active nodes,
-  // inboxes and arena pages are this worker's), then sweep the other
-  // shards claiming whatever their owners have not reached yet. Chunks are
-  // claimed exactly once; which worker runs a chunk never influences
-  // results, only wall time.
-  for (unsigned i = 0; i < workers_; ++i) {
-    const unsigned s = worker + i < workers_ ? worker + i
-                                             : worker + i - workers_;
-    Shard& sh = shards_[s];
-    const auto chunks = static_cast<std::uint32_t>(sh.chunk_end.size());
-    if (chunks == 0) continue;
-    for (;;) {
-      const std::uint32_t c =
-          cursors_[s].next.fetch_add(1, std::memory_order_relaxed);
-      if (c >= chunks) break;
-      if (i != 0 && parallel_round_) ++lane.steals;
-      lane.chunk = (static_cast<std::uint64_t>(s) << 32) | c;
-      const std::uint32_t begin = c == 0 ? 0 : sh.chunk_end[c - 1];
-      const std::uint32_t end = sh.chunk_end[c];
-      for (std::uint32_t idx = begin; idx < end; ++idx) {
-        const NodeId v = sh.active[idx];
-        std::vector<Delivery>& in = inbox_[v];
-        lane.deliveries += in.size();
-        ctx.self_ = v;
-        ctx.inbox_ = std::span<const Delivery>(in);
-        running_->on_round(ctx);
-        in.clear();
-      }
-    }
+  for (const NodeId v : shards_[worker].active) {
+    std::vector<Delivery>& in = inbox_[v];
+    lane.deliveries += in.size();
+    ctx.self_ = v;
+    ctx.inbox_ = std::span<const Delivery>(in);
+    running_->on_round(ctx);
+    in.clear();
   }
 }
 
@@ -542,7 +430,7 @@ void Network::transmit_phase(unsigned shard) {
   //      FIFO head (they precede this round's fresh edges in busy order,
   //      and FIFO heads are untouched by this round's appends, so popping
   //      before the replay commutes with the unfused push-then-pop).
-  //   B. replay -- staged sends land in ascending global chunk order;
+  //   B. replay -- staged sends land in ascending global node order;
   //      each idle edge's FIRST message of the round is delivered
   //      directly, bypassing the arena entirely for the dominant depth-1
   //      traffic. Only the congested long tail is enqueued.
@@ -599,45 +487,28 @@ void Network::transmit_phase(unsigned shard) {
   }
 
   // Pass B -- replay staged sends for owned edges in ascending global
-  // chunk order. Chunks tile the canonical ascending-node order and each
-  // was executed contiguously by exactly one worker, so replaying their
-  // bucket segments sorted by chunk id reconstructs the global
-  // ascending-node send order -- independent of thread count, partition
-  // and who stole what. Within a segment, the generic entries' stage-time
-  // token counters splice the token columns back at their exact staging
-  // positions.
-  std::vector<Segment>& segments = sh.merge_scratch;
-  segments.clear();
-  for (unsigned w = 0; w < workers_; ++w) {
-    const std::vector<SegMark>& marks = seg_marks_[w][shard];
-    const auto bucket_size =
-        static_cast<std::uint32_t>(staged_[w][shard].size());
-    const auto token_size =
-        static_cast<std::uint32_t>(token_staged_[w][shard].hdr.size());
-    for (std::size_t k = 0; k < marks.size(); ++k) {
-      const std::uint32_t end =
-          k + 1 < marks.size() ? marks[k + 1].begin : bucket_size;
-      const std::uint32_t token_end =
-          k + 1 < marks.size() ? marks[k + 1].token_begin : token_size;
-      segments.push_back(Segment{marks[k].chunk, w, marks[k].begin, end,
-                                 marks[k].token_begin, token_end});
-    }
+  // node order. Worker w ran exactly shard w's nodes in ascending order,
+  // and shards are ascending node ranges, so replaying the buckets in
+  // ascending worker order reconstructs the global ascending-node send
+  // order at every thread count. Within a bucket, the generic entries'
+  // stage-time token counters splice the token columns back at their exact
+  // staging positions.
+  bool staged_any = false;
+  for (unsigned w = 0; w < workers_ && !staged_any; ++w) {
+    staged_any = !staged_[w][shard].empty() ||
+                 !token_staged_[w][shard].hdr.empty();
   }
-  if (!segments.empty()) {
+  if (staged_any) {
     // Thin rounds (nothing staged for this shard) skip the merge timer:
     // two clock reads per shard per round would dominate the near-zero
     // work they bracket.
     obs::Span merge_span(obs::Name::kMergeShard, obs::kPidExecutor,
                          static_cast<std::uint16_t>(shard));
     const auto merge_start = Clock::now();
-    std::sort(segments.begin(), segments.end(),
-              [](const Segment& a, const Segment& b) {
-                return a.chunk < b.chunk;
-              });
     // Observable per-edge depth this round, as the unfused engine counted
     // it: >= 1 for every replayed message (fresh first messages and
-    // drained busy heads entered its queues too), so start at 1 -- a
-    // non-empty segment list implies at least one replayed send.
+    // drained busy heads entered its queues too), so start at 1 -- this
+    // branch implies at least one replayed send.
     std::uint32_t round_max = 1;
     const auto emit = [&](std::uint32_t eid, const Message& m) {
       const std::uint64_t mark = edge_mark_[eid];
@@ -674,30 +545,25 @@ void Network::transmit_phase(unsigned shard) {
         if (depth > round_max) round_max = depth;
       }
     };
-    for (const Segment& seg : segments) {
-      const std::vector<PendingSend>& bucket = staged_[seg.worker][shard];
-      const TokenColumns& tok = token_staged_[seg.worker][shard];
-      std::uint32_t t = seg.token_begin;
-      for (std::uint32_t k = seg.begin; k < seg.end; ++k) {
-        const PendingSend& ps = bucket[k];
+    for (unsigned w = 0; w < workers_; ++w) {
+      std::vector<PendingSend>& bucket = staged_[w][shard];
+      TokenColumns& tok = token_staged_[w][shard];
+      std::size_t t = 0;
+      for (const PendingSend& ps : bucket) {
         for (; t < ps.tokens_before; ++t) {
           emit_token(tok.hdr[t], tok.lo[t], tok.hi[t]);
         }
         emit(ps.eid, ps.msg);
       }
-      for (; t < seg.token_end; ++t) {
+      for (; t < tok.hdr.size(); ++t) {
         emit_token(tok.hdr[t], tok.lo[t], tok.hi[t]);
       }
-    }
-    if (round_max > sh.max_backlog) sh.max_backlog = round_max;
-    for (unsigned w = 0; w < workers_; ++w) {
-      staged_[w][shard].clear();
-      TokenColumns& tok = token_staged_[w][shard];
+      bucket.clear();
       tok.hdr.clear();
       tok.lo.clear();
       tok.hi.clear();
-      seg_marks_[w][shard].clear();
     }
+    if (round_max > sh.max_backlog) sh.max_backlog = round_max;
     lanes_[shard].merge_ns += ns_since(merge_start);
     // Per-shard-round peak arena depth: the distribution of these is the
     // congestion signal the paper's round bounds are about.
@@ -720,7 +586,7 @@ void Network::transmit_phase(unsigned shard) {
   sh.fresh_scratch.clear();
 
   // Assemble the next round's active list (delivered nodes + staged wakes,
-  // deduplicated in ascending order) and chunk it for stealing, so the
+  // deduplicated in ascending order) and weigh it for dispatch, so the
   // next compute phase starts without an extra barrier. Wake flags stay
   // set through the assembly: on dense rounds one ascending sweep of the
   // shard's contiguous node range reads them alongside inbox occupancy
@@ -728,17 +594,10 @@ void Network::transmit_phase(unsigned shard) {
   // visited) and yields the sorted deduplicated list with no sort at all;
   // sparse rounds keep the sort + unique, which wins when the shard range
   // dwarfs the touched set.
-  sh.wake_scratch.clear();
-  for (unsigned w = 0; w < workers_; ++w) {
-    for (const NodeId v : wake_staged_[w][shard]) {
-      sh.wake_scratch.push_back(v);
-    }
-    wake_staged_[w][shard].clear();
-  }
   sh.active.clear();
   const NodeId node_begin = shard_begin_[shard];
   const NodeId node_end = shard_begin_[shard + 1];
-  const std::size_t touched = sh.delivered.size() + sh.wake_scratch.size();
+  const std::size_t touched = sh.delivered.size() + sh.woken.size();
   if (touched * 8 >= static_cast<std::size_t>(node_end - node_begin)) {
     for (NodeId v = node_begin; v < node_end; ++v) {
       if (!inbox_[v].empty() || wake_flag_[v] != 0) sh.active.push_back(v);
@@ -746,27 +605,17 @@ void Network::transmit_phase(unsigned shard) {
   } else {
     sh.active.insert(sh.active.end(), sh.delivered.begin(),
                      sh.delivered.end());
-    sh.active.insert(sh.active.end(), sh.wake_scratch.begin(),
-                     sh.wake_scratch.end());
+    sh.active.insert(sh.active.end(), sh.woken.begin(), sh.woken.end());
     std::sort(sh.active.begin(), sh.active.end());
     sh.active.erase(std::unique(sh.active.begin(), sh.active.end()),
                     sh.active.end());
   }
-  for (const NodeId v : sh.wake_scratch) wake_flag_[v] = 0;
-  chunk_active_list(sh);
-}
-
-void Network::chunk_active_list(Shard& sh) {
-  // Weight by pending deliveries: the dominant on_round cost is walking
-  // the inbox, and it is known exactly here. A hub with a flooded inbox
-  // lands alone in its own chunk, so thieves can take everything else.
-  sh.chunk_end.clear();
-  sh.work = cut_chunks(
-      steal_chunk_, static_cast<std::uint32_t>(sh.active.size()),
-      [&](std::uint32_t idx) {
-        return std::uint64_t{1} + inbox_[sh.active[idx]].size();
-      },
-      sh.chunk_end);
+  for (const NodeId v : sh.woken) wake_flag_[v] = 0;
+  sh.woken.clear();
+  // Weigh by pending deliveries: the dominant on_round cost is walking the
+  // inbox, and it is known exactly here.
+  sh.work = sh.active.size();
+  for (const NodeId v : sh.active) sh.work += inbox_[v].size();
 }
 
 void Network::reset_transients(bool aborted) {
@@ -775,24 +624,23 @@ void Network::reset_transients(bool aborted) {
     for (NodeId v : sh.delivered) inbox_[v].clear();
     sh.delivered.clear();
     sh.active.clear();
-    sh.chunk_end.clear();
     sh.work = 0;
     sh.fresh_scratch.clear();
     for (std::uint32_t eid : sh.busy) arena_.clear_queue(s, eid);
     sh.busy.clear();
+    // Wakes staged in a final done()-stopped compute still hold their
+    // flags.
+    for (const NodeId v : sh.woken) wake_flag_[v] = 0;
+    sh.woken.clear();
   }
+  // Sends staged in a final done()-stopped compute were never merged.
   for (unsigned w = 0; w < workers_; ++w) {
     for (unsigned o = 0; o < workers_; ++o) {
-      // Sends staged in a final done()-stopped compute were never merged;
-      // staged wakes still hold their flags.
       staged_[w][o].clear();
       TokenColumns& tok = token_staged_[w][o];
       tok.hdr.clear();
       tok.lo.clear();
       tok.hi.clear();
-      seg_marks_[w][o].clear();
-      for (const NodeId v : wake_staged_[w][o]) wake_flag_[v] = 0;
-      wake_staged_[w][o].clear();
     }
   }
   if (aborted) {
@@ -860,7 +708,6 @@ RunStats Network::run_with_lanes(Protocol& protocol, unsigned lanes,
     sh.transmitted = 0;
   }
   for (WorkerLane& lane : lanes_) {
-    lane.steals = 0;
     lane.token_sends = 0;
     lane.merge_ns = 0.0;
   }
@@ -880,7 +727,6 @@ RunStats Network::run_with_lanes(Protocol& protocol, unsigned lanes,
 
   double merge_ns = 0.0;
   for (const WorkerLane& lane : lanes_) {
-    stats.steals += lane.steals;
     stats.token_sends += lane.token_sends;
     merge_ns += lane.merge_ns;
   }
@@ -896,9 +742,7 @@ RunStats Network::run_with_lanes(Protocol& protocol, unsigned lanes,
   stats.wall_ms = ms_since(start);
 
   // Fold the run into the metrics registry (once per run, off the hot
-  // path). Steal counts are per-worker so shard-level imbalance is
-  // visible; they are scheduling-dependent by design and therefore
-  // explicitly outside the determinism contract.
+  // path).
   if (obs::Registry::global().enabled()) {
     auto& reg = obs::Registry::global();
     reg.counter("executor.runs").add(1);
@@ -907,10 +751,6 @@ RunStats Network::run_with_lanes(Protocol& protocol, unsigned lanes,
     reg.counter("executor.token_sends").add(stats.token_sends);
     reg.gauge("executor.threads").set(double(workers_));
     reg.histogram("arena.backlog_run_max").record(stats.max_backlog);
-    for (unsigned w = 0; w < workers_; ++w) {
-      reg.counter("executor.steals.w" + std::to_string(w))
-          .add(lanes_[w].steals);
-    }
   }
   return stats;
 }
@@ -938,24 +778,20 @@ void Network::run_loop(Protocol& protocol, std::uint64_t max_rounds,
         round_hist != nullptr ? Clock::now() : Clock::time_point{};
 
     if (global_wake_) {
-      // Install the cached canonical round-0 chunking: every node active.
+      // Round 0: every node active, weighed by 1 + degree.
       for (unsigned s = 0; s < workers_; ++s) {
         Shard& sh = shards_[s];
         sh.active.clear();
         for (NodeId v = shard_begin_[s]; v < shard_begin_[s + 1]; ++v) {
           sh.active.push_back(v);
         }
-        sh.chunk_end = round0_chunk_end_[s];
         sh.work = round0_work_[s];
       }
     }
 
-    // Compute: active nodes' on_round, chunk-claimed across workers.
+    // Compute: every worker runs its own shard's active nodes.
     std::size_t active_work = 0;
     for (const Shard& sh : shards_) active_work += sh.work;
-    for (unsigned s = 0; s < workers_; ++s) {
-      cursors_[s].next.store(0, std::memory_order_relaxed);
-    }
     for (WorkerLane& lane : lanes_) {
       lane.deliveries = 0;
       lane.sends = 0;
@@ -969,8 +805,7 @@ void Network::run_loop(Protocol& protocol, std::uint64_t max_rounds,
     {
       obs::Span span(obs::Name::kComputeDispatch, obs::kPidExecutor, 0,
                      active_work);
-      dispatch(active_work, &Network::compute_phase,
-               /*collaborative=*/true);
+      dispatch(active_work, &Network::compute_phase);
     }
     stats.compute_ms += ms_since(compute_start);
     global_wake_ = false;
@@ -1013,8 +848,7 @@ void Network::run_loop(Protocol& protocol, std::uint64_t max_rounds,
     {
       obs::Span span(obs::Name::kTransmitDispatch, obs::kPidExecutor, 0,
                      busy_bound);
-      dispatch(busy_bound, &Network::transmit_phase,
-               /*collaborative=*/false);
+      dispatch(busy_bound, &Network::transmit_phase);
     }
     stats.transmit_ms += ms_since(transmit_start);
     if (round_hist != nullptr) {

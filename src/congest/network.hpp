@@ -23,41 +23,37 @@
 // Parallel round executor:
 //   The CONGEST model makes node steps within a round independent by
 //   construction, and the simulator exploits that. Nodes are partitioned
-//   into `threads()` contiguous shards; each round runs two barrier-
+//   into `threads()` contiguous shards, and worker s owns shard s: it runs
+//   that shard's nodes and nothing else. Each round runs two barrier-
 //   separated phases on a persistent worker pool:
 //
-//     compute  -- active nodes run `on_round` in the canonical ascending
-//                 node order, chunked for WORK-STEALING: every shard's
-//                 active list is cut into weight-bounded chunks, each
-//                 worker drains its own shard's chunks first and then
-//                 claims remaining chunks of busier shards. Sends go to
-//                 per-worker staging buffers carrying per-chunk segment
-//                 marks; nothing shared is written.
+//     compute  -- worker s runs `on_round` for shard s's active nodes in
+//                 ascending node order. Sends go to per-worker staging
+//                 buckets, one per destination shard; nothing shared is
+//                 written.
 //     transmit -- every shard runs ONE fused stage-merge-deliver pass over
 //                 the edges it owns: first it drains one queued message per
 //                 already-backlogged edge into its nodes' inboxes, then it
-//                 replays the staged sends in ascending CHUNK order (chunks
-//                 tile the canonical order, so the replayed sequence is the
-//                 global ascending-node send order no matter which worker
-//                 ran which chunk), delivering each edge's FIRST message of
-//                 the round directly -- the arena is touched only by the
-//                 congested long tail -- and finally assembles + chunks its
-//                 own next-round active list (so the compute phase needs no
-//                 extra barrier). The fusion is observationally identical
-//                 to the historical merge-then-deliver sweep: inbox append
-//                 order, busy-list order and max-backlog accounting are
-//                 reproduced exactly (see transmit_phase).
+//                 replays the staged sends bucket by bucket in ascending
+//                 worker order (shards are ascending node ranges, so this
+//                 is the global ascending-node send order at every thread
+//                 count), delivering each edge's FIRST message of the round
+//                 directly -- the arena is touched only by the congested
+//                 long tail -- and finally assembles its own next-round
+//                 active list (so the compute phase needs no extra
+//                 barrier). The fusion is observationally identical to the
+//                 historical merge-then-deliver sweep: inbox append order,
+//                 busy-list order and max-backlog accounting are reproduced
+//                 exactly (see transmit_phase).
 //
 //   Shards are contiguous node ranges balanced by (1 + degree) weight, a
 //   prefix-sum over degrees, so that degree-skewed graphs -- stars,
 //   lollipops, power laws -- do not pile all edge traffic onto one worker.
 //   Each directed edge is owned by exactly one shard (its destination
-//   node's), so both phases are lock-free apart from the chunk cursors.
-//   Delivery order into every inbox -- and therefore every RNG draw -- is
-//   bit-identical across all thread counts and all steal-chunk sizes,
-//   including the fully inline 1-thread run. Configure with
-//   Network::set_threads() / set_steal_chunk() or the DRW_THREADS /
-//   DRW_STEAL_CHUNK environment variables.
+//   node's), so both phases are lock-free. Delivery order into every inbox
+//   -- and therefore every RNG draw -- is bit-identical across all thread
+//   counts, including the fully inline 1-thread run. Configure with
+//   Network::set_threads() or the DRW_THREADS environment variable.
 //
 //   Rounds whose work falls below the dispatch grain run inline on the
 //   driver thread (identical data flow and results). The grain is
@@ -70,7 +66,6 @@
 // split off the network's master seed, so runs are deterministic.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -102,10 +97,6 @@ struct RunStats {
   /// exceed transmit_ms x 1; it attributes how much of transmit is merge
   /// work rather than delivery work).
   double merge_ms = 0.0;
-  /// Compute chunks executed by a worker other than the owning shard's
-  /// (work-stealing balance indicator; 0 for inline rounds). NOT part of
-  /// the determinism contract -- results never depend on who stole what.
-  std::uint64_t steals = 0;
   /// Sends that took the packed structure-of-arrays token fast path (see
   /// message.hpp PackedToken) instead of the generic PendingSend staging.
   /// Purely an attribution counter: routing is invisible to protocols.
@@ -124,7 +115,6 @@ struct RunStats {
     compute_ms += other.compute_ms;
     transmit_ms += other.transmit_ms;
     merge_ms += other.merge_ms;
-    steals += other.steals;
     token_sends += other.token_sends;
     threads = threads > other.threads ? threads : other.threads;
     return *this;
@@ -144,7 +134,6 @@ struct RunStats {
                       ? transmit_ms - earlier.transmit_ms : 0.0;
     merge_ms = merge_ms > earlier.merge_ms ? merge_ms - earlier.merge_ms
                                            : 0.0;
-    steals = steals > earlier.steals ? steals - earlier.steals : 0;
     token_sends = token_sends > earlier.token_sends
                       ? token_sends - earlier.token_sends : 0;
     return *this;
@@ -193,7 +182,7 @@ class Context {
   Network* net_ = nullptr;
   NodeId self_ = kInvalidNode;
   std::uint64_t round_ = 0;
-  unsigned worker_ = 0;  ///< executor worker running this node's chunk
+  unsigned worker_ = 0;  ///< executor worker (= shard) running this node
   std::span<const Delivery> inbox_;
   std::uint16_t lane_ = 0;    ///< stamped onto every send
   Rng* lane_rng_ = nullptr;   ///< overrides the shared node stream when set
@@ -204,15 +193,14 @@ class Context {
 /// (indexed by NodeId), invoked per active node per round. Protocols must
 /// only let node v's logic read node v's slice of that state.
 ///
-/// SHARD SAFETY: `on_round` calls of different nodes may run on different
-/// executor threads within a round (with work-stealing, even nodes of the
-/// same shard may). The rule above is therefore load-bearing, and for
-/// writes it is strict: node v's on_round may only write state indexed by v
-/// (or by something only v owns this round, e.g. the job a token it just
-/// received belongs to). Reads of shared *immutable* inputs (the graph, a
-/// BFS tree, config) are fine; cross-node mutable scratch members are not.
-/// Context::rng() is per-node and safe. Every protocol in this repository
-/// has been audited against this rule.
+/// SHARD SAFETY: `on_round` calls of nodes in different shards may run on
+/// different executor threads within a round. The rule above is therefore
+/// load-bearing, and for writes it is strict: node v's on_round may only
+/// write state indexed by v (or by something only v owns this round, e.g.
+/// the job a token it just received belongs to). Reads of shared
+/// *immutable* inputs (the graph, a BFS tree, config) are fine; cross-node
+/// mutable scratch members are not. Context::rng() is per-node and safe.
+/// Every protocol in this repository has been audited against this rule.
 class Protocol {
  public:
   virtual ~Protocol() = default;
@@ -253,19 +241,6 @@ class Network {
   void set_threads(unsigned threads);
   /// The worker count the next run() will use.
   unsigned threads() const noexcept;
-
-  /// Work-stealing chunk grain: target work units (1 + pending deliveries,
-  /// or 1 + degree in round 0) per compute chunk. 0 = auto (DRW_STEAL_CHUNK
-  /// env var, else derived from the dispatch grain). Small chunks balance
-  /// better and interleave more under TSan; results never depend on it.
-  /// The executor is rebuilt lazily on the next run() when this or the
-  /// thread count changed; the graph itself is immutable per Network.
-  void set_steal_chunk(std::uint32_t work) noexcept {
-    steal_chunk_setting_ = work;
-  }
-  /// Effective steal-chunk grain of the current executor (0 before the
-  /// first run builds it).
-  std::uint32_t steal_chunk() const noexcept { return steal_chunk_; }
 
   /// Effective inline-dispatch grain (work units below which a phase runs
   /// on the driver thread): the DRW_PARALLEL_GRAIN override, or the value
@@ -335,45 +310,21 @@ class Network {
     std::vector<std::uint64_t> hi;
   };
 
-  /// Marks where a compute chunk's sends begin inside one (worker, owner)
-  /// staging bucket -- in BOTH streams (generic entries and token
-  /// columns). Each chunk is executed by exactly one worker, so its sends
-  /// form one contiguous bucket segment; the transmit replay walks
-  /// segments in ascending chunk order to reconstruct the canonical global
-  /// send order regardless of which worker stole which chunk.
-  struct SegMark {
-    std::uint64_t chunk = 0;       ///< global chunk id: (shard << 32) | index
-    std::uint32_t begin = 0;       ///< first PendingSend of the segment
-    std::uint32_t token_begin = 0; ///< first token-column entry of the segment
-  };
-
-  /// A gathered segment during the transmit replay (owner-shard scratch).
-  struct Segment {
-    std::uint64_t chunk = 0;
-    std::uint32_t worker = 0;
-    std::uint32_t begin = 0;
-    std::uint32_t end = 0;
-    std::uint32_t token_begin = 0;
-    std::uint32_t token_end = 0;
-  };
-
-  /// Per-shard executor working set. `active`/`chunk_end`/`work` are
-  /// written by the owner shard during transmit (or by the driver for the
-  /// round-0 global wake) and read-only during compute; everything else is
-  /// touched only by the owner's worker during a phase (the driver reads
-  /// counters between phases, after the pool barrier).
+  /// Per-shard executor working set, touched only by the shard's own
+  /// worker during a phase (the driver installs the round-0 active list
+  /// and reads counters between phases, after the pool barrier).
   struct Shard {
     std::vector<NodeId> active;  ///< this round's nodes, ascending
-    /// Cumulative chunk ends (indices into `active`): chunk c covers
-    /// active[chunk_end[c-1] .. chunk_end[c]).
-    std::vector<std::uint32_t> chunk_end;
-    std::uint64_t work = 0;            ///< weight of `active` (dispatch sizing)
+    /// Weight of `active` for dispatch sizing: 1 + inbox size per node
+    /// (1 + degree in round 0).
+    std::uint64_t work = 0;
     std::vector<NodeId> delivered;     ///< inboxes filled in last transmit
     std::vector<std::uint32_t> busy;   ///< owned edges with queued messages
     std::uint64_t transmitted = 0;
     std::uint64_t max_backlog = 0;
-    std::vector<Segment> merge_scratch;  ///< transmit-local segment gather
-    std::vector<NodeId> wake_scratch;    ///< transmit-local wake gather
+    /// wake_me() requests staged during compute, merged into the next
+    /// active list during transmit.
+    std::vector<NodeId> woken;
     /// Edges first touched (direct-delivered) this round, in canonical
     /// first-send order; those still backlogged after the fused pass are
     /// appended to `busy` -- reproducing exactly the busy order the
@@ -381,23 +332,15 @@ class Network {
     std::vector<std::uint32_t> fresh_scratch;
   };
 
-  /// Per-worker hot counters, cache-line separated so concurrent chunk
-  /// execution does not false-share. deliveries/sends/wakes are per round
-  /// (driver resets), steals/merge_ns accumulate per run.
+  /// Per-worker hot counters, cache-line separated so concurrent workers
+  /// do not false-share. deliveries/sends/wakes are per round (driver
+  /// resets), token_sends/merge_ns accumulate per run.
   struct alignas(64) WorkerLane {
-    std::uint64_t chunk = 0;  ///< global id of the chunk being computed
     std::uint64_t deliveries = 0;
     std::uint64_t sends = 0;
     std::uint64_t wakes = 0;
-    std::uint64_t steals = 0;
-    std::uint64_t token_sends = 0;  ///< per run (driver resets)
+    std::uint64_t token_sends = 0;
     double merge_ns = 0.0;
-  };
-
-  /// One chunk cursor per shard, cache-line separated. Workers claim
-  /// chunks with fetch_add; the pool barrier publishes the chunk data.
-  struct alignas(64) ChunkCursor {
-    std::atomic<std::uint32_t> next{0};
   };
 
   void stage_send(unsigned worker, NodeId from, std::uint32_t slot,
@@ -406,25 +349,19 @@ class Network {
   RunStats run_with_lanes(Protocol& protocol, unsigned lanes,
                           std::uint64_t max_rounds);
   unsigned resolve_threads() const noexcept;
-  std::uint32_t resolve_steal_chunk() const noexcept;
   /// Measures pool dispatch overhead vs a probed per-node visit cost and
   /// derives the inline-dispatch grain (only when DRW_PARALLEL_GRAIN is
   /// unset and the pool is real).
   std::size_t calibrate_grain();
-  /// (Re)builds the shard partition, edge ownership, arena pools, worker
-  /// pool and round-0 chunking when the effective thread count, steal-chunk
-  /// grain or lane count changed. Only between runs.
+  /// (Re)builds the shard partition, edge ownership, arena pools and
+  /// worker pool when the effective thread count or lane count changed.
+  /// Only between runs.
   void ensure_executor();
   void build_partition();
-  /// Cuts `shard`'s active list into steal chunks of ~steal_chunk_ work
-  /// units (weight 1 + pending inbox size per node) and records the total.
-  void chunk_active_list(Shard& sh);
   /// Runs `phase` for every shard: on the pool when `work` crosses the
-  /// dispatch grain, inline (same data flow, same results) otherwise.
-  /// `collaborative` phases (compute) drain every shard's chunks from a
-  /// single inline call; owner-bound phases (transmit) are called per shard.
-  void dispatch(std::size_t work, void (Network::*phase)(unsigned),
-                bool collaborative);
+  /// dispatch grain, inline in ascending shard order (same data flow, same
+  /// results) otherwise.
+  void dispatch(std::size_t work, void (Network::*phase)(unsigned));
   void compute_phase(unsigned worker);
   void transmit_phase(unsigned shard);
   void run_loop(Protocol& protocol, std::uint64_t max_rounds,
@@ -446,10 +383,8 @@ class Network {
   std::vector<std::uint64_t> edge_endpoints_;
 
   unsigned threads_setting_ = 0;  ///< requested (0 = auto)
-  std::uint32_t steal_chunk_setting_ = 0;  ///< requested (0 = auto)
 
   unsigned workers_ = 0;  ///< executor width currently built
-  std::uint32_t built_steal_setting_ = 0;
   /// Message lanes of the current/next run: the arena holds one virtual
   /// edge queue per (directed edge, lane), id = lane * E + eid.
   unsigned run_lanes_ = 1;
@@ -457,27 +392,20 @@ class Network {
   /// sized for 8 simply leaves the upper queues untouched, so alternating
   /// mux and plain runs does not thrash the arena (or the executor).
   unsigned arena_lanes_ = 0;
-  std::uint32_t steal_chunk_ = 0;  ///< effective steal-chunk grain
-  std::size_t grain_ = 0;          ///< effective inline-dispatch grain
+  std::size_t grain_ = 0;  ///< effective inline-dispatch grain
 
   std::vector<NodeId> shard_begin_;        ///< size workers_+1, contiguous
-  std::vector<std::uint32_t> node_shard_;  ///< shard per node
   std::vector<std::uint32_t> edge_owner_;  ///< destination shard per edge
   EdgeArena arena_;
   std::vector<Shard> shards_;
   std::vector<WorkerLane> lanes_;
-  std::unique_ptr<ChunkCursor[]> cursors_;  ///< one per shard
   /// staged_[worker][owner_shard]: generic sends buffered during compute,
-  /// with the packed token columns and per-chunk segment marks alongside.
+  /// with the packed token columns alongside.
   std::vector<std::vector<std::vector<PendingSend>>> staged_;
   std::vector<std::vector<TokenColumns>> token_staged_;
-  std::vector<std::vector<std::vector<SegMark>>> seg_marks_;
-  /// wake_staged_[worker][owner_shard]: wake_me() requests, merged into the
-  /// owner's next active list during transmit.
-  std::vector<std::vector<std::vector<NodeId>>> wake_staged_;
-  /// Cached round-0 chunking (weight 1 + degree: init work is typically
-  /// degree-proportional) per shard, rebuilt with the executor.
-  std::vector<std::vector<std::uint32_t>> round0_chunk_end_;
+  /// Per-shard (1 + degree) weight: round 0's dispatch work, when every
+  /// node is active with an empty inbox (init work is typically
+  /// degree-proportional). Rebuilt with the partition.
   std::vector<std::uint64_t> round0_work_;
   /// One inbox per node, holding every lane's deliveries in arrival
   /// order. Written only by the node's owner shard.
@@ -497,8 +425,7 @@ class Network {
 
   Protocol* running_ = nullptr;  ///< current protocol during run()
   std::uint64_t round_ = 0;
-  bool global_wake_ = false;      ///< round 0: every node is active
-  bool parallel_round_ = false;   ///< current compute went to the pool
+  bool global_wake_ = false;  ///< round 0: every node is active
 };
 
 }  // namespace drw::congest

@@ -1,8 +1,8 @@
 #pragma once
 // drw::obs metrics -- a small counter / gauge / histogram registry with a
 // JSON snapshot, replacing ad-hoc stat plumbing for observability-grade
-// numbers (round wall-time distribution, steal counts, arena backlog,
-// inventory hit/miss, per-lane rounds/messages).
+// numbers (round wall-time distribution, arena backlog, inventory
+// hit/miss, per-lane rounds/messages).
 //
 // Hot-path contract mirrors the tracer: when disabled (the default) the
 // instrumentation points cost one relaxed atomic load. Metric objects are

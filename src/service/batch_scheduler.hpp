@@ -22,9 +22,9 @@
 // a sampled but uncommitted token claims its connector before any other
 // task, so nobody samples that token in between. A wave of two or more
 // lanes executes as one congest::ProtocolMux inside a single
-// Network::run, widening rounds so the parallel executor's work-stealing
-// pool bites; a one-lane wave (every wave at width 1) runs the task solo
-// on its own streams, with no mux.
+// Network::run, widening rounds so every executor shard has work; a
+// one-lane wave (every wave at width 1) runs the task solo on its own
+// streams, with no mux.
 // kSerial runs the *same* schedule one lane at a time -- the bit-identity
 // reference tests/test_mux.cpp and bench_mux compare kMux against.
 #pragma once

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <stdexcept>
 #include <utility>
 
@@ -21,39 +20,13 @@ core::Params engine_params(const ServiceConfig& config) {
   return params;
 }
 
-/// Parsed DRW_MUX (0 = unset): the auto default for
-/// ServiceConfig::mux_width, mirroring DRW_THREADS for the executor.
-unsigned env_mux_width() {
-  static const unsigned value = [] {
-    if (const char* env = std::getenv("DRW_MUX")) {
-      const unsigned long parsed = std::strtoul(env, nullptr, 10);
-      if (parsed >= 1) {
-        return static_cast<unsigned>(
-            parsed < congest::Network::kMaxLanes ? parsed
-                                                 : congest::Network::kMaxLanes);
-      }
-    }
-    return 0u;
-  }();
-  return value;
-}
-
-/// The effective stitching width: explicit config, else DRW_MUX, else 1
-/// (one walk at a time).
-unsigned resolve_mux_width(const ServiceConfig& config) {
-  if (config.mux_width != 0) {
-    return std::min(config.mux_width, congest::Network::kMaxLanes);
-  }
-  const unsigned env = env_mux_width();
-  return env != 0 ? env : 1;
-}
-
 }  // namespace
 
 WalkService::WalkService(congest::Network& net, std::uint32_t diameter,
                          ServiceConfig config)
     : net_(&net), diameter_(diameter), config_(config),
-      mux_width_(resolve_mux_width(config)),
+      mux_width_(std::clamp(config.mux_width, 1u,
+                            congest::Network::kMaxLanes)),
       engine_(net, engine_params(config), diameter),
       inventory_(net.graph().node_count()) {
   if (config_.lambda_slack < 1.0) {

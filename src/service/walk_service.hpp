@@ -64,13 +64,13 @@ struct ServiceConfig {
   double lambda_slack = 4.0;
   /// Concurrent cross-walk stitching: the number of walks the batch
   /// scheduler may keep open as ProtocolMux lanes (see batch_scheduler.hpp).
-  /// 0 = auto (DRW_MUX env var, else 1); 1 = one walk at a time, each
+  /// Clamped to [1, Network::kMaxLanes]. 1 = one walk at a time, each
   /// traversal in its own Network run; widths of 2 or more multiplex
   /// non-conflicting traversals of that many walks into shared rounds.
   /// Unlike the network's thread count, this changes WHICH exact walks are
   /// sampled (all widths are exact l-step samples; width is part of the
   /// seed-reproducibility contract, like the seed itself).
-  unsigned mux_width = 0;
+  unsigned mux_width = 1;
   /// Per-request validation caps (see RequestCaps; all default unlimited).
   RequestCaps caps;
   /// Non-empty: after every batch whose engine is prepared and non-naive,
@@ -170,9 +170,9 @@ class WalkService {
   congest::Network& network() noexcept { return *net_; }
   std::uint32_t diameter() const noexcept { return diameter_; }
   const ServiceConfig& config() const noexcept { return config_; }
-  /// The stitching width every batch runs at: config.mux_width, else the
-  /// DRW_MUX env var, else 1, clamped to Network::kMaxLanes. Resolved once
-  /// at construction; the server's lane floor and trace metadata use it.
+  /// The stitching width every batch runs at: config.mux_width clamped to
+  /// [1, Network::kMaxLanes]. Resolved once at construction; the server's
+  /// lane floor and trace metadata use it.
   unsigned mux_width() const noexcept { return mux_width_; }
 
   /// Enqueues one request for the next flush(). Never throws: validation

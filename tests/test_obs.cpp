@@ -229,7 +229,7 @@ TEST_F(ObsTest, RegistrySnapshotRoundTrip) {
 TEST_F(ObsTest, MultiThreadedTracedRunIsRaceFreeAndBalanced) {
   // The TSan CI leg re-runs this binary with tracing + stats enabled at
   // DRW_THREADS=4 / DRW_PARALLEL_GRAIN=1: concurrent workers write their
-  // own rings, the merge/steal paths hit the atomic histograms, and the
+  // own rings, the per-shard merges hit the atomic histograms, and the
   // post-run flush reads everything back across the pool barrier.
   const std::string path = temp_path("parallel.json");
   obs::Tracer::instance().enable(path);

@@ -7,11 +7,14 @@
 //     including batches served entirely from a reused inventory;
 //   * deferred-tail batching does not change the sampled law (and a
 //     singleton batch reproduces the hand-driven engine bit-for-bit);
-//   * recorded paths are valid walks; request validation throws.
+//   * recorded paths are valid walks; request validation throws;
+//   * the stitching width comes from the config alone, never the
+//     environment.
 #include "service/walk_service.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <map>
 
 #include "apps/mixing.hpp"
@@ -230,6 +233,25 @@ TEST(WalkService, SubmitValidationAndEmptyFlush) {
   EXPECT_EQ(zlen.stats.rounds, 0u);
   EXPECT_EQ(zlen.results[0].destinations,
             std::vector<NodeId>({3, 3, 3, 3}));
+}
+
+TEST(WalkService, MuxWidthComesFromTheConfigNotTheEnvironment) {
+  // The width decides which samples are drawn, so a stray DRW_MUX must not
+  // change what a default-config service (or its admission-log replay)
+  // serves.
+  ASSERT_EQ(::setenv("DRW_MUX", "4", 1), 0);
+  const Graph g = gen::cycle(8);
+  Network net(g, 2);
+  const WalkService defaulted(net, 4, ServiceConfig{});
+  ::unsetenv("DRW_MUX");
+  EXPECT_EQ(defaulted.mux_width(), 1u);
+
+  // Explicit widths are clamped to [1, kMaxLanes].
+  ServiceConfig config;
+  config.mux_width = 0;
+  EXPECT_EQ(WalkService(net, 4, config).mux_width(), 1u);
+  config.mux_width = Network::kMaxLanes + 1;
+  EXPECT_EQ(WalkService(net, 4, config).mux_width(), Network::kMaxLanes);
 }
 
 TEST(WalkService, ThroughputCountersAreCoherent) {

@@ -33,14 +33,10 @@ if [[ "${DRW_SANITIZE:-0}" == "tsan" ]]; then
   BUILD_DIR=${BUILD_DIR:-build-ci-tsan${DIR_SUFFIX}}
   CMAKE_ARGS=(-B "$BUILD_DIR" -S . -DDRW_TSAN=ON -DDRW_SANITIZE=OFF)
   # Run every test on the parallel executor path, regardless of host width,
-  # drop the inline-dispatch grain to 1 so even small-graph tests run
-  # on_round on concurrent workers under the race checker, and force a
-  # steal chunk of 1 so every active node is a separately stealable chunk
-  # -- the maximum-interleaving configuration for the work-stealing
-  # compute phase.
+  # and drop the inline-dispatch grain to 1 so even small-graph tests run
+  # on_round on concurrent workers (one per shard) under the race checker.
   export DRW_THREADS=${DRW_THREADS:-4}
   export DRW_PARALLEL_GRAIN=${DRW_PARALLEL_GRAIN:-1}
-  export DRW_STEAL_CHUNK=${DRW_STEAL_CHUNK:-1}
 elif [[ "${DRW_SANITIZE:-0}" == "1" ]]; then
   BUILD_DIR=${BUILD_DIR:-build-ci-asan${DIR_SUFFIX}}
   # Debug (no NDEBUG) so the simulator's internal invariant asserts -- e.g.
@@ -82,8 +78,8 @@ if [[ "${DRW_BENCH:-0}" == "1" ]]; then
   # executor misses its speedup gate (>=2x@8t on >=8-thread hosts, the
   # calibrated 2-thread floor on 4..7-thread hosts).
   "$BUILD_DIR/bench_service" --benchmark_min_time=1x
-  # bench_skew gates the load-balanced executor: edge-weighted shards +
-  # work-stealing must clear the calibrated 2-thread speedup floor on a
+  # bench_skew gates the load-balanced executor: edge-weighted shards
+  # must clear the calibrated 2-thread speedup floor on a
   # degree-skewed family (on >=4-thread hosts), with results bit-identical
   # at 1, 2 and 8 threads.
   "$BUILD_DIR/bench_skew"
@@ -106,7 +102,7 @@ if [[ "${DRW_BENCH:-0}" == "1" ]]; then
   # the committed baseline via a --gate-field glob.
   "$BUILD_DIR/bench_serve_latency" --benchmark_min_time=1x
   # The bench-diff contract the trajectory step depends on (new obs_* keys
-  # must never fail a diff, steal counts stay informational, gated fields
+  # must never fail a diff, cross-host wall deltas never gate, gated fields
   # fail even warn-only diffs, glob gate-fields match families, ...).
   python3 tools/bench_diff.py --self-test
   # Observability gate: a traced single-threaded serve workload must export

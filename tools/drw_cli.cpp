@@ -42,6 +42,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <optional>
 #include <sstream>
@@ -88,8 +89,9 @@ using namespace drw;
                "           [--samples=N] [--naive] [--lazy] [--mh]\n"
                "           [--threads=N]  (executor threads; 0 = auto,\n"
                "                           results identical at any count)\n"
-               "           [--mux=N]  (serve: concurrent stitching width;\n"
-               "                       0 = auto via DRW_MUX, 1 = sequential)\n"
+               "           [--mux=N]  (serve: concurrent stitching width,\n"
+               "                       clamped to [1, 256]; default 1 =\n"
+               "                       sequential)\n"
                "           [--requests=FILE] [--batch-size=N] [--paths]\n"
                "           [--trace=FILE]  (any command: Chrome trace-event\n"
                "                            JSON, Perfetto-loadable;\n"
@@ -157,7 +159,7 @@ struct Args {
   std::uint32_t batch_size = 8;
   bool paths = false;
   unsigned threads = 0;  // 0 = auto (DRW_THREADS env / hardware)
-  unsigned mux = 0;  // serve: stitching width; 0 = auto (DRW_MUX env / 1)
+  unsigned mux = 1;  // serve: stitching width, clamped to [1, kMaxLanes]
   std::string trace_file;  // non-empty: obs tracer armed for the command
   std::string stats_json;  // serve: write the full stats JSON here
   std::string snapshot;    // serve: checkpoint path (snapshot-after-batch)
@@ -511,22 +513,39 @@ RequestFileData parse_request_entries(const std::string& path) {
       }
       line.resize(hash);
     }
+    const auto bad_line = [&](const char* what) {
+      usage(("request file line " + std::to_string(line_no) + ": " + what)
+                .c_str());
+    };
     std::istringstream fields(line);
+    // Extraction into an unsigned type wraps "-1" modulo 2^64 and
+    // saturates (with failbit) on overflow; reject both instead of serving
+    // a wrapped request. Returns false when the field is absent.
+    const auto read_field = [&](std::uint64_t& out) {
+      fields >> std::ws;
+      if (fields.peek() == '-') bad_line("negative field");
+      std::uint64_t value = 0;
+      if (!(fields >> value)) {
+        if (value == std::numeric_limits<std::uint64_t>::max()) {
+          bad_line("field out of range");
+        }
+        return false;
+      }
+      out = value;
+      return true;
+    };
     std::uint64_t source = 0;
     std::uint64_t length = 0;
     std::uint64_t count = 1;
     std::uint64_t record = 0;
-    if (!(fields >> source)) continue;  // blank / comment-only line
-    if (!(fields >> length)) {
-      usage(("request file line " + std::to_string(line_no) +
-             ": expected `source length [count [record]]`").c_str());
+    if (!read_field(source)) continue;  // blank / comment-only line
+    if (!read_field(length)) {
+      bad_line("expected `source length [count [record]]`");
     }
-    // Optional fields keep their defaults when absent (a failed >> would
-    // zero the target).
-    std::uint64_t value = 0;
-    if (fields >> value) {
-      count = value;
-      if (fields >> value) record = value;
+    // Optional fields keep their defaults when absent.
+    if (read_field(count)) read_field(record);
+    if (count > std::numeric_limits<std::uint32_t>::max()) {
+      bad_line("count exceeds 4294967295");
     }
     data.entries.push_back(RequestEntry{
         source, length, static_cast<std::uint32_t>(count), record != 0});
@@ -606,7 +625,7 @@ std::vector<service::WalkRequest> synthetic_requests(
 /// Appends the RunStats fields shared by batch and lifetime records.
 void append_run_stats(std::ostringstream& out, const congest::RunStats& s) {
   out << "\"rounds\":" << s.rounds << ",\"messages\":" << s.messages
-      << ",\"max_backlog\":" << s.max_backlog << ",\"steals\":" << s.steals
+      << ",\"max_backlog\":" << s.max_backlog
       << ",\"threads\":" << s.threads << ",\"wall_ms\":" << s.wall_ms
       << ",\"compute_ms\":" << s.compute_ms
       << ",\"transmit_ms\":" << s.transmit_ms
@@ -823,11 +842,10 @@ int cmd_serve(const Args& args, const CliGraph& cg, std::uint32_t diameter) {
                 static_cast<double>(life.stats.rounds));
   std::printf("executor: %u thread(s), %.1f ms wall inside Network::run "
               "(compute %.1f / transmit %.1f / merge %.1f cpu-ms; "
-              "%llu chunks stolen; grain %zu, steal chunk %u)\n",
+              "grain %zu)\n",
               life.stats.threads, life.stats.wall_ms, life.stats.compute_ms,
               life.stats.transmit_ms, life.stats.merge_ms,
-              static_cast<unsigned long long>(life.stats.steals),
-              net.dispatch_grain(), net.steal_chunk());
+              net.dispatch_grain());
 
   if (!args.stats_json.empty()) {
     std::ofstream out(args.stats_json);
@@ -854,7 +872,6 @@ int cmd_serve(const Args& args, const CliGraph& cg, std::uint32_t diameter) {
     out << "{\"batches\":[\n" << batches_json.str() << "\n],\n"
         << "\"lifetime\":" << lifetime_json.str() << ",\n"
         << "\"executor\":{\"dispatch_grain\":" << net.dispatch_grain()
-        << ",\"steal_chunk\":" << net.steal_chunk()
         << ",\"graph_source\":\"" << config.graph_source << "\"},\n"
         << "\"registry\":" << obs::Registry::global().snapshot_json()
         << "}\n";

@@ -15,7 +15,9 @@ stops it with SIGTERM and asserts the serving determinism contract:
     rejections (nothing in this workload should bounce);
   * the trace the server wrote under DRW_TRACE passes
     tools/validate_trace.py (its mux lanes stay below the recorded
-    mux_width).
+    mux_width);
+  * a request file with a negative field or a count above UINT32_MAX is
+    rejected with a line-numbered usage error before anything is served.
 
 Server and replay both stitch at --mux=4, so multi-lane waves run over
 real sockets.
@@ -207,6 +209,23 @@ def main() -> int:
                      for ln in served if " source=" in ln)
     check(indices == list(range(len(indices))) and len(indices) == 45,
           "admission indices are a dense 0..44 permutation")
+
+    # Request-file numbers are range-checked: a negative field (which an
+    # unsigned parse would wrap) or a count above UINT32_MAX (which would
+    # be truncated) is a line-numbered usage error, never a served batch.
+    for bad in ("0 64 4294967297", "0 64 -1"):
+        bad_req = os.path.join(work, "bad.req")
+        with open(bad_req, "w") as f:
+            f.write(f"0 64 1\n{bad}\n")
+        rejected = subprocess.run(
+            [drw, "serve"] + GRAPH_ARGS +
+            [f"--requests={bad_req}", "--print-results"],
+            env=env, capture_output=True, text=True, timeout=60)
+        check(rejected.returncode != 0 and
+              "request file line 2:" in rejected.stderr and
+              not result_lines(rejected.stdout),
+              f"request line `{bad}` is rejected with a line-numbered "
+              f"usage error")
 
     if failures:
         print(f"server_smoke: FAIL ({len(failures)} check(s)); artifacts in "
