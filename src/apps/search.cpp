@@ -23,7 +23,7 @@ class FirstHitConvergecast final : public congest::Protocol {
         pending_(best_step_.size()), sent_(best_step_.size(), 0) {
     for (std::size_t v = 0; v < best_step_.size(); ++v) {
       if (best_step_[v] != kNoHit) best_holder_[v] = static_cast<NodeId>(v);
-      pending_[v] = static_cast<std::uint32_t>(tree_->children[v].size());
+      pending_[v] = tree_->child_count(static_cast<NodeId>(v));
     }
   }
 

@@ -11,7 +11,6 @@ BfsTreeProtocol::BfsTreeProtocol(const Graph& g, NodeId root) : root_(root) {
   const std::size_t n = g.node_count();
   tree_.root = root;
   tree_.parent.assign(n, kInvalidNode);
-  tree_.children.assign(n, {});
   tree_.depth.assign(n, 0);
   joined_.assign(n, 0);
 }
@@ -53,7 +52,8 @@ void BfsTreeProtocol::on_round(Context& ctx) {
         break;
       }
       case kJoin:
-        tree_.children[v].push_back(d.from);
+        // v learns a child; take_tree() lists each node's children from
+        // the parent array, which holds exactly the JOIN senders.
         break;
       default:
         throw std::logic_error("BfsTreeProtocol: unknown message");
@@ -62,14 +62,63 @@ void BfsTreeProtocol::on_round(Context& ctx) {
 }
 
 BfsTree BfsTreeProtocol::take_tree() {
-  for (std::size_t v = 0; v < joined_.size(); ++v) {
+  const std::size_t n = joined_.size();
+  // CSR children by counting sort over the parent array: scanning v upward
+  // leaves every child list ascending.
+  tree_.child_begin.assign(n + 1, 0);
+  for (std::size_t v = 0; v < n; ++v) {
     if (!joined_[v]) {
       throw std::runtime_error("BfsTreeProtocol: graph not connected");
     }
-    std::sort(tree_.children[v].begin(), tree_.children[v].end());
     tree_.height = std::max(tree_.height, tree_.depth[v]);
+    if (v != root_) ++tree_.child_begin[tree_.parent[v] + 1];
+  }
+  for (std::size_t v = 0; v < n; ++v) {
+    tree_.child_begin[v + 1] += tree_.child_begin[v];
+  }
+  tree_.children.resize(n == 0 ? 0 : n - 1);
+  std::vector<std::uint32_t> cursor(tree_.child_begin.begin(),
+                                    tree_.child_begin.end() - 1);
+  for (std::size_t v = 0; v < n; ++v) {
+    if (v != root_) {
+      tree_.children[cursor[tree_.parent[v]]++] = static_cast<NodeId>(v);
+    }
   }
   return std::move(tree_);
+}
+
+std::size_t BfsTree::bytes() const {
+  return (parent.size() + children.size()) * sizeof(NodeId) +
+         (child_begin.size() + depth.size()) * sizeof(std::uint32_t);
+}
+
+// ------------------------------------------------------------ tree cache
+
+const BfsTree* BfsTreeCache::insert(BfsTree&& tree) {
+  const NodeId root = tree.root;
+  if (trees_[root] != nullptr) return trees_[root].get();
+  const std::size_t cost = tree.bytes();
+  if (bytes_ + cost > budget_) return nullptr;
+  bytes_ += cost;
+  ++count_;
+  trees_[root] = std::make_unique<const BfsTree>(std::move(tree));
+  return trees_[root].get();
+}
+
+std::vector<NodeId> BfsTreeCache::roots() const {
+  std::vector<NodeId> out;
+  out.reserve(count_);
+  for (NodeId v = 0; v < trees_.size(); ++v) {
+    if (trees_[v] != nullptr) out.push_back(v);
+  }
+  return out;
+}
+
+void BfsTreeCache::restore(Network& net, std::span<const NodeId> roots) {
+  for (const NodeId root : roots) {
+    RunStats uncharged;
+    insert(build_bfs_tree(net, root, uncharged));
+  }
 }
 
 // --------------------------------------------------------------- broadcast
@@ -85,7 +134,7 @@ void BroadcastProtocol::on_round(Context& ctx) {
   const NodeId v = ctx.self();
   auto forward = [&] {
     if (on_receive_) on_receive_(v, payload_);
-    for (NodeId child : tree_->children[v]) ctx.send_to(child, payload_);
+    for (NodeId child : tree_->children_of(v)) ctx.send_to(child, payload_);
   };
   if (ctx.round() == 0) {
     if (v == tree_->root) forward();
@@ -104,10 +153,7 @@ ConvergecastSum::ConvergecastSum(const BfsTree& tree,
   const std::size_t n = acc_.size();
   pending_children_.resize(n);
   sent_.assign(n, 0);
-  for (std::size_t v = 0; v < n; ++v) {
-    pending_children_[v] =
-        static_cast<std::uint32_t>(tree_->children[v].size());
-  }
+  for (NodeId v = 0; v < n; ++v) pending_children_[v] = tree_->child_count(v);
 }
 
 void ConvergecastSum::maybe_forward(Context& ctx) {
@@ -142,9 +188,8 @@ PipelinedVectorUpcast::PipelinedVectorUpcast(
   }
   entry_pending_.resize(n);
   next_send_.assign(n, 0);
-  for (std::size_t v = 0; v < n; ++v) {
-    entry_pending_[v].assign(
-        k_, static_cast<std::uint32_t>(tree_->children[v].size()));
+  for (NodeId v = 0; v < n; ++v) {
+    entry_pending_[v].assign(k_, tree_->child_count(v));
   }
 }
 

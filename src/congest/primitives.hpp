@@ -1,6 +1,8 @@
 // Reusable distributed building blocks on the CONGEST kernel:
 //
 //   * BfsTreeProtocol       -- breadth-first tree construction, O(D) rounds
+//   * BfsTreeCache          -- per-root BFS trees kept across traversals,
+//                              under a fixed byte budget
 //   * BroadcastProtocol     -- root-to-all dissemination over a BFS tree
 //   * ConvergecastSum       -- aggregate a per-node word up the tree
 //   * PipelinedVectorUpcast -- aggregate a K-vector up the tree, O(D + K)
@@ -14,6 +16,8 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
+#include <span>
 #include <vector>
 
 #include "congest/network.hpp"
@@ -22,12 +26,28 @@
 namespace drw::congest {
 
 /// A rooted BFS tree: output of BfsTreeProtocol, input to the cast protocols.
+/// Flat layout: the parent array plus the children in CSR form, ascending
+/// within each node -- about 16n bytes in four allocations, so a tree is
+/// cheap to build and cheap to keep (BfsTreeCache).
 struct BfsTree {
   NodeId root = kInvalidNode;
   std::vector<NodeId> parent;                // parent[root] == root
-  std::vector<std::vector<NodeId>> children; // per node
+  std::vector<std::uint32_t> child_begin;    // size n + 1
+  std::vector<NodeId> children;              // size n - 1, grouped by parent
   std::vector<std::uint32_t> depth;          // hops from root
   std::uint32_t height = 0;                  // max depth
+
+  std::span<const NodeId> children_of(NodeId v) const {
+    return {children.data() + child_begin[v],
+            children.data() + child_begin[v + 1]};
+  }
+  std::uint32_t child_count(NodeId v) const {
+    return child_begin[v + 1] - child_begin[v];
+  }
+  /// Heap bytes held (what BfsTreeCache charges against its budget).
+  std::size_t bytes() const;
+
+  bool operator==(const BfsTree&) const = default;
 };
 
 /// Floods level messages from the root; each node adopts the smallest-ID
@@ -45,6 +65,42 @@ class BfsTreeProtocol final : public Protocol {
   NodeId root_;
   BfsTree tree_;
   std::vector<std::uint8_t> joined_;
+};
+
+/// BFS trees kept per root across traversals. A tree depends only on its
+/// root and the static graph (BfsTreeProtocol draws no randomness), so a
+/// caller that meets the same roots again can skip the O(D)-round, ~2m
+/// message build. Memory is capped by a byte budget: once it is full,
+/// insert() declines and the caller keeps its own per-visit tree. Nothing
+/// is evicted, so the cached set is a pure function of the insert order.
+class BfsTreeCache {
+ public:
+  explicit BfsTreeCache(std::size_t node_count, std::size_t budget_bytes)
+      : trees_(node_count), budget_(budget_bytes) {}
+
+  /// The cached tree rooted at `root`, or nullptr.
+  const BfsTree* find(NodeId root) const { return trees_[root].get(); }
+  /// Keeps `tree` if its root is not cached yet and it fits the budget,
+  /// and returns the cached tree for its root; returns nullptr, leaving
+  /// `tree` untouched, when it does not fit. Addresses stay valid for the
+  /// cache's lifetime.
+  const BfsTree* insert(BfsTree&& tree);
+  /// Cached roots, ascending.
+  std::vector<NodeId> roots() const;
+  /// Rebuilds the trees of `roots` with BfsTreeProtocol on `net` (a warm
+  /// restart's local recomputation of what the nodes had kept); the rounds
+  /// are charged nowhere.
+  void restore(Network& net, std::span<const NodeId> roots);
+
+  std::size_t bytes() const noexcept { return bytes_; }
+  std::size_t budget() const noexcept { return budget_; }
+  std::size_t size() const noexcept { return count_; }
+
+ private:
+  std::vector<std::unique_ptr<const BfsTree>> trees_;  // by root
+  std::size_t budget_;
+  std::size_t bytes_ = 0;
+  std::size_t count_ = 0;
 };
 
 /// Sends one payload message from the root to every node along tree edges.

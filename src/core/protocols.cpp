@@ -53,8 +53,8 @@ void ShortWalkPhaseProtocol::route(congest::Context& ctx, NodeId source,
   }
   if (trajectories_ != nullptr) {
     const std::uint32_t hop = total - remaining;
-    trajectories_->forward[v][TrajectoryStore::key(source, seq)].push_back(
-        ForwardHop{hop, slot});
+    trajectories_->forward[v].push_back(
+        ForwardRecord{TrajectoryStore::key(source, seq), hop, slot});
   }
   ctx.send(slot, congest::Message{kToken, {source, seq, total,
                                            remaining - 1u}});
@@ -209,10 +209,7 @@ SampleConvergecast::SampleConvergecast(const congest::BfsTree& tree,
   acc_.resize(n);
   pending_children_.resize(n);
   sent_.assign(n, 0);
-  for (std::size_t v = 0; v < n; ++v) {
-    pending_children_[v] =
-        static_cast<std::uint32_t>(tree_->children[v].size());
-  }
+  for (NodeId v = 0; v < n; ++v) pending_children_[v] = tree_->child_count(v);
 }
 
 void SampleConvergecast::absorb(congest::Context& ctx,
@@ -384,20 +381,15 @@ void RegenerateProtocol::forward_step(congest::Context& ctx, NodeId source,
   if (hop > 0) {
     (*positions_)[v].push_back(WalkPosition{walk_id, offset + hop});
   }
-  auto& map = trajectories_->forward[v];
-  const auto it = map.find(TrajectoryStore::key(source, seq));
-  if (it != map.end()) {
-    for (const ForwardHop& record : it->second) {
-      if (record.hop != hop) continue;
-      ctx.send(record.next_slot,
-               congest::Message{
-                   kForward,
-                   {(static_cast<std::uint64_t>(walk_id) << 32) | source, seq,
-                    offset, hop + 1u}});
-      return;
-    }
-  }
+  const ForwardRecord* record =
+      trajectories_->find_forward(v, TrajectoryStore::key(source, seq), hop);
   // No outgoing record at this hop: v is the walk's endpoint; replay done.
+  if (record == nullptr) return;
+  ctx.send(record->next_slot,
+           congest::Message{
+               kForward,
+               {(static_cast<std::uint64_t>(walk_id) << 32) | source, seq,
+                offset, hop + 1u}});
 }
 
 void RegenerateProtocol::reverse_step(congest::Context& ctx, NodeId source,

@@ -16,6 +16,8 @@ WalkCounters& WalkCounters::operator+=(const WalkCounters& other) noexcept {
   sample_calls += other.sample_calls;
   get_more_walks_calls += other.get_more_walks_calls;
   naive_tail_steps += other.naive_tail_steps;
+  tree_builds += other.tree_builds;
+  tree_reuses += other.tree_reuses;
   phase1 += other.phase1;
   phase2 += other.phase2;
   regen += other.regen;
@@ -33,7 +35,8 @@ StitchEngine::StitchEngine(congest::Network& net, Params params,
     : net_(&net), params_(params), diameter_(diameter),
       stream_salt_(net.graph().node_count() != 0 ? net.node_rng(0)() : 0),
       store_(net.graph().node_count()),
-      trajectories_(net.graph().node_count()) {
+      trajectories_(net.graph().node_count()),
+      tree_cache_(net.graph().node_count(), kTreeCacheBytes) {
   if (params_.record_trajectories &&
       params_.transition != TransitionModel::kSimple) {
     // GET-MORE-WALKS tokens travel as anonymous aggregated counts; their
@@ -86,6 +89,7 @@ void StitchEngine::prepare(std::uint64_t k, std::uint64_t l) {
       params_.record_trajectories ? &trajectories_ : nullptr,
       params_.transition);
   const congest::RunStats stats = net_->run(phase1);
+  if (params_.record_trajectories) trajectories_.sort_forward();
   total_ += stats;
   // Stash Phase-1 cost so the next walk() can report it.
   pending_phase1_ = stats;
@@ -208,6 +212,10 @@ void StitchEngine::adopt_state(EngineState state) {
   pending_prepared_ = 0;
 }
 
+void StitchEngine::restore_tree_cache(std::span<const NodeId> roots) {
+  tree_cache_.restore(*net_, roots);
+}
+
 void StitchEngine::restore_connector_visits(
     std::vector<std::uint64_t> visits) {
   if (visits.size() != net_->graph().node_count()) {
@@ -286,9 +294,19 @@ void StitchEngine::WalkTask::begin_stitch_or_finish() {
           engine_->net_->seed(), engine_->stream_salt_ ^ walk_id_,
           engine_->net_->graph().node_count());
     }
-    protocol_ = std::make_unique<congest::BfsTreeProtocol>(
-        engine_->net_->graph(), current_);
-    step_ = Step::kBfs;
+    own_tree_.reset();
+    tree_ = engine_->tree_cache_.find(current_);
+    if (tree_ != nullptr) {
+      // Sweep 1's tree is a function of the root alone: reuse it.
+      ++result_.counters.tree_reuses;
+      protocol_ = std::make_unique<SampleConvergecast>(
+          *tree_, engine_->store_, current_);
+      step_ = Step::kSample;
+    } else {
+      protocol_ = std::make_unique<congest::BfsTreeProtocol>(
+          engine_->net_->graph(), current_);
+      step_ = Step::kBfs;
+    }
   } else {
     finish();
   }
@@ -300,7 +318,13 @@ void StitchEngine::WalkTask::advance(const congest::RunStats& lane_stats) {
   switch (step_) {
     case Step::kBfs: {
       auto& bfs = static_cast<congest::BfsTreeProtocol&>(*protocol_);
-      tree_ = std::make_unique<congest::BfsTree>(bfs.take_tree());
+      ++result_.counters.tree_builds;
+      congest::BfsTree built = bfs.take_tree();
+      tree_ = engine_->tree_cache_.insert(std::move(built));
+      if (tree_ == nullptr) {
+        own_tree_ = std::make_unique<congest::BfsTree>(std::move(built));
+        tree_ = own_tree_.get();
+      }
       protocol_ = std::make_unique<SampleConvergecast>(*tree_, engine_->store_,
                                                        current_);
       step_ = Step::kSample;

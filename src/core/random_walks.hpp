@@ -40,6 +40,10 @@ struct WalkCounters {
   std::uint64_t sample_calls = 0;      ///< SAMPLE-DESTINATION invocations
   std::uint64_t get_more_walks_calls = 0;
   std::uint64_t naive_tail_steps = 0;  ///< final "walk naively" steps
+  /// Every stitch starts with exactly one of these: a BFS build from the
+  /// connector, or a reuse of the engine's cached tree for it.
+  std::uint64_t tree_builds = 0;
+  std::uint64_t tree_reuses = 0;
   congest::RunStats phase1;            ///< Phase-1 rounds/messages
   congest::RunStats phase2;            ///< stitching rounds/messages
   congest::RunStats regen;             ///< regeneration rounds/messages
@@ -57,6 +61,11 @@ struct WalkResult {
 /// positions across one `prepare()` + several `walk()` calls.
 class StitchEngine {
  public:
+  /// Byte budget of the per-connector BFS tree cache (see tree_cache()).
+  /// A fixed constant: 64 MiB holds every root of a 512-node graph (~8 KB
+  /// each) and about a thousand roots of a 4039-node one.
+  static constexpr std::size_t kTreeCacheBytes = std::size_t{64} << 20;
+
   StitchEngine(congest::Network& net, Params params, std::uint32_t diameter);
 
   /// The network this engine stitches on (the mux scheduler drives group
@@ -127,10 +136,11 @@ class StitchEngine {
   // --- Phase 2: the resumable walk task ---------------------------------
 
   /// The Phase-2 driver: Algorithm 1's stitch loop as a resumable state
-  /// machine that exposes each traversal (BFS-to-connector, sample
-  /// convergecast, GET-MORE-WALKS, commit broadcast) as a Protocol the
-  /// caller runs -- solo via step_solo() or as one lane of a ProtocolMux
-  /// -- and then feeds back via advance(). All randomness is drawn from
+  /// machine that exposes each traversal (BFS-to-connector -- skipped when
+  /// tree_cache() holds the connector's tree -- sample convergecast,
+  /// GET-MORE-WALKS, commit broadcast) as a Protocol the caller runs --
+  /// solo via step_solo() or as one lane of a ProtocolMux -- and then
+  /// feeds back via advance(). All randomness is drawn from
   /// the task's own per-node streams (keyed by walk_id and the engine's
   /// stream salt from the network seed), so the walk's outcome is
   /// independent of which other walks it was co-scheduled with;
@@ -197,9 +207,12 @@ class StitchEngine {
     std::uint64_t completed_ = 0;
     std::vector<Rng> rngs_;
     std::unique_ptr<congest::Protocol> protocol_;
-    /// Heap-held so the address stays stable across WalkTask moves (the
-    /// sample/commit protocols keep a pointer into it).
-    std::unique_ptr<congest::BfsTree> tree_;
+    /// The connector's BFS tree: the engine's cached one, or own_tree_
+    /// when the cache is full. Heap-held either way, so the address stays
+    /// stable across WalkTask moves (the sample/commit protocols keep a
+    /// pointer to it).
+    const congest::BfsTree* tree_ = nullptr;
+    std::unique_ptr<congest::BfsTree> own_tree_;
     SampleConvergecast::Candidate candidate_;
     std::vector<Segment> segments_;
     WalkResult result_;
@@ -230,6 +243,17 @@ class StitchEngine {
 
   /// Cumulative stats over prepare() + all walk() calls.
   const congest::RunStats& total_stats() const noexcept { return total_; }
+
+  /// BFS trees kept per connector across stitches and batches, within
+  /// kTreeCacheBytes. A stitch whose connector is cached skips
+  /// SAMPLE-DESTINATION's tree-building sweep; trees depend only on the
+  /// root and the static graph, so prepare() keeps them.
+  const congest::BfsTreeCache& tree_cache() const noexcept {
+    return tree_cache_;
+  }
+  /// Warm restart: rebuilds the cached trees of `roots` (a snapshot's
+  /// record of the cache) without charging their rounds anywhere.
+  void restore_tree_cache(std::span<const NodeId> roots);
 
   /// Times each node served as a connector (stitch point) since the last
   /// prepare(); instruments Lemma 2.7 / experiment E5.
@@ -318,6 +342,7 @@ class StitchEngine {
   congest::RunStats pending_phase1_;   ///< Phase-1 cost, charged to next walk
   std::uint64_t pending_prepared_ = 0;
   std::vector<std::uint64_t> connector_visits_;
+  congest::BfsTreeCache tree_cache_;
   std::vector<NaiveSegmentProtocol::Job> deferred_tails_;
   std::vector<RegenerateProtocol::ForwardJob> deferred_forward_;
   std::vector<RegenerateProtocol::ReverseJob> deferred_reverse_;

@@ -10,13 +10,16 @@
 //     marks it used so no walk is ever re-stitched.
 //   * TrajectoryStore: optional per-hop routing records that let the walk be
 //     regenerated (Section 2.2). Phase-1 tokens carry a (source, seq)
-//     identity and are replayed forward; GET-MORE-WALKS tokens are
+//     identity and are replayed forward; their records are one flat array
+//     per node, appended during Phase 1, sorted by (key, hop) once it ends
+//     and binary-searched by the replay. GET-MORE-WALKS tokens are
 //     aggregated counts, so their hops are stored as anonymous fragments and
 //     replayed backward (any hop-consistent matching of fragments to
 //     endpoints yields the same walk distribution, because the aggregated
 //     tokens are exchangeable).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
@@ -52,11 +55,17 @@ struct WalkStore {
   }
 };
 
-/// One forward routing record: the token for (source, seq) was at this node
-/// having completed `hop` hops and left through `next_slot`.
-struct ForwardHop {
+/// One forward routing record: the Phase-1 token with identity `key`
+/// (TrajectoryStore::key(source, seq)) was at this node having completed
+/// `hop` hops and left through `next_slot`.
+struct ForwardRecord {
+  std::uint64_t key = 0;
   std::uint32_t hop = 0;
   std::uint32_t next_slot = 0;
+
+  friend bool operator<(const ForwardRecord& a, const ForwardRecord& b) {
+    return a.key != b.key ? a.key < b.key : a.hop < b.hop;
+  }
 };
 
 /// One anonymous GET-MORE-WALKS fragment at a node: a token arrived through
@@ -73,13 +82,28 @@ struct TrajectoryStore {
     return (static_cast<std::uint64_t>(source) << 32) | seq;
   }
 
-  /// forward[v][key(source, seq)] = hops of that token at node v.
-  std::vector<std::unordered_map<std::uint64_t, std::vector<ForwardHop>>>
-      forward;
+  /// forward[v] = the Phase-1 hops taken from node v. Sorted by (key, hop)
+  /// once Phase 1 ends (sort_forward); a token is at one node per hop, so
+  /// a (key, hop) pair occurs at most once per node.
+  std::vector<std::vector<ForwardRecord>> forward;
   /// fragments[v][key(source, hop)] = anonymous GET-MORE-WALKS transits at
   /// node v (keyed by source AND hop: replay must never mix sources).
   std::vector<std::unordered_map<std::uint64_t, std::vector<Fragment>>>
       fragments;
+
+  void sort_forward() {
+    for (auto& records : forward) std::sort(records.begin(), records.end());
+  }
+  /// The record of token `key` at node v after `hop` hops, or nullptr (v is
+  /// then that token's endpoint). Requires sort_forward().
+  const ForwardRecord* find_forward(NodeId v, std::uint64_t key,
+                                    std::uint32_t hop) const {
+    const std::vector<ForwardRecord>& records = forward[v];
+    const ForwardRecord probe{key, hop, 0};
+    const auto it = std::lower_bound(records.begin(), records.end(), probe);
+    return it != records.end() && it->key == key && it->hop == hop ? &*it
+                                                                   : nullptr;
+  }
 };
 
 /// Positions discovered during regeneration: node v appears at walk step

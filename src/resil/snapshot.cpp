@@ -5,6 +5,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <bit>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -84,34 +85,61 @@ struct Reader {
   }
 };
 
-// --- trajectory-map (de)serialization --------------------------------------
-// unordered_map iteration order is unspecified, so entries are emitted
-// sorted by key: the byte stream is a pure function of the logical state.
-// Per-key vector order is preserved verbatim -- fragment replay consumes by
-// index (swap-remove), so it is part of the bit-identity contract.
+// --- trajectory (de)serialization -----------------------------------------
+// Both sides are emitted per node as (key, count, records) groups in
+// ascending key order, so the byte stream is a pure function of the logical
+// state. Forward records are stored flat and sorted by (key, hop): a group
+// is one run of equal keys, its records ascending by hop, so reading the
+// groups back in order restores the sorted array (version-1 files list a
+// key's hops in Phase-1 arrival order, which is ascending). Fragment maps are
+// unordered, so their keys are sorted on the way out; per-key vector order
+// is preserved verbatim -- fragment replay consumes by index (swap-remove),
+// so it is part of the bit-identity contract.
 
-std::uint32_t r_first(const core::ForwardHop& r) { return r.hop; }
-std::uint32_t r_second(const core::ForwardHop& r) { return r.next_slot; }
-std::uint32_t r_first(const core::Fragment& r) { return r.prev_slot; }
-std::uint32_t r_second(const core::Fragment& r) { return r.next_slot; }
-
-template <typename Record>
-Record make_record(std::uint32_t, std::uint32_t);
-template <>
-core::ForwardHop make_record(std::uint32_t a, std::uint32_t b) {
-  return core::ForwardHop{a, b};
+void write_forward_side(
+    Writer& w, const std::vector<std::vector<core::ForwardRecord>>& side) {
+  for (const auto& records : side) {
+    std::uint64_t groups = 0;
+    for (std::size_t i = 0; i < records.size(); ++i) {
+      if (i == 0 || records[i].key != records[i - 1].key) ++groups;
+    }
+    w.u64(groups);
+    for (std::size_t i = 0; i < records.size();) {
+      std::size_t end = i;
+      while (end < records.size() && records[end].key == records[i].key) {
+        ++end;
+      }
+      w.u64(records[i].key);
+      w.u64(end - i);
+      for (; i < end; ++i) {
+        w.u32(records[i].hop);
+        w.u32(records[i].next_slot);
+      }
+    }
+  }
 }
-template <>
-core::Fragment make_record(std::uint32_t a, std::uint32_t b) {
-  return core::Fragment{a, b};
+
+void read_forward_side(Reader& r,
+                       std::vector<std::vector<core::ForwardRecord>>& side) {
+  for (auto& records : side) {
+    const std::uint64_t groups = r.count(/*key+count=*/16);
+    for (std::uint64_t g = 0; g < groups; ++g) {
+      const std::uint64_t key = r.u64();
+      const std::uint64_t n = r.count(/*two u32s=*/8);
+      for (std::uint64_t i = 0; i < n; ++i) {
+        const std::uint32_t hop = r.u32();
+        const std::uint32_t next_slot = r.u32();
+        records.push_back(core::ForwardRecord{key, hop, next_slot});
+      }
+    }
+  }
 }
 
-template <typename Record>
-void write_trajectory_side(
+void write_fragment_side(
     Writer& w,
-    const std::vector<std::unordered_map<std::uint64_t, std::vector<Record>>>&
+    const std::vector<
+        std::unordered_map<std::uint64_t, std::vector<core::Fragment>>>&
         side) {
-  static_assert(sizeof(Record) == 8, "Record layout changed: bump version");
   for (const auto& map : side) {
     std::vector<std::uint64_t> keys;
     keys.reserve(map.size());
@@ -119,21 +147,21 @@ void write_trajectory_side(
     std::sort(keys.begin(), keys.end());
     w.u64(keys.size());
     for (const std::uint64_t key : keys) {
-      const std::vector<Record>& records = map.at(key);
+      const std::vector<core::Fragment>& records = map.at(key);
       w.u64(key);
       w.u64(records.size());
-      for (const Record& r : records) {
-        w.u32(r_first(r));
-        w.u32(r_second(r));
+      for (const core::Fragment& f : records) {
+        w.u32(f.prev_slot);
+        w.u32(f.next_slot);
       }
     }
   }
 }
 
-template <typename Record>
-void read_trajectory_side(
+void read_fragment_side(
     Reader& r,
-    std::vector<std::unordered_map<std::uint64_t, std::vector<Record>>>&
+    std::vector<
+        std::unordered_map<std::uint64_t, std::vector<core::Fragment>>>&
         side) {
   for (auto& map : side) {
     const std::uint64_t entries = r.count(/*key+count=*/16);
@@ -141,15 +169,39 @@ void read_trajectory_side(
     for (std::uint64_t e = 0; e < entries; ++e) {
       const std::uint64_t key = r.u64();
       const std::uint64_t n = r.count(/*two u32s=*/8);
-      std::vector<Record>& records = map[key];
+      std::vector<core::Fragment>& records = map[key];
       records.resize(n);
-      for (Record& rec : records) {
-        const std::uint32_t a = r.u32();
-        const std::uint32_t b = r.u32();
-        rec = make_record<Record>(a, b);
+      for (core::Fragment& f : records) {
+        f.prev_slot = r.u32();
+        f.next_slot = r.u32();
       }
     }
   }
+}
+
+// --- cached BFS roots: an n-bit bitset in u64 words (version >= 2) ---------
+
+void write_root_bitset(Writer& w, std::size_t n,
+                       const std::vector<NodeId>& roots) {
+  std::vector<std::uint64_t> words((n + 63) / 64, 0);
+  for (const NodeId root : roots) words[root / 64] |= 1ULL << (root % 64);
+  w.u64s(words);
+}
+
+std::vector<NodeId> read_root_bitset(Reader& r, std::size_t n) {
+  const std::vector<std::uint64_t> words = r.u64s();
+  if (words.size() != (n + 63) / 64) {
+    throw std::runtime_error("cached-root bitset size mismatch");
+  }
+  std::vector<NodeId> roots;
+  for (std::size_t w = 0; w < words.size(); ++w) {
+    for (std::uint64_t bits = words[w]; bits != 0; bits &= bits - 1) {
+      const std::size_t root = w * 64 + std::countr_zero(bits);
+      if (root >= n) throw std::runtime_error("cached root out of range");
+      roots.push_back(static_cast<NodeId>(root));
+    }
+  }
+  return roots;
 }
 
 std::vector<std::uint8_t> encode_payload(const ServiceSnapshot& snap) {
@@ -181,12 +233,16 @@ std::vector<std::uint8_t> encode_payload(const ServiceSnapshot& snap) {
       w.u8(t.used ? 1 : 0);
     }
   }
-  write_trajectory_side(w, snap.engine.trajectories.forward);
-  write_trajectory_side(w, snap.engine.trajectories.fragments);
+  write_forward_side(w, snap.engine.trajectories.forward);
+  write_fragment_side(w, snap.engine.trajectories.fragments);
+  write_root_bitset(w, n, snap.tree_roots);
   return std::move(w.bytes);
 }
 
-ServiceSnapshot decode_payload(const std::uint8_t* data, std::size_t size) {
+/// Decodes a payload of `version` (1 or 2; version 1 has no cached-root
+/// bitset and restores with an empty tree cache).
+ServiceSnapshot decode_payload(const std::uint8_t* data, std::size_t size,
+                               std::uint32_t version) {
   Reader r{data, data + size};
   ServiceSnapshot snap;
   snap.graph_fingerprint = r.u64();
@@ -218,8 +274,9 @@ ServiceSnapshot decode_payload(const std::uint8_t* data, std::size_t size) {
     }
   }
   snap.engine.trajectories = core::TrajectoryStore(n);
-  read_trajectory_side(r, snap.engine.trajectories.forward);
-  read_trajectory_side(r, snap.engine.trajectories.fragments);
+  read_forward_side(r, snap.engine.trajectories.forward);
+  read_fragment_side(r, snap.engine.trajectories.fragments);
+  if (version >= 2) snap.tree_roots = read_root_bitset(r, n);
   if (r.p != r.end) throw std::runtime_error("trailing payload bytes");
   return snap;
 }
@@ -367,7 +424,7 @@ ReadOutcome read_snapshot_file(const std::string& path) {
   }
   std::uint32_t version = 0;
   std::memcpy(&version, file.data() + 8, 4);
-  if (version != kSnapshotVersion) {
+  if (version != kSnapshotVersion && version != 1) {
     return {std::nullopt, "unsupported snapshot version " +
                               std::to_string(version) + " (expected " +
                               std::to_string(kSnapshotVersion) + ")"};
@@ -388,7 +445,8 @@ ReadOutcome read_snapshot_file(const std::string& path) {
     return {std::nullopt, "checksum mismatch (torn or corrupt snapshot)"};
   }
   try {
-    return {decode_payload(file.data() + kHeaderSize, payload_size), ""};
+    return {decode_payload(file.data() + kHeaderSize, payload_size, version),
+            ""};
   } catch (const std::exception& e) {
     return {std::nullopt, std::string("payload decode failed: ") + e.what()};
   }

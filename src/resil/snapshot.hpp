@@ -7,6 +7,7 @@
 //
 //   * StitchEngine::EngineState (short-walk store, trajectories, lambda,
 //     prepared envelope) -- the release_state()/adopt_state() boundary;
+//   * the roots of the engine's BFS tree cache (an n-bit bitset);
 //   * the engine's connector-visit counters and the WalkInventory
 //     supply/demand image (replenishment planning is part of the sampling
 //     stream: it decides which GET-MORE-WALKS runs consume coins);
@@ -19,13 +20,18 @@
 // and per-request stats for all subsequent batches versus the uninterrupted
 // run, at every thread count x mux width.
 //
-// On-disk format (version 1, native-endian, single-host checkpoint):
+// On-disk format (version 2, native-endian, single-host checkpoint):
 //
 //   [0]  magic   "DRWSNAP1"            (8 bytes)
 //   [8]  version u32 | reserved u32
 //   [16] payload size u64
 //   [24] CRC-32 (IEEE) of payload u32 | reserved u32
 //   [32] payload...
+//
+// Version 2 appends the engine's cached BFS roots to the version-1 payload
+// as an n-bit bitset; restore rebuilds those trees locally and charges
+// them no rounds, so the warm-restarted counters match the uninterrupted
+// run. A version-1 file still restores, with an empty tree cache.
 //
 // Writes are atomic: payload assembled in memory -> <path>.tmp -> fsync ->
 // rename(tmp, path) -> fsync(dir). A crash at any point leaves either the
@@ -45,7 +51,7 @@
 
 namespace drw::resil {
 
-inline constexpr std::uint32_t kSnapshotVersion = 1;
+inline constexpr std::uint32_t kSnapshotVersion = 2;
 
 /// The WalkInventory image rides along as raw arrays so resil does not
 /// depend on the service layer (the service copies in/out).
@@ -63,6 +69,8 @@ struct ServiceSnapshot {
   std::uint32_t next_walk_id = 0;
   core::StitchEngine::EngineState engine;
   std::vector<std::uint64_t> connector_visits;
+  /// Roots of the engine's BFS tree cache, ascending.
+  std::vector<NodeId> tree_roots;
   InventoryImage inventory;
   std::vector<std::array<std::uint64_t, 4>> rng_states;  // per node
 };

@@ -183,6 +183,8 @@ BatchReport WalkService::flush() {
   report.mux_conflicts = outcome.mux_conflicts;
   report.stitches = outcome.counters.stitches;
   report.engine_gmw_calls = outcome.counters.get_more_walks_calls;
+  report.tree_builds = outcome.counters.tree_builds;
+  report.tree_reuses = outcome.counters.tree_reuses;
   report.inventory_hits =
       report.stitches > report.engine_gmw_calls
           ? report.stitches - report.engine_gmw_calls
@@ -202,6 +204,8 @@ BatchReport WalkService::flush() {
   lifetime_.stitches += report.stitches;
   lifetime_.inventory_hits += report.inventory_hits;
   lifetime_.engine_gmw_calls += report.engine_gmw_calls;
+  lifetime_.tree_builds += report.tree_builds;
+  lifetime_.tree_reuses += report.tree_reuses;
   lifetime_.naive_rounds_estimate += report.naive_rounds_estimate;
   lifetime_.mux_groups += report.mux_groups;
   lifetime_.mux_lanes += report.mux_lanes;
@@ -215,6 +219,8 @@ BatchReport WalkService::flush() {
     reg.counter("service.stitches").add(report.stitches);
     reg.counter("service.inventory_hits").add(report.inventory_hits);
     reg.counter("service.inventory_misses").add(report.engine_gmw_calls);
+    reg.counter("service.tree_builds").add(report.tree_builds);
+    reg.counter("service.tree_reuses").add(report.tree_reuses);
     reg.counter("service.replenishments").add(report.replenishments);
     reg.counter("service.replenished_walks").add(report.replenished_walks);
     if (report.full_prepare) reg.counter("service.full_prepares").add(1);
@@ -273,6 +279,7 @@ void WalkService::save_snapshot(const std::string& path) {
   snap.engine.prepared_l = engine_.prepared_l();
   snap.engine.prepared_k = engine_.prepared_k();
   snap.connector_visits = engine_.connector_visits();
+  snap.tree_roots = engine_.tree_cache().roots();
   WalkInventory::Image inv = inventory_.image();
   snap.inventory.unused = std::move(inv.unused);
   snap.inventory.demand = std::move(inv.demand);
@@ -336,6 +343,7 @@ bool WalkService::restore_from_file(const std::string& path,
   const std::uint64_t total_unused = snap.inventory.total_unused;
   engine_.adopt_state(std::move(snap.engine));
   engine_.restore_connector_visits(std::move(snap.connector_visits));
+  engine_.restore_tree_cache(snap.tree_roots);
   inventory_.restore(WalkInventory::Image{
       std::move(snap.inventory.unused), std::move(snap.inventory.demand),
       std::move(snap.inventory.last_visits), snap.inventory.total_unused,
@@ -346,9 +354,11 @@ bool WalkService::restore_from_file(const std::string& path,
   next_walk_id_ = snap.next_walk_id;
   std::fprintf(stderr,
                "resil: warm restart from %s (%zu nodes, lambda=%u, "
-               "%llu unused short walks, next walk id %u)\n",
+               "%llu unused short walks, %zu cached BFS trees, next walk id "
+               "%u)\n",
                path.c_str(), n, engine_.lambda(),
-               static_cast<unsigned long long>(total_unused), next_walk_id_);
+               static_cast<unsigned long long>(total_unused),
+               engine_.tree_cache().size(), next_walk_id_);
   return true;
 }
 

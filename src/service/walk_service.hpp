@@ -105,6 +105,10 @@ struct BatchReport {
   std::uint64_t stitches = 0;
   std::uint64_t inventory_hits = 0;     ///< stitches served from stock
   std::uint64_t engine_gmw_calls = 0;   ///< in-walk emergency top-ups
+  /// Stitches that built their connector's BFS tree / reused the engine's
+  /// cached one (tree_builds + tree_reuses == stitches).
+  std::uint64_t tree_builds = 0;
+  std::uint64_t tree_reuses = 0;
   std::uint64_t replenishments = 0;     ///< targeted pre-batch top-up runs
   std::uint64_t replenished_walks = 0;  ///< short walks added by those runs
   /// Model cost of serving the same requests one naive token walk at a
@@ -149,6 +153,8 @@ struct ServiceStats {
   std::uint64_t stitches = 0;
   std::uint64_t inventory_hits = 0;
   std::uint64_t engine_gmw_calls = 0;
+  std::uint64_t tree_builds = 0;
+  std::uint64_t tree_reuses = 0;
   std::uint64_t naive_rounds_estimate = 0;
   std::uint64_t mux_groups = 0;
   std::uint64_t mux_lanes = 0;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 
 #include "graph/algorithms.hpp"
@@ -41,12 +42,111 @@ TEST(BfsTreeProtocol, ChildrenAreConsistent) {
   const BfsTree tree = build_bfs_tree(net, 0, stats);
   std::size_t child_links = 0;
   for (NodeId v = 0; v < g.node_count(); ++v) {
-    for (NodeId c : tree.children[v]) {
+    for (NodeId c : tree.children_of(v)) {
       EXPECT_EQ(tree.parent[c], v);
       ++child_links;
     }
   }
   EXPECT_EQ(child_links, g.node_count() - 1);
+}
+
+/// The shapes the flat-tree checks sweep: a hub, a clique with a tail, a
+/// grid and a random expander.
+std::vector<Graph> tree_test_graphs() {
+  Rng rng(64);
+  std::vector<Graph> graphs;
+  graphs.push_back(gen::star(12));
+  graphs.push_back(gen::lollipop(6, 6));
+  graphs.push_back(gen::grid(5, 5));
+  graphs.push_back(gen::random_regular(64, 4, rng));
+  return graphs;
+}
+
+TEST(BfsTreeProtocol, FlatTreeIsConsistentFromEveryRoot) {
+  for (const Graph& g : tree_test_graphs()) {
+    const std::size_t n = g.node_count();
+    Network net(g, 5);
+    for (NodeId root = 0; root < n; ++root) {
+      RunStats stats;
+      const BfsTree tree = build_bfs_tree(net, root, stats);
+      const auto dist = bfs_distances(g, root);
+      ASSERT_EQ(tree.root, root);
+      ASSERT_EQ(tree.parent.size(), n);
+      ASSERT_EQ(tree.child_begin.size(), n + 1);
+      ASSERT_EQ(tree.children.size(), n - 1);
+      EXPECT_EQ(tree.bytes(), 16 * n);
+      EXPECT_EQ(tree.parent[root], root);
+      EXPECT_EQ(tree.height, eccentricity(g, root));
+      std::vector<int> listed(n, 0);
+      for (NodeId v = 0; v < n; ++v) {
+        EXPECT_EQ(tree.depth[v], dist[v]) << "root " << root << " node " << v;
+        const auto kids = tree.children_of(v);
+        EXPECT_EQ(kids.size(), tree.child_count(v));
+        EXPECT_TRUE(std::is_sorted(kids.begin(), kids.end()));
+        for (const NodeId c : kids) {
+          EXPECT_EQ(tree.parent[c], v) << "root " << root;
+          EXPECT_TRUE(g.has_edge(v, c));
+          ++listed[c];
+        }
+      }
+      for (NodeId v = 0; v < n; ++v) {
+        EXPECT_EQ(listed[v], v == root ? 0 : 1) << "root " << root;
+      }
+    }
+  }
+}
+
+TEST(BfsTreeCache, RestoreRebuildsTheCachedTrees) {
+  // A warm restart rebuilds the snapshot's cached roots on a fresh network
+  // (other seed: BFS draws no randomness); every tree must equal the one the
+  // cache held, and the rebuild is charged to nobody.
+  for (const Graph& g : tree_test_graphs()) {
+    const std::size_t n = g.node_count();
+    Network before(g, 5);
+    BfsTreeCache cache(n, std::size_t{1} << 20);
+    for (NodeId root = 0; root < n; root += 2) {
+      RunStats stats;
+      ASSERT_NE(cache.insert(build_bfs_tree(before, root, stats)), nullptr);
+    }
+    Network after(g, 99);
+    BfsTreeCache restored(n, std::size_t{1} << 20);
+    restored.restore(after, cache.roots());
+    EXPECT_EQ(restored.roots(), cache.roots());
+    EXPECT_EQ(restored.bytes(), cache.bytes());
+    for (const NodeId root : cache.roots()) {
+      ASSERT_NE(restored.find(root), nullptr);
+      EXPECT_EQ(*restored.find(root), *cache.find(root)) << "root " << root;
+    }
+  }
+}
+
+TEST(BfsTreeCache, StaysWithinItsByteBudget) {
+  const Graph g = gen::grid(5, 5);
+  Network net(g, 3);
+  RunStats stats;
+  const std::size_t tree_bytes = build_bfs_tree(net, 0, stats).bytes();
+  BfsTreeCache cache(g.node_count(), 3 * tree_bytes + tree_bytes / 2);
+  for (NodeId root = 0; root < 5; ++root) {
+    BfsTree tree = build_bfs_tree(net, root, stats);
+    const BfsTree* kept = cache.insert(std::move(tree));
+    if (root < 3) {
+      ASSERT_NE(kept, nullptr);
+      EXPECT_EQ(kept, cache.find(root));
+    } else {
+      // Declined: the caller's tree is left intact for per-visit use.
+      EXPECT_EQ(kept, nullptr);
+      EXPECT_EQ(cache.find(root), nullptr);
+      EXPECT_EQ(tree.root, root);
+      EXPECT_EQ(tree.parent.size(), g.node_count());
+    }
+    EXPECT_LE(cache.bytes(), cache.budget());
+  }
+  EXPECT_EQ(cache.size(), 3u);
+  EXPECT_EQ(cache.roots(), (std::vector<NodeId>{0, 1, 2}));
+  // A second insert for a cached root keeps the first tree.
+  const BfsTree* first = cache.find(1);
+  EXPECT_EQ(cache.insert(build_bfs_tree(net, 1, stats)), first);
+  EXPECT_EQ(cache.size(), 3u);
 }
 
 TEST(BroadcastProtocol, ReachesEveryNodeInHeightRounds) {

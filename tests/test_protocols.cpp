@@ -51,6 +51,7 @@ TEST(ShortWalkPhase, TrajectoriesReplayToTheStoredEndpoint) {
   std::vector<ShortWalkPhaseProtocol::Job> jobs{{0, 0, length}};
   ShortWalkPhaseProtocol protocol(g, jobs, store, &traj);
   net.run(protocol);
+  traj.sort_forward();
 
   NodeId holder = kInvalidNode;
   for (NodeId v = 0; v < g.node_count(); ++v) {
@@ -60,18 +61,15 @@ TEST(ShortWalkPhase, TrajectoriesReplayToTheStoredEndpoint) {
 
   NodeId at = 0;
   for (std::uint32_t hop = 0; hop < length; ++hop) {
-    const auto& records = traj.forward[at].at(TrajectoryStore::key(0, 0));
-    bool advanced = false;
-    for (const ForwardHop& r : records) {
-      if (r.hop == hop) {
-        at = g.neighbor(at, r.next_slot);
-        advanced = true;
-        break;
-      }
-    }
-    ASSERT_TRUE(advanced) << "missing hop " << hop;
+    const ForwardRecord* r =
+        traj.find_forward(at, TrajectoryStore::key(0, 0), hop);
+    ASSERT_NE(r, nullptr) << "missing hop " << hop;
+    at = g.neighbor(at, r->next_slot);
   }
   EXPECT_EQ(at, holder);
+  // The endpoint has no outgoing record: that is where the replay stops.
+  EXPECT_EQ(traj.find_forward(at, TrajectoryStore::key(0, 0), length),
+            nullptr);
 }
 
 TEST(GetMoreWalks, StoresExactlyCountWalks) {

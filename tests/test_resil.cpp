@@ -7,7 +7,9 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <iterator>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -143,6 +145,78 @@ TEST(Resil, WarmRestartBitIdenticalAcrossThreadsAndMux) {
       }
     }
   }
+  std::remove(path.c_str());
+}
+
+/// Rewrites a current-version snapshot of an n-node service as the
+/// version-1 layout: the same payload without the trailing cached-root
+/// bitset (a u64 word count plus ceil(n/64) words), re-checksummed.
+void downgrade_to_version_one(const std::string& path, std::size_t n) {
+  std::ifstream in(path, std::ios::binary);
+  std::vector<char> file((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  in.close();
+  const std::size_t bitset_bytes = 8 + 8 * ((n + 63) / 64);
+  ASSERT_GT(file.size(), 32 + bitset_bytes);
+  file.resize(file.size() - bitset_bytes);
+  const std::uint32_t version = 1;
+  const std::uint64_t payload_size = file.size() - 32;
+  const std::uint32_t crc = resil::crc32(file.data() + 32, payload_size);
+  std::memcpy(file.data() + 8, &version, 4);
+  std::memcpy(file.data() + 16, &payload_size, 8);
+  std::memcpy(file.data() + 24, &crc, 4);
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(file.data(), static_cast<std::streamsize>(file.size()));
+}
+
+// The snapshot carries the BFS tree cache's roots: a warm restart rebuilds
+// exactly the trees the cache held at the checkpoint. A version-1 snapshot
+// (no roots) still warm-starts -- with an empty cache, so it rebuilds trees
+// on first visit and pays those rounds, but serves the same walks.
+TEST(Resil, SnapshotRestoresTheTreeCacheAndVersionOneStartsItEmpty) {
+  Rng graph_rng(808);
+  const Graph g = gen::random_regular(64, 4, graph_rng);
+  const std::uint32_t diameter = exact_diameter(g);
+  const std::string path = tmp_path("drw_resil_trees.snap");
+
+  congest::Network net_a(g, 4242);
+  WalkService a(net_a, diameter, resil_config(1));
+  a.serve(batch_one());
+  a.save_snapshot(path);
+  const congest::BfsTreeCache& held = a.engine().tree_cache();
+  const std::vector<NodeId> roots = held.roots();
+  ASSERT_FALSE(roots.empty());
+
+  congest::Network net_b(g, 4242);
+  WalkService b(net_b, diameter, resil_config(1));
+  ASSERT_TRUE(b.restore_snapshot(path));
+  const congest::BfsTreeCache& rebuilt = b.engine().tree_cache();
+  EXPECT_EQ(rebuilt.roots(), roots);
+  for (const NodeId root : roots) {
+    ASSERT_NE(rebuilt.find(root), nullptr);
+    EXPECT_EQ(*rebuilt.find(root), *held.find(root)) << "root " << root;
+  }
+  // The rebuild is local: it is charged to no engine total.
+  EXPECT_EQ(b.engine().total_stats().rounds, 0u);
+  EXPECT_EQ(b.engine().total_stats().messages, 0u);
+
+  const BatchReport ref = a.serve(batch_two());
+  downgrade_to_version_one(path, g.node_count());
+  congest::Network net_c(g, 4242);
+  WalkService c(net_c, diameter, resil_config(1));
+  ASSERT_TRUE(c.restore_snapshot(path));
+  EXPECT_EQ(c.engine().tree_cache().size(), 0u);
+  const BatchReport got = c.serve(batch_two());
+  ASSERT_EQ(got.results.size(), ref.results.size());
+  for (std::size_t i = 0; i < ref.results.size(); ++i) {
+    EXPECT_EQ(got.results[i].destinations, ref.results[i].destinations)
+        << "request " << i;
+    EXPECT_EQ(got.results[i].paths, ref.results[i].paths) << "request " << i;
+  }
+  EXPECT_EQ(got.stitches, ref.stitches);
+  EXPECT_EQ(got.tree_builds + got.tree_reuses, got.stitches);
+  EXPECT_GT(got.tree_builds, ref.tree_builds);
+  EXPECT_GT(got.stats.messages, ref.stats.messages);
   std::remove(path.c_str());
 }
 

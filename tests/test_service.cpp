@@ -278,6 +278,44 @@ TEST(WalkService, ThroughputCountersAreCoherent) {
   EXPECT_LE(direct, report.stats.rounds);
 }
 
+TEST(WalkService, RecurringConnectorsReuseTheirBfsTrees) {
+  // A small graph and a tiny lambda make connectors recur within and across
+  // batches. Every stitch starts with exactly one tree build or reuse, and
+  // (one walk at a time, nothing evicted) each distinct connector is built
+  // exactly once.
+  const Graph g = gen::grid(4, 4);
+  Network net(g, 29);
+  WalkService service(net, exact_diameter(g), tiny_lambda_config());
+  std::uint64_t builds = 0;
+  std::uint64_t reuses = 0;
+  std::uint64_t stitches = 0;
+  for (int batch = 0; batch < 4; ++batch) {
+    const BatchReport report = service.serve({
+        WalkRequest{0, 40, 3}, WalkRequest{9, 30, 2}, WalkRequest{15, 24, 1},
+    });
+    EXPECT_EQ(report.tree_builds + report.tree_reuses, report.stitches)
+        << "batch " << batch;
+    builds += report.tree_builds;
+    reuses += report.tree_reuses;
+    stitches += report.stitches;
+  }
+  const ServiceStats& life = service.lifetime();
+  EXPECT_EQ(life.full_prepares, 1u);
+  EXPECT_EQ(life.tree_builds, builds);
+  EXPECT_EQ(life.tree_reuses, reuses);
+  EXPECT_EQ(builds + reuses, stitches);
+  EXPECT_GT(reuses, 0u);
+
+  std::uint64_t distinct = 0;
+  for (const std::uint64_t visits : service.engine().connector_visits()) {
+    if (visits != 0) ++distinct;
+  }
+  EXPECT_EQ(builds, distinct);
+  EXPECT_EQ(service.engine().tree_cache().size(), distinct);
+  EXPECT_LE(service.engine().tree_cache().bytes(),
+            core::StitchEngine::kTreeCacheBytes);
+}
+
 TEST(WalkService, MixingEstimatorRunsThroughService) {
   Rng rng(9);
   const Graph g = gen::random_regular(48, 4, rng);

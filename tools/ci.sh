@@ -113,6 +113,20 @@ if [[ "${DRW_BENCH:-0}" == "1" ]]; then
       --graph=regular:2000,4 --seed=7 --k=24 --l=2048 --threads=1 --mux=4 \
       --batch-size=8 --stats-json=stats_serve.json
   python3 tools/validate_trace.py trace_serve.json
+  # Tree-cache accounting: every stitch starts with exactly one BFS tree
+  # build or one cached-tree reuse, in every batch and over the lifetime.
+  python3 - stats_serve.json <<'PY'
+import json, sys
+stats = json.load(open(sys.argv[1]))
+for name, r in [("lifetime", stats["lifetime"])] + [
+        (f"batch {i + 1}", b) for i, b in enumerate(stats["batches"])]:
+    if r["tree_builds"] + r["tree_reuses"] != r["stitches"]:
+        sys.exit(f"{name}: tree_builds {r['tree_builds']} + tree_reuses "
+                 f"{r['tree_reuses']} != stitches {r['stitches']}")
+print(f"tree accounting: {stats['lifetime']['tree_builds']} builds + "
+      f"{stats['lifetime']['tree_reuses']} reuses == "
+      f"{stats['lifetime']['stitches']} stitches")
+PY
   # Resilience gate: kill -9 a serving subprocess inside the snapshot-commit
   # window and demand a warm restart, plus CRC rejection of bit-flipped and
   # torn snapshots, a smoke of every DRW_FAILPOINTS action

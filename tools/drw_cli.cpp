@@ -36,6 +36,7 @@
 //   drw convert soc.txt soc.txt.csr && drw serve --graph=soc.txt.csr
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <cmath>
 #include <csignal>
 #include <cstdio>
@@ -517,33 +518,28 @@ RequestFileData parse_request_entries(const std::string& path) {
       usage(("request file line " + std::to_string(line_no) + ": " + what)
                 .c_str());
     };
-    std::istringstream fields(line);
-    // Extraction into an unsigned type wraps "-1" modulo 2^64 and
-    // saturates (with failbit) on overflow; reject both instead of serving
-    // a wrapped request. Returns false when the field is absent.
-    const auto read_field = [&](std::uint64_t& out) {
-      fields >> std::ws;
-      if (fields.peek() == '-') bad_line("negative field");
-      std::uint64_t value = 0;
-      if (!(fields >> value)) {
-        if (value == std::numeric_limits<std::uint64_t>::max()) {
-          bad_line("field out of range");
-        }
-        return false;
-      }
-      out = value;
-      return true;
-    };
-    std::uint64_t source = 0;
-    std::uint64_t length = 0;
-    std::uint64_t count = 1;
-    std::uint64_t record = 0;
-    if (!read_field(source)) continue;  // blank / comment-only line
-    if (!read_field(length)) {
+    std::istringstream tokens(line);
+    std::vector<std::string> fields;
+    for (std::string token; tokens >> token;) fields.push_back(token);
+    if (fields.empty()) continue;  // blank / comment-only line
+    if (fields.size() < 2 || fields.size() > 4) {
       bad_line("expected `source length [count [record]]`");
     }
-    // Optional fields keep their defaults when absent.
-    if (read_field(count)) read_field(record);
+    // Every field is a whole unsigned decimal: a sign, a trailing
+    // character or an overflow is an error, never a silently truncated or
+    // wrapped request.
+    std::uint64_t values[4] = {0, 0, 1, 0};  // source length count record
+    for (std::size_t i = 0; i < fields.size(); ++i) {
+      const std::string& field = fields[i];
+      if (field[0] == '-') bad_line("negative field");
+      const char* end = field.data() + field.size();
+      const auto [ptr, ec] = std::from_chars(field.data(), end, values[i]);
+      if (ec == std::errc::result_out_of_range) bad_line("field out of range");
+      if (ec != std::errc() || ptr != end) {
+        bad_line(("non-numeric field `" + field + "`").c_str());
+      }
+    }
+    const auto [source, length, count, record] = values;
     if (count > std::numeric_limits<std::uint32_t>::max()) {
       bad_line("count exceeds 4294967295");
     }
@@ -646,6 +642,8 @@ void append_batch_report(std::ostringstream& out,
       << ",\"inventory_hits\":" << r.inventory_hits
       << ",\"inventory_hit_rate\":" << r.inventory_hit_rate()
       << ",\"engine_gmw_calls\":" << r.engine_gmw_calls
+      << ",\"tree_builds\":" << r.tree_builds
+      << ",\"tree_reuses\":" << r.tree_reuses
       << ",\"replenishments\":" << r.replenishments
       << ",\"replenished_walks\":" << r.replenished_walks
       << ",\"naive_rounds_estimate\":" << r.naive_rounds_estimate
@@ -799,7 +797,8 @@ int cmd_serve(const Args& args, const CliGraph& cg, std::uint32_t diameter) {
     std::printf(
         "batch %zu: %llu req / %llu walks | lambda=%u %s | rounds=%llu "
         "(%.1f/req) msgs=%llu | hit=%.3f gmw=%llu topups=%llu(+%llu) | "
-        "mux=%u (%llu waves, %llu conflicts)\n",
+        "trees: %llu built, %llu reused | mux=%u (%llu waves, %llu "
+        "conflicts)\n",
         ++batch_no, static_cast<unsigned long long>(report.requests),
         static_cast<unsigned long long>(report.walks), report.lambda,
         report.naive_mode ? "naive"
@@ -811,6 +810,8 @@ int cmd_serve(const Args& args, const CliGraph& cg, std::uint32_t diameter) {
         static_cast<unsigned long long>(report.engine_gmw_calls),
         static_cast<unsigned long long>(report.replenishments),
         static_cast<unsigned long long>(report.replenished_walks),
+        static_cast<unsigned long long>(report.tree_builds),
+        static_cast<unsigned long long>(report.tree_reuses),
         report.mux_width,
         static_cast<unsigned long long>(report.mux_groups),
         static_cast<unsigned long long>(report.mux_conflicts));
@@ -820,7 +821,8 @@ int cmd_serve(const Args& args, const CliGraph& cg, std::uint32_t diameter) {
   std::printf(
       "served %llu requests (%llu walks) in %llu batches: rounds=%llu "
       "messages=%llu | phase1=%llu topups=%llu(+%llu walks) hit=%.3f "
-      "gmw=%llu | mux: %llu waves / %llu lanes / %llu conflicts | "
+      "gmw=%llu | trees: %llu built / %llu reused | mux: %llu waves / %llu "
+      "lanes / %llu conflicts | "
       "naive model rounds=%llu (%.1fx)\n",
       static_cast<unsigned long long>(life.requests),
       static_cast<unsigned long long>(life.walks),
@@ -832,6 +834,8 @@ int cmd_serve(const Args& args, const CliGraph& cg, std::uint32_t diameter) {
       static_cast<unsigned long long>(life.replenished_walks),
       life.inventory_hit_rate(),
       static_cast<unsigned long long>(life.engine_gmw_calls),
+      static_cast<unsigned long long>(life.tree_builds),
+      static_cast<unsigned long long>(life.tree_reuses),
       static_cast<unsigned long long>(life.mux_groups),
       static_cast<unsigned long long>(life.mux_lanes),
       static_cast<unsigned long long>(life.mux_conflicts),
@@ -863,6 +867,8 @@ int cmd_serve(const Args& args, const CliGraph& cg, std::uint32_t diameter) {
                   << ",\"inventory_hits\":" << life.inventory_hits
                   << ",\"inventory_hit_rate\":" << life.inventory_hit_rate()
                   << ",\"engine_gmw_calls\":" << life.engine_gmw_calls
+                  << ",\"tree_builds\":" << life.tree_builds
+                  << ",\"tree_reuses\":" << life.tree_reuses
                   << ",\"naive_rounds_estimate\":"
                   << life.naive_rounds_estimate
                   << ",\"mux_groups\":" << life.mux_groups

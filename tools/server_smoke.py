@@ -16,8 +16,9 @@ stops it with SIGTERM and asserts the serving determinism contract:
   * the trace the server wrote under DRW_TRACE passes
     tools/validate_trace.py (its mux lanes stay below the recorded
     mux_width);
-  * a request file with a negative field or a count above UINT32_MAX is
-    rejected with a line-numbered usage error before anything is served.
+  * a request file with a negative, non-numeric or partly numeric field,
+    a fifth field, or a count above UINT32_MAX is rejected with a
+    line-numbered usage error before anything is served.
 
 Server and replay both stitch at --mux=4, so multi-lane waves run over
 real sockets.
@@ -210,10 +211,12 @@ def main() -> int:
     check(indices == list(range(len(indices))) and len(indices) == 45,
           "admission indices are a dense 0..44 permutation")
 
-    # Request-file numbers are range-checked: a negative field (which an
-    # unsigned parse would wrap) or a count above UINT32_MAX (which would
-    # be truncated) is a line-numbered usage error, never a served batch.
-    for bad in ("0 64 4294967297", "0 64 -1"):
+    # Request-file fields are parsed strictly: a negative field (which an
+    # unsigned parse would wrap), a count above UINT32_MAX (which would be
+    # truncated), a non-numeric or partly numeric field, or a fifth field
+    # is a line-numbered usage error, never a served batch.
+    for bad in ("0 64 4294967297", "0 64 -1", "0 64 abc", "2 64 3x",
+                "1 64 2 1 junk"):
         bad_req = os.path.join(work, "bad.req")
         with open(bad_req, "w") as f:
             f.write(f"0 64 1\n{bad}\n")
