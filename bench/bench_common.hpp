@@ -1,10 +1,7 @@
-// Shared support for the experiment harness: aligned table printing, series
-// bookkeeping, log-log slope fits, and machine-readable result files. Every
-// bench binary prints the paper-vs-measured series for its experiment
-// (the comment at the top of each bench names it: E1-E11 map to the
-// paper's theorems and lemmas, the rest are acceptance gates and perf
-// trajectories), then runs its registered
-// google-benchmark timings; perf-trajectory benches additionally emit a
+// Shared support for the bench harness: aligned table printing, log-log
+// slope checks, and machine-readable result files. bench_paper prints and
+// gates the paper's E1-E11 tables; the other benches are acceptance gates
+// and perf trajectories, and perf-trajectory benches emit a
 // BENCH_<name>.json via JsonReport.
 #pragma once
 
@@ -177,14 +174,23 @@ inline void add_registry_fields(JsonReport& json, const std::string& prefix) {
   json.add(prefix + "backlog_samples", backlog.count());
 }
 
-/// Fits and prints the log-log slope of a measured series.
-inline void print_slope(const std::string& label,
-                        const std::vector<double>& x,
-                        const std::vector<double>& y,
-                        double expected) {
+/// A log-log slope fit and whether it lies in its window.
+struct SlopeCheck {
+  double slope = 0.0;
+  bool in_window = false;
+};
+
+/// Fits the log-log slope of a measured series, prints it beside the window
+/// [lo, hi] the paper's exponent allows, and reports whether it lies inside.
+inline SlopeCheck check_slope(const std::string& label,
+                              const std::vector<double>& x,
+                              const std::vector<double>& y, double lo,
+                              double hi) {
   const double slope = log_log_slope(x, y);
-  std::printf("%s: measured log-log slope %.3f (paper predicts ~%.2f)\n",
-              label.c_str(), slope, expected);
+  const bool in_window = lo <= slope && slope <= hi;
+  std::printf("%s: measured log-log slope %.3f (window [%.2f, %.2f]: %s)\n",
+              label.c_str(), slope, lo, hi, in_window ? "inside" : "OUTSIDE");
+  return {slope, in_window};
 }
 
 }  // namespace drw::bench

@@ -5,7 +5,8 @@
 // predecessor (Section 2.1's recap) uses fixed-length short walks, a flat
 // eta per node, and balances lambda = l^{1/3} D^{2/3}, eta = (l/D)^{1/3}
 // for an O~(l^{2/3} D^{1/3}) bound. Both are expressed as presets of one
-// Params struct so ablations (E11) can toggle a single knob at a time.
+// Params struct so ablations (bench_paper's E11 tables) can toggle a single
+// knob at a time.
 //
 // The theory constants exceed l itself for any simulatable n, so the default
 // presets drop the polylog factor (`lambda_scale` multiplies sqrt(l*D)); the
@@ -46,9 +47,9 @@ struct Params {
   bool random_lengths = true;
 
   /// Paper preset only: prepare eta * deg(v) walks per node (Algorithm 1
-  /// header). Set false (ablation E11b) to prepare a flat eta per node
-  /// instead -- under-provisioning high-degree nodes, which the walk visits
-  /// proportionally more often (Lemma 2.6).
+  /// header). Set false (bench_paper's E11b ablation) to prepare a flat eta
+  /// per node instead -- under-provisioning high-degree nodes, which the
+  /// walk visits proportionally more often (Lemma 2.6).
   bool degree_proportional = true;
 
   /// Use the paper's literal constants (24 sqrt(lD) (log n)^3 etc.).

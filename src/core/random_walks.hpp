@@ -32,7 +32,8 @@
 
 namespace drw::core {
 
-/// Per-walk instrumentation (experiment counters for E1-E5, E11).
+/// Per-walk instrumentation (the counters bench_paper's E1-E5 and E11
+/// tables report).
 struct WalkCounters {
   std::uint32_t lambda = 0;            ///< short-walk base length used
   std::uint64_t walks_prepared = 0;    ///< Phase-1 short walks created

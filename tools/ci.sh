@@ -2,8 +2,8 @@
 # Tier-1 CI gate: configure, build, run the full test suite; optionally the
 # same under ASan/UBSan (DRW_SANITIZE=1) or TSan (DRW_SANITIZE=tsan, which
 # also forces a multi-threaded executor so races in the parallel round
-# engine are actually exercised) and the serving-layer acceptance benches
-# (DRW_BENCH=1).
+# engine are actually exercised) and the paper-claims and serving-layer
+# acceptance benches (DRW_BENCH=1).
 #
 #   tools/ci.sh                    # plain build + ctest
 #   DRW_SANITIZE=1 tools/ci.sh     # ASan/UBSan build + ctest
@@ -73,6 +73,12 @@ if [[ "${DRW_SANITIZE:-0}" == "1" ]]; then
 fi
 
 if [[ "${DRW_BENCH:-0}" == "1" ]]; then
+  # bench_paper gates the paper's claims E1-E11 (round slopes in l, D and
+  # k, the Lemma 2.6 visit bound, the lower-bound gadget, RST uniformity,
+  # mixing estimates, the Section 2.1 ablations) on round, visit and count
+  # quantities only, so its verdict is deterministic and host-independent.
+  # Every gated quantity lands in BENCH_paper.json.
+  "$BUILD_DIR/bench_paper"
   # bench_service exits non-zero if the serviced workload fails to beat
   # per-request serving, never exercises inventory replenishment, or the
   # executor misses its speedup gate (>=2x@8t on >=8-thread hosts, the
