@@ -8,10 +8,6 @@ namespace {
 
 constexpr std::uint32_t kNoSlot = static_cast<std::uint32_t>(-1);
 
-std::uint64_t fragment_key(NodeId source, std::uint32_t hop) {
-  return (static_cast<std::uint64_t>(source) << 32) | hop;
-}
-
 }  // namespace
 
 // ----------------------------------------------------------------- Phase 1
@@ -95,6 +91,7 @@ GetMoreWalksProtocol::GetMoreWalksProtocol(const Graph& g, NodeId source,
                                            TransitionModel model)
     : graph_(&g), source_(source), initial_count_(count), lambda_(lambda),
       extend_(extend), store_(&store), trajectories_(trajectories),
+      gen_(trajectories != nullptr ? trajectories->new_generation() : 0),
       model_(model), staying_(g.node_count(), {0, 0}) {
   if (lambda == 0) throw std::invalid_argument("GetMoreWalks: lambda == 0");
   if (trajectories != nullptr && model != TransitionModel::kSimple) {
@@ -121,7 +118,7 @@ void GetMoreWalksProtocol::process(
       if (!extend_) {
         // PODC 2009 preset: all walks have length exactly lambda.
         for (std::uint64_t i = 0; i < count; ++i) {
-          store_->held[v].push_back(HeldToken{source_, 0, steps,
+          store_->held[v].push_back(HeldToken{source_, gen_, steps,
                                               WalkKind::kGetMore,
                                               arrival_slot, false});
         }
@@ -136,7 +133,7 @@ void GetMoreWalksProtocol::process(
         if (ctx.rng().next_bool(stop_probability)) ++stopped;
       }
       for (std::uint64_t t = 0; t < stopped; ++t) {
-        store_->held[v].push_back(HeldToken{source_, 0, steps,
+        store_->held[v].push_back(HeldToken{source_, gen_, steps,
                                             WalkKind::kGetMore, arrival_slot,
                                             false});
       }
@@ -153,8 +150,8 @@ void GetMoreWalksProtocol::process(
       }
       ++per_slot[slot];
       if (trajectories_ != nullptr) {
-        trajectories_->fragments[v][fragment_key(source_, steps)].push_back(
-            Fragment{arrival_slot, slot});
+        trajectories_->append_gmw(v, GmwRecord{gen_, steps, arrival_slot,
+                                               slot});
       }
     }
   }
@@ -393,35 +390,26 @@ void RegenerateProtocol::forward_step(congest::Context& ctx, NodeId source,
 }
 
 void RegenerateProtocol::reverse_step(congest::Context& ctx, NodeId source,
-                                      std::uint64_t offset, std::uint32_t hop,
-                                      std::uint32_t walk_id,
+                                      std::uint32_t gen, std::uint64_t offset,
+                                      std::uint32_t hop, std::uint32_t walk_id,
                                       std::uint32_t via_slot) {
   const NodeId v = ctx.self();
   if (hop > 0) {
     (*positions_)[v].push_back(WalkPosition{walk_id, offset + hop});
   }
   if (hop == 0) return;  // back at the short walk's source
-  auto& map = trajectories_->fragments[v];
-  const auto it = map.find(fragment_key(source, hop));
-  if (it == map.end() || it->second.empty()) {
-    throw std::logic_error("RegenerateProtocol: missing fragment");
+  // Any unspent record of this generation whose next hop went toward the
+  // node we came from will do: the generation's tokens are exchangeable.
+  const std::uint32_t prev_slot = trajectories_->take_gmw(v, gen, hop,
+                                                          via_slot);
+  if (prev_slot == TrajectoryStore::kSpentSlot) {
+    throw std::logic_error("RegenerateProtocol: no record matches edge");
   }
-  // Consume any fragment whose next hop went toward the node we came from;
-  // exchangeability of the aggregated tokens makes the choice immaterial.
-  auto& fragments = it->second;
-  for (std::size_t i = 0; i < fragments.size(); ++i) {
-    if (fragments[i].next_slot != via_slot) continue;
-    const std::uint32_t prev_slot = fragments[i].prev_slot;
-    fragments[i] = fragments.back();
-    fragments.pop_back();
-    ctx.send(prev_slot,
-             congest::Message{
-                 kReverse,
-                 {(static_cast<std::uint64_t>(walk_id) << 32) | source, 0,
-                  offset, hop - 1u}});
-    return;
-  }
-  throw std::logic_error("RegenerateProtocol: no fragment matches edge");
+  ctx.send(prev_slot,
+           congest::Message{
+               kReverse,
+               {(static_cast<std::uint64_t>(walk_id) << 32) | source, gen,
+                offset, hop - 1u}});
 }
 
 void RegenerateProtocol::on_round(congest::Context& ctx) {
@@ -439,7 +427,7 @@ void RegenerateProtocol::on_round(congest::Context& ctx) {
                      kReverse,
                      {(static_cast<std::uint64_t>(job.walk_id) << 32) |
                           job.source,
-                      0, job.offset, job.length - 1u}});
+                      job.gen, job.offset, job.length - 1u}});
       }
     }
     return;
@@ -452,9 +440,9 @@ void RegenerateProtocol::on_round(congest::Context& ctx) {
                    d.msg.f[2], static_cast<std::uint32_t>(d.msg.f[3]),
                    walk_id);
     } else if (d.msg.type == kReverse) {
-      reverse_step(ctx, source, d.msg.f[2],
-                   static_cast<std::uint32_t>(d.msg.f[3]), walk_id,
-                   ctx.slot_of(d.from));
+      reverse_step(ctx, source, static_cast<std::uint32_t>(d.msg.f[1]),
+                   d.msg.f[2], static_cast<std::uint32_t>(d.msg.f[3]),
+                   walk_id, ctx.slot_of(d.from));
     }
   }
 }

@@ -73,7 +73,9 @@ class ShortWalkPhaseProtocol final : public congest::Protocol {
 /// sampling: at extension step i every surviving token stops with probability
 /// 1/(lambda - i), yielding lengths uniform in [lambda, 2*lambda - 1]
 /// (Lemma 2.4). With `extend == false` (PODC 2009 preset) all tokens stop at
-/// exactly lambda.
+/// exactly lambda. With trajectories, the run takes a new generation id at
+/// construction: its tokens carry it in HeldToken::seq and its hops become
+/// that generation's records.
 class GetMoreWalksProtocol final : public congest::Protocol {
  public:
   GetMoreWalksProtocol(const Graph& g, NodeId source, std::uint32_t count,
@@ -97,6 +99,7 @@ class GetMoreWalksProtocol final : public congest::Protocol {
   bool extend_;
   WalkStore* store_;
   TrajectoryStore* trajectories_;
+  std::uint32_t gen_;
   TransitionModel model_;
   /// Aggregated self-loop stays per node: (count, steps) carried to the
   /// next round locally (no message), preserving lockstep.
@@ -188,10 +191,13 @@ class NaiveSegmentProtocol final : public congest::Protocol {
 /// Regeneration (Section 2.2): every stitched short walk is replayed so each
 /// node on it learns its absolute position(s). Phase-1 segments replay
 /// forward from their source via recorded (source, seq) hop pointers;
-/// GET-MORE-WALKS segments replay backward from their endpoint by consuming
-/// anonymous fragments (exchangeability makes any consistent matching
-/// distribution-correct). All segments replay in parallel; the round count
-/// is dominated by the longest segment, O~(lambda) = O~(sqrt(l D)).
+/// GET-MORE-WALKS segments replay backward from their endpoint, each hop
+/// consuming the first unspent record of the token's generation that left
+/// toward the node the replay came from. The tokens of one generation are
+/// exchangeable, so any such matching is distribution-correct, and it never
+/// depends on when spent generations are freed. All segments replay in
+/// parallel; the round count is dominated by the longest segment,
+/// O~(lambda) = O~(sqrt(l D)).
 class RegenerateProtocol final : public congest::Protocol {
  public:
   struct ForwardJob {
@@ -203,6 +209,7 @@ class RegenerateProtocol final : public congest::Protocol {
   struct ReverseJob {
     NodeId holder = kInvalidNode;  ///< short-walk endpoint
     NodeId source = kInvalidNode;
+    std::uint32_t gen = 0;         ///< the token's GET-MORE-WALKS generation
     std::uint32_t length = 0;
     std::uint32_t arrival_slot = 0;
     std::uint64_t offset = 0;
@@ -219,9 +226,9 @@ class RegenerateProtocol final : public congest::Protocol {
   void forward_step(congest::Context& ctx, NodeId source, std::uint32_t seq,
                     std::uint64_t offset, std::uint32_t hop,
                     std::uint32_t walk_id);
-  void reverse_step(congest::Context& ctx, NodeId source, std::uint64_t offset,
-                    std::uint32_t hop, std::uint32_t walk_id,
-                    std::uint32_t via_slot);
+  void reverse_step(congest::Context& ctx, NodeId source, std::uint32_t gen,
+                    std::uint64_t offset, std::uint32_t hop,
+                    std::uint32_t walk_id, std::uint32_t via_slot);
   std::vector<std::vector<ForwardJob>> forward_by_node_;
   std::vector<std::vector<ReverseJob>> reverse_by_node_;
   TrajectoryStore* trajectories_;

@@ -212,6 +212,25 @@ void StitchEngine::adopt_state(EngineState state) {
   pending_prepared_ = 0;
 }
 
+StitchEngine::StoreFootprint StitchEngine::compact_store() {
+  store_.compact();
+  StoreFootprint footprint;
+  for (const auto& tokens : store_.held) {
+    footprint.held_tokens += tokens.size();
+    footprint.unused_tokens += static_cast<std::uint64_t>(std::count_if(
+        tokens.begin(), tokens.end(),
+        [](const HeldToken& t) { return !t.used; }));
+  }
+  footprint.gmw_records = trajectories_.gmw_record_count();
+  if (footprint.gmw_records >=
+      2 * trajectories_.records_kept + kGmwRecordSlack) {
+    footprint.gmw_records_freed =
+        trajectories_.drop_spent(store_.live_generations());
+    footprint.gmw_records = trajectories_.records_kept;
+  }
+  return footprint;
+}
+
 void StitchEngine::restore_tree_cache(std::span<const NodeId> roots) {
   tree_cache_.restore(*net_, roots);
 }
@@ -423,8 +442,8 @@ void StitchEngine::WalkTask::finish() {
         const HeldToken& held =
             engine_->store_.held[s.token.holder][s.token.held_index];
         engine_->deferred_reverse_.push_back(RegenerateProtocol::ReverseJob{
-            s.token.holder, s.from, s.token.length, held.arrival_slot,
-            s.offset, walk_id_});
+            s.token.holder, s.from, s.token.seq, s.token.length,
+            held.arrival_slot, s.offset, walk_id_});
       }
     }
   }
@@ -452,7 +471,7 @@ congest::RunStats StitchEngine::run_deferred_regen() {
   obs::Span span(obs::Name::kEngineRegen, obs::kPidService, 0,
                  deferred_forward_.size() + deferred_reverse_.size());
   // Canonical ascending-walk_id order (stable: preserves each walk's
-  // segment order): reverse replay consumes shared anonymous fragments, so
+  // segment order): reverse replay consumes shared anonymous records, so
   // the job order must not depend on task completion order.
   std::stable_sort(deferred_forward_.begin(), deferred_forward_.end(),
                    [](const RegenerateProtocol::ForwardJob& a,

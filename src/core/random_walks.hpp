@@ -317,6 +317,24 @@ class StitchEngine {
   /// growth across serving batches. Empty unless record_trajectories.
   PositionTable drain_positions();
 
+  /// Records a GET-MORE-WALKS freeing pass may leave on top of twice what
+  /// the previous pass kept before the next pass runs.
+  static constexpr std::uint64_t kGmwRecordSlack = 4096;
+  /// The store's size after compact_store().
+  struct StoreFootprint {
+    std::uint64_t held_tokens = 0;
+    std::uint64_t unused_tokens = 0;
+    std::uint64_t gmw_records = 0;        ///< incl. spent (tombstoned) ones
+    std::uint64_t gmw_records_freed = 0;  ///< by this call's freeing pass
+  };
+  /// Batch boundary, with no task open and tails and regeneration run:
+  /// drops the used tokens (WalkStore::compact). Then, once the trajectory
+  /// store holds at least 2x the records the previous pass kept plus
+  /// kGmwRecordSlack, frees the spent records and every generation no held
+  /// token belongs to -- amortized O(1) per record. Neither step changes
+  /// any later destination or path.
+  StoreFootprint compact_store();
+
  private:
   /// One solo task plus its tail and regeneration (walk, continue_walk).
   WalkResult complete_walk(NodeId source, std::uint64_t l,

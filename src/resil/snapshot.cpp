@@ -86,15 +86,11 @@ struct Reader {
 };
 
 // --- trajectory (de)serialization -----------------------------------------
-// Both sides are emitted per node as (key, count, records) groups in
-// ascending key order, so the byte stream is a pure function of the logical
-// state. Forward records are stored flat and sorted by (key, hop): a group
-// is one run of equal keys, its records ascending by hop, so reading the
-// groups back in order restores the sorted array (version-1 files list a
-// key's hops in Phase-1 arrival order, which is ascending). Fragment maps are
-// unordered, so their keys are sorted on the way out; per-key vector order
-// is preserved verbatim -- fragment replay consumes by index (swap-remove),
-// so it is part of the bit-identity contract.
+// Forward records are emitted per node as (key, count, records) groups in
+// ascending key order: a group is one run of equal keys in the flat array
+// sorted by (key, hop), its records ascending by hop, so reading the groups
+// back in order restores the sorted array (version-1 files list a key's hops
+// in Phase-1 arrival order, which is ascending).
 
 void write_forward_side(
     Writer& w, const std::vector<std::vector<core::ForwardRecord>>& side) {
@@ -135,46 +131,75 @@ void read_forward_side(Reader& r,
   }
 }
 
-void write_fragment_side(
-    Writer& w,
-    const std::vector<
-        std::unordered_map<std::uint64_t, std::vector<core::Fragment>>>&
-        side) {
-  for (const auto& map : side) {
-    std::vector<std::uint64_t> keys;
-    keys.reserve(map.size());
-    for (const auto& [key, records] : map) keys.push_back(key);
-    std::sort(keys.begin(), keys.end());
-    w.u64(keys.size());
-    for (const std::uint64_t key : keys) {
-      const std::vector<core::Fragment>& records = map.at(key);
-      w.u64(key);
-      w.u64(records.size());
-      for (const core::Fragment& f : records) {
-        w.u32(f.prev_slot);
-        w.u32(f.next_slot);
+// GET-MORE-WALKS records (version 3): the generation counter, then per node
+// the unspent records of the generations some held token still belongs to,
+// stably sorted by (gen, hop). Tombstones, dead generations and the order
+// concurrent runs appended in never reach the file, so its bytes are a
+// function of the state a replay can observe.
+void write_gmw_side(Writer& w, const core::TrajectoryStore& trajectories,
+                    const std::vector<std::uint32_t>& live) {
+  w.u32(trajectories.next_generation);
+  std::vector<core::GmwRecord> kept;
+  for (const auto& records : trajectories.gmw) {
+    kept.clear();
+    for (const core::GmwRecord& rec : records) {
+      if (rec.next_slot != core::TrajectoryStore::kSpentSlot &&
+          std::binary_search(live.begin(), live.end(), rec.gen)) {
+        kept.push_back(rec);
       }
+    }
+    std::stable_sort(kept.begin(), kept.end());
+    w.u64(kept.size());
+    for (const core::GmwRecord& rec : kept) {
+      w.u32(rec.gen);
+      w.u32(rec.hop);
+      w.u32(rec.prev_slot);
+      w.u32(rec.next_slot);
     }
   }
 }
 
-void read_fragment_side(
-    Reader& r,
-    std::vector<
-        std::unordered_map<std::uint64_t, std::vector<core::Fragment>>>&
-        side) {
-  for (auto& map : side) {
+void read_gmw_side(Reader& r, core::TrajectoryStore& trajectories) {
+  trajectories.next_generation = r.u32();
+  for (auto& records : trajectories.gmw) {
+    records.resize(r.count(/*four u32s=*/16));
+    for (core::GmwRecord& rec : records) {
+      rec.gen = r.u32();
+      rec.hop = r.u32();
+      rec.prev_slot = r.u32();
+      rec.next_slot = r.u32();
+    }
+  }
+}
+
+// Versions 1 and 2 stored GET-MORE-WALKS hops as anonymous fragments keyed
+// by (source, hop), per node in ascending key order, and their tokens all
+// had seq 0. Each source's fragments become one generation whose id is the
+// source; its seq-0 tokens join it (fix_legacy_generations), and new
+// generations start above the legacy range, at n.
+void read_legacy_fragments(Reader& r, core::TrajectoryStore& trajectories) {
+  for (auto& records : trajectories.gmw) {
     const std::uint64_t entries = r.count(/*key+count=*/16);
-    map.reserve(entries);
     for (std::uint64_t e = 0; e < entries; ++e) {
       const std::uint64_t key = r.u64();
+      const auto source = static_cast<std::uint32_t>(key >> 32);
+      const auto hop = static_cast<std::uint32_t>(key);
       const std::uint64_t n = r.count(/*two u32s=*/8);
-      std::vector<core::Fragment>& records = map[key];
-      records.resize(n);
-      for (core::Fragment& f : records) {
-        f.prev_slot = r.u32();
-        f.next_slot = r.u32();
+      for (std::uint64_t i = 0; i < n; ++i) {
+        const std::uint32_t prev_slot = r.u32();
+        const std::uint32_t next_slot = r.u32();
+        records.push_back(core::GmwRecord{source, hop, prev_slot, next_slot});
       }
+    }
+  }
+  trajectories.next_generation =
+      static_cast<std::uint32_t>(trajectories.gmw.size());
+}
+
+void fix_legacy_generations(core::WalkStore& store) {
+  for (auto& tokens : store.held) {
+    for (core::HeldToken& t : tokens) {
+      if (t.kind == core::WalkKind::kGetMore) t.seq = t.source;
     }
   }
 }
@@ -234,13 +259,15 @@ std::vector<std::uint8_t> encode_payload(const ServiceSnapshot& snap) {
     }
   }
   write_forward_side(w, snap.engine.trajectories.forward);
-  write_fragment_side(w, snap.engine.trajectories.fragments);
+  write_gmw_side(w, snap.engine.trajectories,
+                 snap.engine.store.live_generations());
   write_root_bitset(w, n, snap.tree_roots);
   return std::move(w.bytes);
 }
 
-/// Decodes a payload of `version` (1 or 2; version 1 has no cached-root
-/// bitset and restores with an empty tree cache).
+/// Decodes a payload of `version` (1 to 3). Versions 1 and 2 carry legacy
+/// fragments (read_legacy_fragments); version 1 has no cached-root bitset
+/// and restores with an empty tree cache.
 ServiceSnapshot decode_payload(const std::uint8_t* data, std::size_t size,
                                std::uint32_t version) {
   Reader r{data, data + size};
@@ -273,9 +300,21 @@ ServiceSnapshot decode_payload(const std::uint8_t* data, std::size_t size,
       t.used = r.u8() != 0;
     }
   }
-  snap.engine.trajectories = core::TrajectoryStore(n);
-  read_forward_side(r, snap.engine.trajectories.forward);
-  read_fragment_side(r, snap.engine.trajectories.fragments);
+  core::TrajectoryStore& trajectories = snap.engine.trajectories;
+  trajectories = core::TrajectoryStore(n);
+  read_forward_side(r, trajectories.forward);
+  if (version >= 3) {
+    read_gmw_side(r, trajectories);
+  } else {
+    read_legacy_fragments(r, trajectories);
+    fix_legacy_generations(snap.engine.store);
+  }
+  for (std::size_t v = 0; v < n; ++v) {
+    const auto& records = trajectories.gmw[v];
+    trajectories.gmw_unsorted[v] = !std::is_sorted(records.begin(),
+                                                   records.end());
+    trajectories.records_kept += records.size();
+  }
   if (version >= 2) snap.tree_roots = read_root_bitset(r, n);
   if (r.p != r.end) throw std::runtime_error("trailing payload bytes");
   return snap;
@@ -424,7 +463,7 @@ ReadOutcome read_snapshot_file(const std::string& path) {
   }
   std::uint32_t version = 0;
   std::memcpy(&version, file.data() + 8, 4);
-  if (version != kSnapshotVersion && version != 1) {
+  if (version < 1 || version > kSnapshotVersion) {
     return {std::nullopt, "unsupported snapshot version " +
                               std::to_string(version) + " (expected " +
                               std::to_string(kSnapshotVersion) + ")"};

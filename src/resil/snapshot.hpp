@@ -20,7 +20,7 @@
 // and per-request stats for all subsequent batches versus the uninterrupted
 // run, at every thread count x mux width.
 //
-// On-disk format (version 2, native-endian, single-host checkpoint):
+// On-disk format (version 3, native-endian, single-host checkpoint):
 //
 //   [0]  magic   "DRWSNAP1"            (8 bytes)
 //   [8]  version u32 | reserved u32
@@ -28,10 +28,17 @@
 //   [24] CRC-32 (IEEE) of payload u32 | reserved u32
 //   [32] payload...
 //
-// Version 2 appends the engine's cached BFS roots to the version-1 payload
-// as an n-bit bitset; restore rebuilds those trees locally and charges
-// them no rounds, so the warm-restarted counters match the uninterrupted
-// run. A version-1 file still restores, with an empty tree cache.
+// Version 3 stores GET-MORE-WALKS routing records by generation: the
+// generation counter, then each node's unspent records of the generations
+// some held token still belongs to, sorted by (gen, hop). The bytes are a
+// function of the logical state, not of tombstones or the freeing schedule.
+// The payload ends with the engine's cached BFS roots as an n-bit bitset
+// (since version 2); restore rebuilds those trees locally and charges them
+// no rounds, so the warm-restarted counters match the uninterrupted run.
+// Version 1 and 2 files still restore: their (source, hop)-keyed fragments
+// become one generation per source, whose id is the source, and new
+// generations start at n. A version-1 file has no root bitset and restores
+// with an empty tree cache.
 //
 // Writes are atomic: payload assembled in memory -> <path>.tmp -> fsync ->
 // rename(tmp, path) -> fsync(dir). A crash at any point leaves either the
@@ -51,7 +58,7 @@
 
 namespace drw::resil {
 
-inline constexpr std::uint32_t kSnapshotVersion = 2;
+inline constexpr std::uint32_t kSnapshotVersion = 3;
 
 /// The WalkInventory image rides along as raw arrays so resil does not
 /// depend on the service layer (the service copies in/out).

@@ -116,6 +116,9 @@ BatchReport WalkService::flush() {
   }
   if (units == 0) {
     // Nothing engine-bound: no protocol runs, no snapshot state change.
+    report.held_tokens = lifetime_.held_tokens;
+    report.unused_tokens = lifetime_.unused_tokens;
+    report.gmw_records = lifetime_.gmw_records;
     ++lifetime_.batches;
     lifetime_.requests += report.requests;
     lifetime_.walks += report.walks;
@@ -191,7 +194,16 @@ BatchReport WalkService::flush() {
           : 0;
   // Keep the position table bounded even when no request recorded paths.
   if (config_.enable_paths) engine_.drain_positions();
-  if (!report.naive_mode) inventory_.refresh(engine_);
+  if (!report.naive_mode) {
+    // Batch boundary: tails and regeneration have run, no task is open.
+    const core::StitchEngine::StoreFootprint footprint =
+        engine_.compact_store();
+    report.held_tokens = footprint.held_tokens;
+    report.unused_tokens = footprint.unused_tokens;
+    report.gmw_records = footprint.gmw_records;
+    report.gmw_records_freed = footprint.gmw_records_freed;
+    inventory_.refresh(engine_);
+  }
 
   ++lifetime_.batches;
   lifetime_.requests += report.requests;
@@ -210,6 +222,10 @@ BatchReport WalkService::flush() {
   lifetime_.mux_groups += report.mux_groups;
   lifetime_.mux_lanes += report.mux_lanes;
   lifetime_.mux_conflicts += report.mux_conflicts;
+  lifetime_.held_tokens = report.held_tokens;
+  lifetime_.unused_tokens = report.unused_tokens;
+  lifetime_.gmw_records = report.gmw_records;
+  lifetime_.gmw_records_freed += report.gmw_records_freed;
 
   if (obs::Registry::global().enabled()) {
     auto& reg = obs::Registry::global();
@@ -227,6 +243,10 @@ BatchReport WalkService::flush() {
     reg.counter("mux.waves").add(report.mux_groups);
     reg.counter("mux.lanes").add(report.mux_lanes);
     reg.counter("mux.conflicts").add(report.mux_conflicts);
+    reg.gauge("service.held_tokens").set(report.held_tokens);
+    reg.gauge("service.unused_tokens").set(report.unused_tokens);
+    reg.gauge("service.gmw_records").set(report.gmw_records);
+    reg.counter("service.gmw_records_freed").add(report.gmw_records_freed);
     reg.histogram("service.batch_walks").record(report.walks);
   }
   maybe_snapshot();
@@ -331,7 +351,7 @@ bool WalkService::restore_from_file(const std::string& path,
   }
   if (snap.engine.store.held.size() != n ||
       snap.engine.trajectories.forward.size() != n ||
-      snap.engine.trajectories.fragments.size() != n ||
+      snap.engine.trajectories.gmw.size() != n ||
       snap.connector_visits.size() != n || snap.rng_states.size() != n ||
       snap.inventory.unused.size() != n ||
       snap.inventory.demand.size() != n ||

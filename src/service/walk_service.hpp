@@ -120,6 +120,13 @@ struct BatchReport {
                                      ///< per wave = mux_lanes / mux_groups)
   std::uint64_t mux_conflicts = 0;   ///< traversals serialized by the conflict rule
   std::uint64_t rejected = 0;        ///< requests returned with status != kOk
+  /// The short-walk store after the batch (StitchEngine::compact_store):
+  /// tokens held, of them unused (equal once used ones are dropped), and
+  /// GET-MORE-WALKS routing records stored / freed by this batch's pass.
+  std::uint64_t held_tokens = 0;
+  std::uint64_t unused_tokens = 0;
+  std::uint64_t gmw_records = 0;
+  std::uint64_t gmw_records_freed = 0;
 
   double rounds_per_request() const {
     return requests == 0 ? 0.0
@@ -160,6 +167,11 @@ struct ServiceStats {
   std::uint64_t mux_lanes = 0;
   std::uint64_t mux_conflicts = 0;
   std::uint64_t rejected = 0;
+  /// The store's size after the latest batch, and records freed in total.
+  std::uint64_t held_tokens = 0;
+  std::uint64_t unused_tokens = 0;
+  std::uint64_t gmw_records = 0;
+  std::uint64_t gmw_records_freed = 0;
 
   double inventory_hit_rate() const {
     return stitches == 0 ? 1.0

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "congest/mux.hpp"
 #include "congest/primitives.hpp"
 #include "graph/generators.hpp"
 #include "util/stats.hpp"
+#include "walk_test_utils.hpp"
 
 namespace drw::core {
 namespace {
@@ -146,6 +150,68 @@ TEST(GetMoreWalks, FixedLengthModeStopsAtLambda) {
   }
   EXPECT_EQ(stored, 40u);
   EXPECT_LE(stats.rounds, 6u);
+}
+
+// Two GET-MORE-WALKS runs as lanes of one mux interleave their records at
+// shared nodes. Each run is its own generation; the first lookup at a node
+// sorts its records once, and every token of both runs replays backward to
+// its own source along graph edges, spending each record it passes once.
+TEST(GetMoreWalks, InterleavedGenerationsReplayToTheirSources) {
+  const Graph g = gen::torus(4, 4);
+  const std::size_t n = g.node_count();
+  Network net(g, 21);
+  WalkStore store(n);
+  TrajectoryStore traj(n);
+  GetMoreWalksProtocol first(g, 0, 12, 5, true, store, &traj);
+  GetMoreWalksProtocol second(g, 5, 12, 5, true, store, &traj);
+  EXPECT_EQ(traj.next_generation, 2u);
+  std::vector<Rng> first_rngs =
+      congest::ProtocolMux::derive_lane_rngs(net.seed(), 1, n);
+  std::vector<Rng> second_rngs =
+      congest::ProtocolMux::derive_lane_rngs(net.seed(), 2, n);
+  congest::ProtocolMux mux(n);
+  mux.add_lane(first, &first_rngs);
+  mux.add_lane(second, &second_rngs);
+  net.run_multiplexed(mux, 2);
+  EXPECT_NE(std::count(traj.gmw_unsorted.begin(), traj.gmw_unsorted.end(), 1),
+            0);
+
+  std::vector<RegenerateProtocol::ReverseJob> jobs;
+  for (NodeId v = 0; v < n; ++v) {
+    for (const HeldToken& t : store.held[v]) {
+      ASSERT_EQ(t.kind, WalkKind::kGetMore);
+      EXPECT_EQ(t.seq, t.source == 0 ? 0u : 1u);
+      jobs.push_back(RegenerateProtocol::ReverseJob{
+          v, t.source, t.seq, t.length, t.arrival_slot, 0,
+          static_cast<std::uint32_t>(jobs.size())});
+    }
+  }
+  ASSERT_EQ(jobs.size(), 24u);
+  PositionTable positions(n);
+  RegenerateProtocol regen(g, {}, jobs, traj, positions);
+  net.run(regen);
+  for (const auto& job : jobs) {
+    // A reverse replay stops at the source without recording step 0 (the
+    // stitch records it as the previous segment's end).
+    positions[job.source].push_back(WalkPosition{job.walk_id, 0});
+    test::expect_valid_walk(g, positions, job.walk_id, job.length, job.source,
+                            job.holder);
+  }
+  // The replay stops on reaching the source, so only hop-0 records stay.
+  for (const auto& records : traj.gmw) {
+    for (const GmwRecord& r : records) {
+      EXPECT_EQ(r.next_slot == TrajectoryStore::kSpentSlot, r.hop > 0);
+    }
+  }
+  const std::vector<std::uint32_t> live = store.live_generations();
+  EXPECT_EQ(live, (std::vector<std::uint32_t>{0, 1}));
+  // Freeing keeps the live generations' unspent records (one hop-0 record
+  // per token) and drops the rest once neither generation is held.
+  const std::uint64_t stored = traj.gmw_record_count();
+  EXPECT_EQ(traj.drop_spent(live), stored - jobs.size());
+  EXPECT_EQ(traj.records_kept, jobs.size());
+  EXPECT_EQ(traj.drop_spent({}), jobs.size());
+  EXPECT_EQ(traj.gmw_record_count(), 0u);
 }
 
 TEST(SampleConvergecast, FindsTheOnlyToken) {

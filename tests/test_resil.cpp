@@ -148,9 +148,28 @@ TEST(Resil, WarmRestartBitIdenticalAcrossThreadsAndMux) {
   std::remove(path.c_str());
 }
 
-/// Rewrites a current-version snapshot of an n-node service as the
-/// version-1 layout: the same payload without the trailing cached-root
-/// bitset (a u64 word count plus ceil(n/64) words), re-checksummed.
+/// Copies a version-2 snapshot from tests/fixtures to a scratch path. The
+/// last version-2 build wrote them from this file's 64-node graph, seed 4242
+/// and resil_config(1): resil_trees_v2.snap after batch_one(), and
+/// resil_gmw_v2.snap after one batch of kDrainSourceFive. Their
+/// GET-MORE-WALKS routing records are (source, hop)-keyed fragments, which
+/// the current build can no longer write.
+std::string legacy_snapshot_copy(const std::string& fixture,
+                                 const char* name) {
+  std::ifstream in(std::string(DRW_TEST_FIXTURES) + "/" + fixture,
+                   std::ios::binary);
+  std::vector<char> file((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  EXPECT_FALSE(file.empty()) << "missing fixture " << fixture;
+  const std::string path = tmp_path(name);
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(file.data(), static_cast<std::streamsize>(file.size()));
+  return path;
+}
+
+/// Rewrites a version-2 snapshot of an n-node service as the version-1
+/// layout: the same payload without the trailing cached-root bitset (a u64
+/// word count plus ceil(n/64) words), re-checksummed.
 void downgrade_to_version_one(const std::string& path, std::size_t n) {
   std::ifstream in(path, std::ios::binary);
   std::vector<char> file((std::istreambuf_iterator<char>(in)),
@@ -158,8 +177,11 @@ void downgrade_to_version_one(const std::string& path, std::size_t n) {
   in.close();
   const std::size_t bitset_bytes = 8 + 8 * ((n + 63) / 64);
   ASSERT_GT(file.size(), 32 + bitset_bytes);
+  std::uint32_t version = 0;
+  std::memcpy(&version, file.data() + 8, 4);
+  ASSERT_EQ(version, 2u);
   file.resize(file.size() - bitset_bytes);
-  const std::uint32_t version = 1;
+  version = 1;
   const std::uint64_t payload_size = file.size() - 32;
   const std::uint32_t crc = resil::crc32(file.data() + 32, payload_size);
   std::memcpy(file.data() + 8, &version, 4);
@@ -170,9 +192,11 @@ void downgrade_to_version_one(const std::string& path, std::size_t n) {
 }
 
 // The snapshot carries the BFS tree cache's roots: a warm restart rebuilds
-// exactly the trees the cache held at the checkpoint. A version-1 snapshot
-// (no roots) still warm-starts -- with an empty cache, so it rebuilds trees
-// on first visit and pays those rounds, but serves the same walks.
+// exactly the trees the cache held at the checkpoint. Legacy files restore
+// too: a version-2 file (fragment-keyed records) warm-starts with its cache
+// and samples what the uninterrupted run samples, and its version-1 copy
+// (no roots) warm-starts with an empty cache -- so it rebuilds trees on
+// first visit and pays those rounds, but serves the same walks.
 TEST(Resil, SnapshotRestoresTheTreeCacheAndVersionOneStartsItEmpty) {
   Rng graph_rng(808);
   const Graph g = gen::random_regular(64, 4, graph_rng);
@@ -199,12 +223,28 @@ TEST(Resil, SnapshotRestoresTheTreeCacheAndVersionOneStartsItEmpty) {
   // The rebuild is local: it is charged to no engine total.
   EXPECT_EQ(b.engine().total_stats().rounds, 0u);
   EXPECT_EQ(b.engine().total_stats().messages, 0u);
+  const BatchReport uninterrupted = a.serve(batch_two());
 
-  const BatchReport ref = a.serve(batch_two());
-  downgrade_to_version_one(path, g.node_count());
+  const std::string v2_path =
+      legacy_snapshot_copy("resil_trees_v2.snap", "drw_resil_trees_v2.snap");
+  congest::Network net_v2(g, 4242);
+  WalkService v2(net_v2, diameter, resil_config(1));
+  ASSERT_TRUE(v2.restore_snapshot(v2_path));
+  EXPECT_EQ(v2.engine().tree_cache().roots(), roots);
+  const BatchReport ref = v2.serve(batch_two());
+  ASSERT_EQ(ref.results.size(), uninterrupted.results.size());
+  for (std::size_t i = 0; i < ref.results.size(); ++i) {
+    EXPECT_EQ(ref.results[i].destinations,
+              uninterrupted.results[i].destinations)
+        << "request " << i;
+  }
+
+  const std::string v1_path =
+      legacy_snapshot_copy("resil_trees_v2.snap", "drw_resil_trees_v1.snap");
+  downgrade_to_version_one(v1_path, g.node_count());
   congest::Network net_c(g, 4242);
   WalkService c(net_c, diameter, resil_config(1));
-  ASSERT_TRUE(c.restore_snapshot(path));
+  ASSERT_TRUE(c.restore_snapshot(v1_path));
   EXPECT_EQ(c.engine().tree_cache().size(), 0u);
   const BatchReport got = c.serve(batch_two());
   ASSERT_EQ(got.results.size(), ref.results.size());
@@ -212,12 +252,124 @@ TEST(Resil, SnapshotRestoresTheTreeCacheAndVersionOneStartsItEmpty) {
     EXPECT_EQ(got.results[i].destinations, ref.results[i].destinations)
         << "request " << i;
     EXPECT_EQ(got.results[i].paths, ref.results[i].paths) << "request " << i;
+    for (const std::vector<NodeId>& walk : got.results[i].paths) {
+      for (std::size_t s = 1; s < walk.size(); ++s) {
+        EXPECT_TRUE(g.has_edge(walk[s - 1], walk[s]))
+            << "request " << i << " step " << s;
+      }
+    }
   }
   EXPECT_EQ(got.stitches, ref.stitches);
   EXPECT_EQ(got.tree_builds + got.tree_reuses, got.stitches);
   EXPECT_GT(got.tree_builds, ref.tree_builds);
   EXPECT_GT(got.stats.messages, ref.stats.messages);
   std::remove(path.c_str());
+  std::remove(v2_path.c_str());
+  std::remove(v1_path.c_str());
+}
+
+// Drains source 5's Phase-1 pool, so GET-MORE-WALKS runs from it.
+const std::vector<WalkRequest> kDrainSourceFive = {{5, 40, 6, true},
+                                                   {5, 40, 6, false}};
+
+// A legacy file's (source, hop)-keyed GET-MORE-WALKS fragments restore as
+// one generation per source, numbered by the source, and new generations
+// start above them. Walks that stitch those tokens replay to valid walks,
+// and sampling is unchanged: the uninterrupted run draws the same
+// destinations.
+TEST(Resil, LegacyFragmentsReplayAsOneGenerationPerSource) {
+  Rng graph_rng(808);
+  const Graph g = gen::random_regular(64, 4, graph_rng);
+  const std::uint32_t diameter = exact_diameter(g);
+  const std::vector<WalkRequest> reuse = {{5, 40, 6, true}, {2, 28, 2, true}};
+
+  congest::Network net_a(g, 4242);
+  WalkService a(net_a, diameter, resil_config(1));
+  a.serve(kDrainSourceFive);
+  const BatchReport uninterrupted = a.serve(reuse);
+
+  const std::string path =
+      legacy_snapshot_copy("resil_gmw_v2.snap", "drw_resil_gmw_v2.snap");
+  congest::Network net_b(g, 4242);
+  WalkService b(net_b, diameter, resil_config(1));
+  ASSERT_TRUE(b.restore_snapshot(path));
+  const core::TrajectoryStore& trajectories = b.engine().trajectories();
+  EXPECT_EQ(trajectories.next_generation, g.node_count());
+  const auto unspent_of_source_five = [&trajectories] {
+    std::uint64_t count = 0;
+    for (const auto& records : trajectories.gmw) {
+      for (const core::GmwRecord& r : records) {
+        count += r.gen == 5 &&
+                 r.next_slot != core::TrajectoryStore::kSpentSlot;
+      }
+    }
+    return count;
+  };
+  const std::uint64_t legacy_records = unspent_of_source_five();
+  ASSERT_GT(legacy_records, 0u);
+
+  const BatchReport got = b.serve(reuse);
+  ASSERT_EQ(got.results.size(), reuse.size());
+  for (std::size_t i = 0; i < reuse.size(); ++i) {
+    EXPECT_EQ(got.results[i].destinations,
+              uninterrupted.results[i].destinations)
+        << "request " << i;
+    ASSERT_EQ(got.results[i].paths.size(), reuse[i].count);
+    for (std::size_t w = 0; w < reuse[i].count; ++w) {
+      const std::vector<NodeId>& walk = got.results[i].paths[w];
+      ASSERT_EQ(walk.size(), reuse[i].length + 1);
+      EXPECT_EQ(walk.front(), reuse[i].source);
+      EXPECT_EQ(walk.back(), got.results[i].destinations[w]);
+      for (std::size_t s = 1; s < walk.size(); ++s) {
+        EXPECT_TRUE(g.has_edge(walk[s - 1], walk[s]))
+            << "request " << i << " walk " << w << " step " << s;
+      }
+    }
+  }
+  EXPECT_LT(unspent_of_source_five(), legacy_records);
+  std::remove(path.c_str());
+}
+
+// Version 3 writes only what a replay can observe -- the unspent records of
+// live generations, sorted -- so a warm-restarted service and the
+// uninterrupted one checkpoint byte-identical files after the same batch,
+// although only the uninterrupted one still stores tombstones and spent
+// generations from before the restart.
+TEST(Resil, SnapshotBytesAreAFunctionOfTheLogicalState) {
+  Rng graph_rng(808);
+  const Graph g = gen::random_regular(64, 4, graph_rng);
+  const std::uint32_t diameter = exact_diameter(g);
+  const std::string restart = tmp_path("drw_resil_bytes_restart.snap");
+  const std::string path_a = tmp_path("drw_resil_bytes_a.snap");
+  const std::string path_b = tmp_path("drw_resil_bytes_b.snap");
+  const auto bytes = [](const std::string& file) {
+    std::ifstream in(file, std::ios::binary);
+    return std::vector<char>((std::istreambuf_iterator<char>(in)),
+                             std::istreambuf_iterator<char>());
+  };
+  for (const unsigned mux : {1u, 4u}) {
+    const std::string label = "mux=" + std::to_string(mux);
+    congest::Network net_a(g, 4242);
+    WalkService a(net_a, diameter, resil_config(mux));
+    a.serve(kDrainSourceFive);
+    a.save_snapshot(restart);
+    a.serve(batch_two());
+    a.save_snapshot(path_a);
+
+    congest::Network net_b(g, 4242);
+    WalkService b(net_b, diameter, resil_config(mux));
+    ASSERT_TRUE(b.restore_snapshot(restart)) << label;
+    b.serve(batch_two());
+    b.save_snapshot(path_b);
+
+    EXPECT_GT(a.engine().trajectories().gmw_record_count(),
+              b.engine().trajectories().gmw_record_count())
+        << label;
+    EXPECT_EQ(bytes(path_a), bytes(path_b)) << label;
+  }
+  std::remove(restart.c_str());
+  std::remove(path_a.c_str());
+  std::remove(path_b.c_str());
 }
 
 // The snapshot-after-batch policy (ServiceConfig::snapshot_path) writes a

@@ -7,15 +7,22 @@
 //     including batches served entirely from a reused inventory;
 //   * deferred-tail batching does not change the sampled law (and a
 //     singleton batch reproduces the hand-driven engine bit-for-bit);
-//   * recorded paths are valid walks; request validation throws;
+//   * recorded paths are valid walks, and their positions follow P^t at
+//     steps inside and between stitched segments (Holm-corrected
+//     chi-square) while spent GET-MORE-WALKS generations are freed between
+//     batches; request validation throws;
+//   * the batch boundary drops used tokens and keeps the routing records
+//     within 2x the previous freeing pass plus a fixed slack;
 //   * the stitching width comes from the config alone, never the
 //     environment.
 #include "service/walk_service.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <map>
+#include <string>
 
 #include "apps/mixing.hpp"
 #include "apps/pagerank.hpp"
@@ -192,6 +199,182 @@ TEST(WalkService, RecordedPathsAreValidWalks) {
   ASSERT_EQ(zero.paths.size(), 1u);
   EXPECT_EQ(zero.paths[0], std::vector<NodeId>{4});
   EXPECT_EQ(zero.destinations[0], 4u);
+}
+
+// Exactness of regenerated paths (Section 2.2). A tiny lambda and one-source
+// traffic make most stitched segments GET-MORE-WALKS tokens, replayed
+// backward through their generation's records while freeing passes run
+// between batches. The recorded position at step t -- at segment ends and
+// inside segments -- must follow P^t(source, .), at mux widths 1 and 4 and
+// on a high-contention star. Seeds are fixed; a Holm step-down over every
+// (graph, width, step) cell keeps the family-wise false-alarm rate at 1e-3.
+TEST(WalkService, RegeneratedPathsMatchExactStepDistributions) {
+  struct Case {
+    const char* name;
+    Graph g;
+    NodeId source;
+  };
+  Rng graph_rng(2024);
+  std::vector<Case> cases;
+  cases.push_back({"lollipop", gen::lollipop(5, 4), 0});
+  cases.push_back({"regular", gen::random_regular(16, 3, graph_rng), 0});
+  cases.push_back({"star", gen::star(9), 1});
+  constexpr std::uint64_t kLength = 30;
+  constexpr int kBatches = 100;
+  const std::uint64_t steps[] = {1, 2, 4, 5, 7, 10, 13, 17, 22, kLength};
+
+  std::vector<double> p_values;
+  std::vector<std::string> labels;
+  for (const Case& c : cases) {
+    const MarkovOracle oracle(c.g);
+    for (const unsigned mux : {1u, 4u}) {
+      const std::string label =
+          std::string(c.name) + " mux=" + std::to_string(mux);
+      Network net(c.g, 4100 + mux);
+      ServiceConfig config = tiny_lambda_config(3);
+      config.enable_paths = true;
+      config.mux_width = mux;
+      WalkService service(net, exact_diameter(c.g), config);
+      std::vector<std::vector<std::uint64_t>> counts(
+          std::size(steps), std::vector<std::uint64_t>(c.g.node_count(), 0));
+      std::uint64_t phase1_tokens = 0;
+      for (int batch = 0; batch < kBatches; ++batch) {
+        const BatchReport report = service.serve(std::vector<WalkRequest>(
+            4, WalkRequest{c.source, kLength, 2, true}));
+        for (const RequestResult& r : report.results) {
+          phase1_tokens += r.counters.walks_prepared;
+          for (const std::vector<NodeId>& path : r.paths) {
+            ASSERT_EQ(path.size(), kLength + 1) << label;
+            for (std::size_t i = 0; i < std::size(steps); ++i) {
+              ++counts[i][path[steps[i]]];
+            }
+          }
+        }
+      }
+      const ServiceStats& life = service.lifetime();
+      // At most phase1_tokens segments are Phase-1 walks.
+      EXPECT_GT(life.stitches, 2 * phase1_tokens) << label;
+      EXPECT_GT(life.gmw_records_freed, 0u) << label;
+      for (std::size_t i = 0; i < std::size(steps); ++i) {
+        p_values.push_back(
+            chi_square_test(counts[i],
+                            oracle.distribution_after(c.source, steps[i]))
+                .p_value);
+        labels.push_back(label + " t=" + std::to_string(steps[i]));
+      }
+    }
+  }
+  std::vector<std::size_t> order(p_values.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return p_values[a] < p_values[b];
+  });
+  constexpr double kAlpha = 1e-3;
+  for (std::size_t k = 0; k < order.size(); ++k) {
+    const std::size_t cell = order[k];
+    if (p_values[cell] > kAlpha / static_cast<double>(order.size() - k)) {
+      break;
+    }
+    ADD_FAILURE() << labels[cell] << ": p=" << p_values[cell]
+                  << " rejected under Holm at " << kAlpha;
+  }
+}
+
+// The batch boundary keeps the serving state bounded: no used token
+// survives a flush, a spent generation's records are gone after the next
+// freeing pass, the record count stays within 2x what the previous pass
+// kept plus the slack, and tokens of generations that stayed live still
+// replay to valid walks after a pass.
+TEST(WalkService, BatchBoundaryCompactsTokensAndFreesSpentGenerations) {
+  const Graph g = gen::torus(5, 5);
+  Network net(g, 63);
+  ServiceConfig config = tiny_lambda_config(3);
+  config.enable_paths = true;
+  WalkService service(net, exact_diameter(g), config);
+  const core::StitchEngine& engine = service.engine();
+  const core::TrajectoryStore& trajectories = engine.trajectories();
+
+  const auto generations_in_records = [&trajectories] {
+    std::vector<std::uint32_t> gens;
+    for (const auto& records : trajectories.gmw) {
+      for (const core::GmwRecord& r : records) gens.push_back(r.gen);
+    }
+    std::sort(gens.begin(), gens.end());
+    gens.erase(std::unique(gens.begin(), gens.end()), gens.end());
+    return gens;
+  };
+  const auto unspent_below = [&trajectories](std::uint32_t gen_bound) {
+    std::uint64_t count = 0;
+    for (const auto& records : trajectories.gmw) {
+      for (const core::GmwRecord& r : records) {
+        count += r.gen < gen_bound &&
+                 r.next_slot != core::TrajectoryStore::kSpentSlot;
+      }
+    }
+    return count;
+  };
+
+  std::vector<std::uint32_t> dead_before_pass;
+  int passes = 0;
+  int replayed_after_pass = 0;
+  for (int batch = 0; batch < 120; ++batch) {
+    const std::uint32_t gens_before = trajectories.next_generation;
+    const std::uint64_t older_unspent = unspent_below(gens_before);
+    const BatchReport report = service.serve({
+        WalkRequest{static_cast<NodeId>(batch % 5), 30, 3, true},
+        WalkRequest{12, 30, 3, false},
+    });
+    const std::string label = "batch " + std::to_string(batch);
+
+    std::uint64_t held = 0;
+    for (const auto& tokens : engine.store().held) {
+      for (const core::HeldToken& t : tokens) {
+        EXPECT_FALSE(t.used) << label;
+        ++held;
+      }
+    }
+    EXPECT_EQ(report.held_tokens, held) << label;
+    EXPECT_EQ(report.unused_tokens, held) << label;
+    EXPECT_EQ(report.gmw_records, trajectories.gmw_record_count()) << label;
+    EXPECT_LE(report.gmw_records,
+              2 * trajectories.records_kept +
+                  core::StitchEngine::kGmwRecordSlack)
+        << label;
+
+    if (report.gmw_records_freed > 0) {
+      ++passes;
+      const std::vector<std::uint32_t> present = generations_in_records();
+      for (const std::uint32_t gen : dead_before_pass) {
+        EXPECT_FALSE(std::binary_search(present.begin(), present.end(), gen))
+            << label << ": spent generation " << gen << " kept";
+      }
+    } else if (passes > 0 && unspent_below(gens_before) < older_unspent) {
+      // This batch replayed records of generations that survived a pass.
+      ++replayed_after_pass;
+    }
+    for (const RequestResult& r : report.results) {
+      for (std::size_t w = 0; w < r.paths.size(); ++w) {
+        ASSERT_EQ(r.paths[w].size(), 31u) << label;
+        EXPECT_EQ(r.paths[w].back(), r.destinations[w]) << label;
+        for (std::size_t i = 1; i < r.paths[w].size(); ++i) {
+          EXPECT_TRUE(g.has_edge(r.paths[w][i - 1], r.paths[w][i]))
+              << label << " step " << i;
+        }
+      }
+    }
+    // Generations with records but no held token: the next pass frees them.
+    const std::vector<std::uint32_t> live = engine.store().live_generations();
+    dead_before_pass.clear();
+    for (const std::uint32_t gen : generations_in_records()) {
+      if (!std::binary_search(live.begin(), live.end(), gen)) {
+        dead_before_pass.push_back(gen);
+      }
+    }
+  }
+  EXPECT_GE(passes, 2);
+  EXPECT_GT(replayed_after_pass, 0);
+  EXPECT_EQ(service.lifetime().held_tokens,
+            service.lifetime().unused_tokens);
 }
 
 TEST(WalkService, SubmitValidationAndEmptyFlush) {

@@ -133,6 +133,40 @@ print(f"tree accounting: {stats['lifetime']['tree_builds']} builds + "
       f"{stats['lifetime']['tree_reuses']} reuses == "
       f"{stats['lifetime']['stitches']} stitches")
 PY
+  # Bounded --paths serving state: 400 perfbench-shaped batches (ten
+  # 1024-step requests each; two ask for two walks, one records its path)
+  # served with --paths. After every batch the store holds no used short
+  # walk, and over the run the freeing pass drops spent GET-MORE-WALKS
+  # routing records.
+  python3 - gmw_batches.req <<'PY'
+import random, sys
+rng = random.Random(19)
+with open(sys.argv[1], "w") as f:
+    for _ in range(400):
+        counts = [2, 2] + [1] * 8
+        records = [1] + [0] * 9
+        rng.shuffle(counts)
+        rng.shuffle(records)
+        for count, record in zip(counts, records):
+            f.write(f"{rng.randrange(512)} 1024 {count} {record}\n")
+        f.write("# batch\n")
+PY
+  "$BUILD_DIR/drw" serve --graph=regular:512,4 --seed=2 --threads=1 --paths \
+      --requests=gmw_batches.req --stats-json=stats_gmw.json > /dev/null
+  python3 - stats_gmw.json <<'PY'
+import json, sys
+stats = json.load(open(sys.argv[1]))
+for i, b in enumerate(stats["batches"]):
+    if b["held_tokens"] != b["unused_tokens"]:
+        sys.exit(f"batch {i + 1}: {b['held_tokens']} tokens held but only "
+                 f"{b['unused_tokens']} unused")
+life = stats["lifetime"]
+if life["gmw_records_freed"] == 0:
+    sys.exit("no GET-MORE-WALKS routing record was ever freed")
+print(f"bounded state: {len(stats['batches'])} batches, "
+      f"{life['held_tokens']} tokens held, {life['gmw_records']} records "
+      f"stored, {life['gmw_records_freed']} freed")
+PY
   # Resilience gate: kill -9 a serving subprocess inside the snapshot-commit
   # window and demand a warm restart, plus CRC rejection of bit-flipped and
   # torn snapshots, a smoke of every DRW_FAILPOINTS action

@@ -651,7 +651,11 @@ void append_batch_report(std::ostringstream& out,
       << ",\"mux_groups\":" << r.mux_groups
       << ",\"mux_lanes\":" << r.mux_lanes
       << ",\"mux_conflicts\":" << r.mux_conflicts
-      << ",\"rejected\":" << r.rejected << "}";
+      << ",\"rejected\":" << r.rejected
+      << ",\"held_tokens\":" << r.held_tokens
+      << ",\"unused_tokens\":" << r.unused_tokens
+      << ",\"gmw_records\":" << r.gmw_records
+      << ",\"gmw_records_freed\":" << r.gmw_records_freed << "}";
 }
 
 /// The running server, for the async-signal-safe SIGTERM/SIGINT path.
@@ -874,7 +878,12 @@ int cmd_serve(const Args& args, const CliGraph& cg, std::uint32_t diameter) {
                   << ",\"mux_groups\":" << life.mux_groups
                   << ",\"mux_lanes\":" << life.mux_lanes
                   << ",\"mux_conflicts\":" << life.mux_conflicts
-                  << ",\"rejected\":" << life.rejected << "}";
+                  << ",\"rejected\":" << life.rejected
+                  << ",\"held_tokens\":" << life.held_tokens
+                  << ",\"unused_tokens\":" << life.unused_tokens
+                  << ",\"gmw_records\":" << life.gmw_records
+                  << ",\"gmw_records_freed\":" << life.gmw_records_freed
+                  << "}";
     out << "{\"batches\":[\n" << batches_json.str() << "\n],\n"
         << "\"lifetime\":" << lifetime_json.str() << ",\n"
         << "\"executor\":{\"dispatch_grain\":" << net.dispatch_grain()
