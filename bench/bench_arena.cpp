@@ -6,15 +6,10 @@
 //     the per-edge FIFO, pop straight back out); the fused engine only
 //     pays it on the congested long tail, so this number is the per-token
 //     overhead the rearchitecture removed;
-//   * generic staging (56-byte PendingSend-shaped records) vs the SoA
-//     token columns (24 packed bytes across three u64 columns), each
-//     measured stage -> replay -> inbox delivery, i.e. the full life of a
-//     staged message on either path.
+//   * staging (56-byte PendingSend-shaped records) measured stage ->
+//     replay -> inbox delivery, i.e. the full life of a staged message.
 //
-// Deterministic gate (binds on every host): packing must be lossless --
-// every packable message round-trips bit-identically through PackedToken,
-// and the classifier accepts/rejects exactly on the 32-bit payload
-// boundary. Wall numbers are trajectory-only (BENCH_arena.json, diffed by
+// Wall numbers are trajectory-only (BENCH_arena.json, diffed by
 // tools/bench_diff.py against bench/baselines/BENCH_arena.json).
 #include <chrono>
 #include <cstdint>
@@ -33,7 +28,6 @@ using namespace drw;
 using congest::Delivery;
 using congest::EdgeArena;
 using congest::Message;
-using congest::PackedToken;
 
 constexpr std::uint32_t kEdges = 60000;  ///< n=10^4 deg-6 directed edges
 constexpr std::uint32_t kStaged = 1u << 20;
@@ -46,11 +40,10 @@ double ms_since(Clock::time_point t0) {
       .count();
 }
 
-/// The generic staging record's shape (mirrors the network's private
-/// PendingSend: routing words + the full 48-byte Message).
+/// The staging record's shape (mirrors the network's private PendingSend:
+/// the virtual edge id + the full 48-byte Message).
 struct GenericSend {
   std::uint32_t eid = 0;
-  std::uint32_t tokens_before = 0;
   Message msg;
 };
 
@@ -58,44 +51,6 @@ Message token_message(Rng& rng) {
   return Message{static_cast<std::uint16_t>(1 + rng.next_below(4)),
                  {rng.next_below(kEdges), rng.next_below(1u << 20),
                   rng.next_below(1u << 20), rng.next_below(64)}};
-}
-
-/// Lossless round-trip + classifier boundary check; exits nonzero on any
-/// mismatch (this is the bench's deterministic gate).
-int run_pack_gate() {
-  bench::banner("ARENA-0 packing losslessness",
-                "PackedToken round-trips every packable message "
-                "bit-identically; the classifier rejects any payload word "
-                "with high bits set.");
-  Rng rng(4242);
-  for (int i = 0; i < 10000; ++i) {
-    Message m = token_message(rng);
-    m.lane = static_cast<std::uint16_t>(rng.next_below(8));
-    if (!congest::token_packable(m)) {
-      std::printf("FAIL: packable message rejected\n");
-      return 1;
-    }
-    const std::uint32_t eid =
-        static_cast<std::uint32_t>(rng.next_below(kEdges));
-    const PackedToken t = congest::pack_token(eid, m, m.lane);
-    const Message back = congest::unpack_token(t);
-    if (congest::token_eid(t) != eid || back.type != m.type ||
-        back.lane != m.lane || back.f != m.f) {
-      std::printf("FAIL: pack/unpack round trip diverged\n");
-      return 1;
-    }
-  }
-  for (int word = 0; word < 4; ++word) {
-    Message m;
-    m.type = 1;
-    m.f[word] = std::uint64_t{1} << 32;  // exactly one high bit
-    if (congest::token_packable(m)) {
-      std::printf("FAIL: classifier accepted a 33-bit payload word\n");
-      return 1;
-    }
-  }
-  std::printf("pack/unpack round trip + classifier boundary: OK\n");
-  return 0;
 }
 
 /// Arena push+pop round trips at fixed backlog depth; returns ns/message.
@@ -126,8 +81,8 @@ double time_arena_depth(std::uint32_t depth, std::uint64_t& checksum) {
   return best_ms * 1e6 / msgs;
 }
 
-/// Generic path: stage 56-byte records, then replay them into an inbox of
-/// Delivery values (the pre-SoA transmit data flow). Returns ns/message.
+/// Stage 56-byte records, then replay them into an inbox of Delivery
+/// values (the transmit data flow). Returns ns/message.
 double time_stage_generic(std::uint64_t& checksum) {
   Rng rng(7);
   std::vector<Message> inputs;
@@ -143,7 +98,7 @@ double time_stage_generic(std::uint64_t& checksum) {
     staged.clear();
     for (std::uint32_t i = 0; i < kStaged; ++i) {
       staged.push_back(GenericSend{
-          static_cast<std::uint32_t>(inputs[i].f[0]), 0, inputs[i]});
+          static_cast<std::uint32_t>(inputs[i].f[0]), inputs[i]});
     }
     inbox.clear();
     for (const GenericSend& s : staged) {
@@ -157,78 +112,27 @@ double time_stage_generic(std::uint64_t& checksum) {
   return best_ms * 1e6 / double(kStaged);
 }
 
-/// SoA path: stage the three packed columns, then replay them straight
-/// into Delivery values as the fused engine does. Returns ns/message.
-double time_stage_soa(std::uint64_t& checksum) {
-  Rng rng(7);
-  std::vector<Message> inputs;
-  inputs.reserve(kStaged);
-  for (std::uint32_t i = 0; i < kStaged; ++i) {
-    inputs.push_back(token_message(rng));
-  }
-  std::vector<std::uint64_t> hdr, lo, hi;
-  std::vector<Delivery> inbox;
-  double best_ms = 1e18;
-  for (int rep = 0; rep < kReps; ++rep) {
-    const auto t0 = Clock::now();
-    hdr.clear();
-    lo.clear();
-    hi.clear();
-    for (std::uint32_t i = 0; i < kStaged; ++i) {
-      const PackedToken t = congest::pack_token(
-          static_cast<std::uint32_t>(inputs[i].f[0]), inputs[i], 0);
-      hdr.push_back(t.hdr);
-      lo.push_back(t.lo);
-      hi.push_back(t.hi);
-    }
-    inbox.clear();
-    for (std::uint32_t i = 0; i < kStaged; ++i) {
-      const std::uint64_t h = hdr[i];
-      const std::uint64_t l = lo[i];
-      const std::uint64_t g = hi[i];
-      inbox.push_back(
-          Delivery{Message{static_cast<std::uint16_t>(h >> 16),
-                           {l & 0xffffffffull, l >> 32, g & 0xffffffffull,
-                            g >> 32},
-                           static_cast<std::uint16_t>(h)},
-                   static_cast<std::uint32_t>(h >> 32)});
-      checksum += l >> 32;
-    }
-    const double ms = ms_since(t0);
-    if (ms < best_ms) best_ms = ms;
-  }
-  checksum += inbox.size();
-  return best_ms * 1e6 / double(kStaged);
-}
-
 int run_trajectory(bench::JsonReport& json) {
   bench::banner("ARENA-1 delivery-path throughput",
                 "Per-message cost of the arena FIFO round trip vs the "
-                "staged generic and SoA token paths (best of 5 reps).");
+                "staged send path (best of 5 reps).");
   std::uint64_t checksum = 0;
   const double depth1 = time_arena_depth(1, checksum);
   const double depth8 = time_arena_depth(8, checksum);
   const double generic = time_stage_generic(checksum);
-  const double soa = time_stage_soa(checksum);
 
   bench::Table table({"path", "ns/msg"});
   table.add_row({"arena push+pop depth1", bench::fmt_double(depth1)});
   table.add_row({"arena push+pop depth8", bench::fmt_double(depth8)});
-  table.add_row({"stage+replay generic (56B)", bench::fmt_double(generic)});
-  table.add_row({"stage+replay SoA (24B)", bench::fmt_double(soa)});
+  table.add_row({"stage+replay (56B)", bench::fmt_double(generic)});
   table.print();
-  std::printf("SoA vs generic staging: %.2fx  (checksum %llu)\n",
-              generic / soa, static_cast<unsigned long long>(checksum));
+  std::printf("checksum %llu\n", static_cast<unsigned long long>(checksum));
 
   json.add("arena_push_pop_depth1_ns", depth1);
   json.add("arena_push_pop_depth8_ns", depth8);
   json.add("stage_generic_ns", generic);
-  json.add("stage_soa_ns", soa);
-  json.add("soa_vs_generic_speedup", generic / soa);
   json.add("stage_generic_bytes_per_msg",
            static_cast<std::uint64_t>(sizeof(GenericSend)));
-  json.add("stage_soa_bytes_per_msg",
-           static_cast<std::uint64_t>(sizeof(PackedToken)));
   json.add("edges", static_cast<std::uint64_t>(kEdges));
   json.add("staged_messages", static_cast<std::uint64_t>(kStaged));
   json.add("hw_threads",
@@ -250,21 +154,9 @@ void BM_ArenaPushPopDepth1(benchmark::State& state) {
 }
 BENCHMARK(BM_ArenaPushPopDepth1);
 
-void BM_TokenPackUnpack(benchmark::State& state) {
-  Rng rng(5);
-  const Message m = token_message(rng);
-  for (auto _ : state) {
-    const PackedToken t = congest::pack_token(17, m, 0);
-    benchmark::DoNotOptimize(congest::unpack_token(t));
-  }
-}
-BENCHMARK(BM_TokenPackUnpack);
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int gate_rc = run_pack_gate();
-  if (gate_rc != 0) return gate_rc;
   drw::bench::JsonReport json("arena");
   const int rc = run_trajectory(json);
   json.write();

@@ -347,7 +347,6 @@ void Network::ensure_executor() {
   lanes_.assign(workers_, WorkerLane{});
   staged_.assign(workers_,
                  std::vector<std::vector<PendingSend>>(workers_));
-  token_staged_.assign(workers_, std::vector<TokenColumns>(workers_));
 }
 
 void Network::stage_send(unsigned worker, NodeId from, std::uint32_t slot,
@@ -364,27 +363,13 @@ void Network::stage_send(unsigned worker, NodeId from, std::uint32_t slot,
   }
   const auto eid = static_cast<std::uint32_t>(
       graph_->directed_edge_index(from, slot));
-  const std::uint32_t owner = edge_owner_[eid];
-  WorkerLane& lane = lanes_[worker];
-  std::vector<PendingSend>& bucket = staged_[worker][owner];
-  TokenColumns& tokens = token_staged_[worker][owner];
   const std::uint32_t veid =
       eid + msg_lane * static_cast<std::uint32_t>(
                            graph_->directed_edge_count());
-  if (token_packable(m)) {
-    // Fast path: the dominant fixed-payload walk tokens stage as 24
-    // packed bytes across three columns instead of a 56-byte PendingSend.
-    const PackedToken t = pack_token(veid, m, msg_lane);
-    tokens.hdr.push_back(t.hdr);
-    tokens.lo.push_back(t.lo);
-    tokens.hi.push_back(t.hi);
-    ++lane.token_sends;
-  } else {
-    bucket.push_back(PendingSend{
-        veid, static_cast<std::uint32_t>(tokens.hdr.size()), m});
-    bucket.back().msg.lane = msg_lane;
-  }
-  ++lane.sends;
+  std::vector<PendingSend>& bucket = staged_[worker][edge_owner_[eid]];
+  bucket.push_back(PendingSend{veid, m});
+  bucket.back().msg.lane = msg_lane;
+  ++lanes_[worker].sends;
 }
 
 void Network::stage_wake(unsigned worker, NodeId self) {
@@ -460,24 +445,6 @@ void Network::transmit_phase(unsigned shard) {
     ++sh.transmitted;
   };
 
-  // Token deliveries build the Delivery straight from the packed columns
-  // -- no intermediate Message on the stack. Field values are exactly
-  // unpack_token's, so the shortcut is invisible to protocols.
-  const auto deliver_token = [&](std::uint32_t base_eid, std::uint64_t hdr,
-                                 std::uint64_t lo, std::uint64_t hi) {
-    const std::uint64_t ep = edge_endpoints_[base_eid];
-    const auto to = static_cast<NodeId>(ep & 0xffffffffu);
-    std::vector<Delivery>& in = inbox_[to];
-    if (in.empty()) sh.delivered.push_back(to);
-    in.push_back(
-        Delivery{Message{static_cast<std::uint16_t>(hdr >> 16),
-                         {lo & 0xffffffffull, lo >> 32,
-                          hi & 0xffffffffull, hi >> 32},
-                         static_cast<std::uint16_t>(hdr)},
-                 static_cast<NodeId>(ep >> 32)});
-    ++sh.transmitted;
-  };
-
   // Pass A -- drain the backlog front.
   sh.delivered.clear();
   for (const std::uint32_t eid : sh.busy) {
@@ -490,13 +457,10 @@ void Network::transmit_phase(unsigned shard) {
   // node order. Worker w ran exactly shard w's nodes in ascending order,
   // and shards are ascending node ranges, so replaying the buckets in
   // ascending worker order reconstructs the global ascending-node send
-  // order at every thread count. Within a bucket, the generic entries'
-  // stage-time token counters splice the token columns back at their exact
-  // staging positions.
+  // order at every thread count.
   bool staged_any = false;
   for (unsigned w = 0; w < workers_ && !staged_any; ++w) {
-    staged_any = !staged_[w][shard].empty() ||
-                 !token_staged_[w][shard].hdr.empty();
+    staged_any = !staged_[w][shard].empty();
   }
   if (staged_any) {
     // Thin rounds (nothing staged for this shard) skip the merge timer:
@@ -526,42 +490,10 @@ void Network::transmit_phase(unsigned shard) {
         if (depth > round_max) round_max = depth;
       }
     };
-    // Token flavor of emit: only the congested-tail arena push pays for a
-    // Message reconstruction.
-    const auto emit_token = [&](std::uint64_t hdr, std::uint64_t lo,
-                                std::uint64_t hi) {
-      const auto eid = static_cast<std::uint32_t>(hdr >> 32);
-      const std::uint64_t mark = edge_mark_[eid];
-      if (mark != busy_tag && mark != fresh_tag) {
-        edge_mark_[eid] = fresh_tag;
-        sh.fresh_scratch.push_back(eid);
-        deliver_token(
-            eid - static_cast<std::uint32_t>(hdr & 0xffffu) * edges, hdr,
-            lo, hi);
-      } else {
-        const std::uint32_t depth =
-            arena_.push(shard, eid, unpack_token(PackedToken{hdr, lo, hi})) +
-            1;
-        if (depth > round_max) round_max = depth;
-      }
-    };
     for (unsigned w = 0; w < workers_; ++w) {
       std::vector<PendingSend>& bucket = staged_[w][shard];
-      TokenColumns& tok = token_staged_[w][shard];
-      std::size_t t = 0;
-      for (const PendingSend& ps : bucket) {
-        for (; t < ps.tokens_before; ++t) {
-          emit_token(tok.hdr[t], tok.lo[t], tok.hi[t]);
-        }
-        emit(ps.eid, ps.msg);
-      }
-      for (; t < tok.hdr.size(); ++t) {
-        emit_token(tok.hdr[t], tok.lo[t], tok.hi[t]);
-      }
+      for (const PendingSend& ps : bucket) emit(ps.eid, ps.msg);
       bucket.clear();
-      tok.hdr.clear();
-      tok.lo.clear();
-      tok.hi.clear();
     }
     if (round_max > sh.max_backlog) sh.max_backlog = round_max;
     lanes_[shard].merge_ns += ns_since(merge_start);
@@ -635,13 +567,7 @@ void Network::reset_transients(bool aborted) {
   }
   // Sends staged in a final done()-stopped compute were never merged.
   for (unsigned w = 0; w < workers_; ++w) {
-    for (unsigned o = 0; o < workers_; ++o) {
-      staged_[w][o].clear();
-      TokenColumns& tok = token_staged_[w][o];
-      tok.hdr.clear();
-      tok.lo.clear();
-      tok.hi.clear();
-    }
+    for (unsigned o = 0; o < workers_; ++o) staged_[w][o].clear();
   }
   if (aborted) {
     // A protocol that threw mid-compute leaves inboxes of active nodes it
@@ -707,10 +633,7 @@ RunStats Network::run_with_lanes(Protocol& protocol, unsigned lanes,
     sh.max_backlog = 0;
     sh.transmitted = 0;
   }
-  for (WorkerLane& lane : lanes_) {
-    lane.token_sends = 0;
-    lane.merge_ns = 0.0;
-  }
+  for (WorkerLane& lane : lanes_) lane.merge_ns = 0.0;
   running_ = &protocol;
   protocol.on_run_start(workers_);
   try {
@@ -726,10 +649,7 @@ RunStats Network::run_with_lanes(Protocol& protocol, unsigned lanes,
   running_ = nullptr;
 
   double merge_ns = 0.0;
-  for (const WorkerLane& lane : lanes_) {
-    stats.token_sends += lane.token_sends;
-    merge_ns += lane.merge_ns;
-  }
+  for (const WorkerLane& lane : lanes_) merge_ns += lane.merge_ns;
   stats.merge_ms = merge_ns / 1e6;
   for (const Shard& sh : shards_) {
     stats.max_backlog = stats.max_backlog > sh.max_backlog
@@ -748,7 +668,6 @@ RunStats Network::run_with_lanes(Protocol& protocol, unsigned lanes,
     reg.counter("executor.runs").add(1);
     reg.counter("executor.rounds").add(stats.rounds);
     reg.counter("executor.messages").add(stats.messages);
-    reg.counter("executor.token_sends").add(stats.token_sends);
     reg.gauge("executor.threads").set(double(workers_));
     reg.histogram("arena.backlog_run_max").record(stats.max_backlog);
   }

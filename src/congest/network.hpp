@@ -97,10 +97,6 @@ struct RunStats {
   /// exceed transmit_ms x 1; it attributes how much of transmit is merge
   /// work rather than delivery work).
   double merge_ms = 0.0;
-  /// Sends that took the packed structure-of-arrays token fast path (see
-  /// message.hpp PackedToken) instead of the generic PendingSend staging.
-  /// Purely an attribution counter: routing is invisible to protocols.
-  std::uint64_t token_sends = 0;
   /// Widest executor width CONFIGURED among accumulated runs. Rounds whose
   /// per-phase work falls below the parallel grain still execute inline on
   /// the driver thread regardless of this width.
@@ -115,7 +111,6 @@ struct RunStats {
     compute_ms += other.compute_ms;
     transmit_ms += other.transmit_ms;
     merge_ms += other.merge_ms;
-    token_sends += other.token_sends;
     threads = threads > other.threads ? threads : other.threads;
     return *this;
   }
@@ -134,8 +129,6 @@ struct RunStats {
                       ? transmit_ms - earlier.transmit_ms : 0.0;
     merge_ms = merge_ms > earlier.merge_ms ? merge_ms - earlier.merge_ms
                                            : 0.0;
-    token_sends = token_sends > earlier.token_sends
-                      ? token_sends - earlier.token_sends : 0;
     return *this;
   }
   friend RunStats operator-(RunStats later, const RunStats& earlier) noexcept {
@@ -283,31 +276,15 @@ class Network {
   friend class Context;
   struct WorkerPool;
 
-  /// A staged GENERIC send: resolved VIRTUAL edge id (directed edge x
-  /// lane) + payload, buffered thread-locally during the compute phase and
-  /// replayed by the owner shard. Lane regions are contiguous
-  /// (lane * E + eid), so each lane's queue index block is as cache-dense
-  /// as a solo run and the base edge recovers with one multiply-subtract
-  /// from the message's own lane tag. The dominant packable walk tokens
-  /// bypass this 56-byte record entirely (see TokenColumns below);
-  /// `tokens_before` records how many of the bucket's tokens were staged
-  /// before this entry, so the replay can reconstruct the exact staging
-  /// interleave of the two streams.
+  /// A staged send, the one staging record: resolved VIRTUAL edge id
+  /// (directed edge x lane) + payload, buffered thread-locally during the
+  /// compute phase and replayed in staging order by the owner shard. Lane
+  /// regions are contiguous (lane * E + eid), so each lane's queue index
+  /// block is as cache-dense as a solo run and the base edge recovers with
+  /// one multiply-subtract from the message's own lane tag.
   struct PendingSend {
     std::uint32_t eid = 0;  ///< msg.lane * directed_edge_count + base_eid
-    std::uint32_t tokens_before = 0;  ///< token-column size at stage time
     Message msg;
-  };
-
-  /// Structure-of-arrays staging for packable token sends: one
-  /// (worker, owner) bucket holds three parallel u64 columns (see
-  /// message.hpp PackedToken for the lane/eid/payload packing). 24 bytes
-  /// per send vs PendingSend's 56, and the replay loop streams three
-  /// dense arrays instead of striding over embedded Message payloads.
-  struct TokenColumns {
-    std::vector<std::uint64_t> hdr;
-    std::vector<std::uint64_t> lo;
-    std::vector<std::uint64_t> hi;
   };
 
   /// Per-shard executor working set, touched only by the shard's own
@@ -334,12 +311,11 @@ class Network {
 
   /// Per-worker hot counters, cache-line separated so concurrent workers
   /// do not false-share. deliveries/sends/wakes are per round (driver
-  /// resets), token_sends/merge_ns accumulate per run.
+  /// resets), merge_ns accumulates per run.
   struct alignas(64) WorkerLane {
     std::uint64_t deliveries = 0;
     std::uint64_t sends = 0;
     std::uint64_t wakes = 0;
-    std::uint64_t token_sends = 0;
     double merge_ns = 0.0;
   };
 
@@ -399,10 +375,9 @@ class Network {
   EdgeArena arena_;
   std::vector<Shard> shards_;
   std::vector<WorkerLane> lanes_;
-  /// staged_[worker][owner_shard]: generic sends buffered during compute,
-  /// with the packed token columns alongside.
+  /// staged_[worker][owner_shard]: every send buffered during compute, in
+  /// the worker's (ascending-node) staging order.
   std::vector<std::vector<std::vector<PendingSend>>> staged_;
-  std::vector<std::vector<TokenColumns>> token_staged_;
   /// Per-shard (1 + degree) weight: round 0's dispatch work, when every
   /// node is active with an empty inbox (init work is typically
   /// degree-proportional). Rebuilt with the partition.

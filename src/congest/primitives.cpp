@@ -245,44 +245,6 @@ void PipelinedListUpcast::on_round(Context& ctx) {
   pump(ctx);
 }
 
-// -------------------------------------------------------------- token walks
-
-TokenWalkProtocol::TokenWalkProtocol(
-    const Graph& g, std::vector<std::vector<WalkToken>> initial_tokens)
-    : initial_(std::move(initial_tokens)) {
-  if (initial_.size() != g.node_count()) {
-    throw std::invalid_argument("TokenWalkProtocol: size mismatch");
-  }
-  stored_.resize(g.node_count());
-}
-
-void TokenWalkProtocol::route(Context& ctx, const WalkToken& token) {
-  if (token.remaining == 0) {
-    stored_[ctx.self()].push_back(StoredToken{token.source, token.total_len});
-    return;
-  }
-  const auto slot = static_cast<std::uint32_t>(
-      ctx.rng().next_below(ctx.degree()));
-  ctx.send(slot, Message{kToken,
-                         {token.source, token.remaining - 1u,
-                          token.total_len, 0}});
-}
-
-void TokenWalkProtocol::on_round(Context& ctx) {
-  const NodeId v = ctx.self();
-  if (ctx.round() == 0) {
-    for (const WalkToken& token : initial_[v]) route(ctx, token);
-    initial_[v].clear();
-    return;
-  }
-  for (const Delivery& d : ctx.inbox()) {
-    if (d.msg.type != kToken) continue;
-    route(ctx, WalkToken{static_cast<NodeId>(d.msg.f[0]),
-                         static_cast<std::uint32_t>(d.msg.f[1]),
-                         static_cast<std::uint32_t>(d.msg.f[2])});
-  }
-}
-
 // ------------------------------------------------------------------ drivers
 
 BfsTree build_bfs_tree(Network& net, NodeId root, RunStats& stats) {

@@ -6,8 +6,8 @@
 //   * BroadcastProtocol     -- root-to-all dissemination over a BFS tree
 //   * ConvergecastSum       -- aggregate a per-node word up the tree
 //   * PipelinedVectorUpcast -- aggregate a K-vector up the tree, O(D + K)
-//   * TokenWalkProtocol     -- many simultaneous random-walk tokens with
-//                              emergent congestion (Phase 1 of Algorithm 1)
+//   * PipelinedListUpcast   -- stream per-node record lists to the root,
+//                              O(D + total records)
 //
 // These correspond to the standard CONGEST toolbox the paper builds on
 // ("constructing a BFS tree clearly takes O(D) rounds", "the standard upcast
@@ -187,47 +187,6 @@ class PipelinedListUpcast final : public Protocol {
   const BfsTree* tree_;
   std::vector<std::vector<Record>> queue_;
   std::vector<std::size_t> next_send_;
-};
-
-/// A short-walk token in flight: walk from `source`, `remaining` hops to go,
-/// `total_len` the walk's full length (carried so the destination learns it).
-struct WalkToken {
-  NodeId source = kInvalidNode;
-  std::uint32_t remaining = 0;
-  std::uint32_t total_len = 0;
-};
-
-/// A walk endpoint stored at its destination node.
-struct StoredToken {
-  NodeId source = kInvalidNode;
-  std::uint32_t length = 0;
-};
-
-/// Moves every initial token along an independent random walk, one hop per
-/// delivered message, decrementing `remaining`; a token with remaining == 0
-/// is stored at the current node. One message carries one token, so edge
-/// congestion is real and the protocol's round count exhibits the
-/// O(lambda * eta * log n) behaviour of Lemma 2.1.
-class TokenWalkProtocol final : public Protocol {
- public:
-  TokenWalkProtocol(const Graph& g,
-                    std::vector<std::vector<WalkToken>> initial_tokens);
-  void on_round(Context& ctx) override;
-
-  /// Tokens stored at each node after quiescence (destination-side record:
-  /// "only the destination of each of these walks is aware of its source").
-  const std::vector<std::vector<StoredToken>>& stored() const {
-    return stored_;
-  }
-  std::vector<std::vector<StoredToken>> take_stored() {
-    return std::move(stored_);
-  }
-
- private:
-  enum MsgType : std::uint16_t { kToken = 1 };
-  void route(Context& ctx, const WalkToken& token);
-  std::vector<std::vector<WalkToken>> initial_;
-  std::vector<std::vector<StoredToken>> stored_;
 };
 
 /// Driver helper: builds a BFS tree rooted at `root`, accumulating rounds

@@ -225,7 +225,8 @@ StitchEngine::StoreFootprint StitchEngine::compact_store() {
   if (footprint.gmw_records >=
       2 * trajectories_.records_kept + kGmwRecordSlack) {
     footprint.gmw_records_freed =
-        trajectories_.drop_spent(store_.live_generations());
+        trajectories_.drop_spent(
+            store_.live_generations(trajectories_.next_generation));
     footprint.gmw_records = trajectories_.records_kept;
   }
   return footprint;

@@ -62,17 +62,20 @@ struct WalkStore {
     }
   }
 
-  /// Ascending ids of the GET-MORE-WALKS generations that still have a
-  /// held token: the only generations whose records can yet be replayed.
-  std::vector<std::uint32_t> live_generations() const {
-    std::vector<std::uint32_t> live;
+  /// One flag per GET-MORE-WALKS generation id in [0, generations)
+  /// (TrajectoryStore::next_generation): 1 iff the generation still has a
+  /// held token, i.e. its records can yet be replayed. Ids are dense, so
+  /// freeing indexes this instead of searching a sorted list.
+  std::vector<std::uint8_t> live_generations(
+      std::uint32_t generations) const {
+    std::vector<std::uint8_t> live(generations, 0);
     for (const auto& tokens : held) {
       for (const HeldToken& t : tokens) {
-        if (t.kind == WalkKind::kGetMore) live.push_back(t.seq);
+        if (t.kind != WalkKind::kGetMore) continue;
+        if (t.seq >= live.size()) live.resize(t.seq + std::size_t{1}, 0);
+        live[t.seq] = 1;
       }
     }
-    std::sort(live.begin(), live.end());
-    live.erase(std::unique(live.begin(), live.end()), live.end());
     return live;
   }
 };
@@ -180,16 +183,20 @@ struct TrajectoryStore {
     return total;
   }
 
-  /// Drops the spent records and every record of a generation not in
-  /// `live` (ascending), keeping the rest in order; sets records_kept and
-  /// returns the number dropped.
-  std::uint64_t drop_spent(std::span<const std::uint32_t> live) {
+  /// True iff generation `gen` is flagged in `live` (live_generations).
+  static bool is_live(std::span<const std::uint8_t> live, std::uint32_t gen) {
+    return gen < live.size() && live[gen] != 0;
+  }
+
+  /// Drops the spent records and every record of a generation `live` does
+  /// not flag, keeping the rest in order; sets records_kept and returns the
+  /// number dropped.
+  std::uint64_t drop_spent(std::span<const std::uint8_t> live) {
     std::uint64_t dropped = 0;
     records_kept = 0;
     for (auto& records : gmw) {
       dropped += std::erase_if(records, [live](const GmwRecord& r) {
-        return r.next_slot == kSpentSlot ||
-               !std::binary_search(live.begin(), live.end(), r.gen);
+        return r.next_slot == kSpentSlot || !is_live(live, r.gen);
       });
       records_kept += records.size();
     }

@@ -137,14 +137,14 @@ void read_forward_side(Reader& r,
 // concurrent runs appended in never reach the file, so its bytes are a
 // function of the state a replay can observe.
 void write_gmw_side(Writer& w, const core::TrajectoryStore& trajectories,
-                    const std::vector<std::uint32_t>& live) {
+                    const std::vector<std::uint8_t>& live) {
   w.u32(trajectories.next_generation);
   std::vector<core::GmwRecord> kept;
   for (const auto& records : trajectories.gmw) {
     kept.clear();
     for (const core::GmwRecord& rec : records) {
       if (rec.next_slot != core::TrajectoryStore::kSpentSlot &&
-          std::binary_search(live.begin(), live.end(), rec.gen)) {
+          core::TrajectoryStore::is_live(live, rec.gen)) {
         kept.push_back(rec);
       }
     }
@@ -260,7 +260,8 @@ std::vector<std::uint8_t> encode_payload(const ServiceSnapshot& snap) {
   }
   write_forward_side(w, snap.engine.trajectories.forward);
   write_gmw_side(w, snap.engine.trajectories,
-                 snap.engine.store.live_generations());
+                 snap.engine.store.live_generations(
+                     snap.engine.trajectories.next_generation));
   write_root_bitset(w, n, snap.tree_roots);
   return std::move(w.bytes);
 }

@@ -2,8 +2,8 @@
 // the arena through full protocol runs): FIFO order across chunk
 // boundaries, the depth returned by push (1 == edge was idle), interleaved
 // push/pop with head and tail in different chunks, per-lane virtual-edge
-// isolation, chunk recycling through the free list, clear_queue/all_empty,
-// and the PackedToken round-trip at the packability boundary.
+// isolation, chunk recycling through the free list and
+// clear_queue/all_empty.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -165,32 +165,6 @@ TEST(EdgeArena, ResetDropsAllStateForNewGeometry) {
   EXPECT_EQ(arena.size(0), 0u);
   EXPECT_EQ(arena.push(0, 1, msg(9)), 1u);
   expect_msg_eq(arena.pop(0, 1), msg(9), 9);
-}
-
-// PackedToken round-trip at the packability boundary: 2^32 - 1 in every
-// payload word packs losslessly (type, lane, f and the routing eid all
-// survive); a single bit at 2^32 in any word must fail the classifier --
-// such messages take the generic path, so packing them is out of contract.
-TEST(EdgeArena, PackedTokenRoundTripsAtThePackabilityBoundary) {
-  const std::uint32_t eid = 0xfeedbeefu;
-  Message m;
-  m.type = 0x7a5b;
-  m.f = {0xffffffffull, 0, 0x12345678ull, 0xffffffffull};
-  const std::uint16_t lane = 0x9c3d;
-  ASSERT_TRUE(token_packable(m));
-
-  const PackedToken t = pack_token(eid, m, lane);
-  EXPECT_EQ(token_eid(t), eid);
-  const Message back = unpack_token(t);
-  EXPECT_EQ(back.type, m.type);
-  EXPECT_EQ(back.f, m.f);
-  EXPECT_EQ(back.lane, lane);  // the network stamps the lane at pack time
-
-  for (int word = 0; word < 4; ++word) {
-    Message wide = m;
-    wide.f[static_cast<std::size_t>(word)] = 1ull << 32;
-    EXPECT_FALSE(token_packable(wide)) << "word " << word;
-  }
 }
 
 }  // namespace

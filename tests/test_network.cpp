@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <string>
 #include <vector>
 
+#include "congest/mux.hpp"
 #include "graph/generators.hpp"
 
 namespace drw::congest {
@@ -289,6 +292,87 @@ TEST(Network, DeliveryIdentifiesSender) {
   int total = 0;
   for (const int c : protocol.checked_) total += c;
   EXPECT_EQ(total, 8);
+}
+
+/// Payload words on both sides of the 32-bit boundary.
+constexpr std::array<std::uint64_t, 4> kWideWords = {
+    0, 0xffffffffull, 0x100000000ull, ~0ull};
+constexpr std::uint32_t kBurst = 4;  ///< messages per edge per lane
+
+/// Message k of a node's burst: rotation k of kWideWords, with the sender,
+/// lane and k encoded in the type so the receiver can check all three.
+Message wide_message(NodeId from, unsigned lane, std::uint32_t k) {
+  Message m;
+  m.type = static_cast<std::uint16_t>(((from + 1) << 8) | (lane << 4) | k);
+  for (std::size_t i = 0; i < m.f.size(); ++i) {
+    m.f[i] = kWideWords[(i + k) % kWideWords.size()];
+  }
+  return m;
+}
+
+/// Round 0: every node sends kBurst wide messages on every edge, so all but
+/// the first per edge wait in the arena. Receivers record every delivery.
+class WideBurst final : public Protocol {
+ public:
+  WideBurst(std::size_t n, unsigned lane) : lane_(lane), received_(n) {}
+  void on_round(Context& ctx) override {
+    if (ctx.round() == 0) {
+      for (std::uint32_t slot = 0; slot < ctx.degree(); ++slot) {
+        for (std::uint32_t k = 0; k < kBurst; ++k) {
+          ctx.send(slot, wide_message(ctx.self(), lane_, k));
+        }
+      }
+      return;
+    }
+    for (const Delivery& d : ctx.inbox()) received_[ctx.self()].push_back(d);
+  }
+
+  /// Every node got each neighbor's burst, in order, bit-exact.
+  void expect_bursts_exact(const Graph& g) const {
+    for (NodeId v = 0; v < g.node_count(); ++v) {
+      ASSERT_EQ(received_[v].size(), g.degree(v) * kBurst) << "node " << v;
+      std::vector<std::uint32_t> next(g.degree(v), 0);
+      for (const Delivery& d : received_[v]) {
+        const std::uint32_t slot = g.slot_of(v, d.from);
+        ASSERT_LT(slot, g.degree(v)) << "node " << v;
+        const Message want = wide_message(d.from, lane_, next[slot]++);
+        EXPECT_EQ(d.msg.type, want.type) << "node " << v;
+        EXPECT_EQ(d.msg.f, want.f) << "node " << v;
+        EXPECT_EQ(d.msg.lane, lane_) << "node " << v;
+      }
+    }
+  }
+
+ private:
+  unsigned lane_;
+  std::vector<std::vector<Delivery>> received_;
+};
+
+// Payload words >= 2^32 survive staging, the direct first delivery and the
+// arena backlog unchanged, solo and on four mux lanes, at 1 and 4 threads.
+TEST(Network, WidePayloadWordsArriveBitExact) {
+  const Graph g = gen::grid(6, 6);
+  const std::uint64_t per_lane = g.directed_edge_count() * kBurst;
+  constexpr unsigned kLanes = 4;
+  for (const unsigned threads : {1u, 4u}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    Network net(g, 5);
+    net.set_threads(threads);
+
+    WideBurst solo(g.node_count(), 0);
+    EXPECT_EQ(net.run(solo).messages, per_lane);
+    solo.expect_bursts_exact(g);
+
+    ProtocolMux mux(g.node_count());
+    std::vector<WideBurst> lanes;
+    lanes.reserve(kLanes);
+    for (unsigned l = 0; l < kLanes; ++l) {
+      lanes.emplace_back(g.node_count(), l);
+      mux.add_lane(lanes.back(), nullptr);
+    }
+    EXPECT_EQ(net.run_multiplexed(mux, kLanes).messages, kLanes * per_lane);
+    for (const WideBurst& lane : lanes) lane.expect_bursts_exact(g);
+  }
 }
 
 }  // namespace

@@ -7,8 +7,6 @@
 
 #include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
-#include "graph/markov.hpp"
-#include "util/stats.hpp"
 
 namespace drw::congest {
 namespace {
@@ -268,82 +266,6 @@ TEST(PipelinedListUpcast, EmptyRecordsQuiesceImmediately) {
   const RunStats cstats = net.run(collect);
   EXPECT_TRUE(collect.root_records().empty());
   EXPECT_EQ(cstats.rounds, 0u);
-}
-
-TEST(TokenWalk, EndpointsCountMatchesTokens) {
-  Rng rng(19);
-  const Graph g = gen::erdos_renyi_connected(30, 0.15, rng);
-  Network net(g, 23);
-  std::vector<std::vector<WalkToken>> initial(g.node_count());
-  std::size_t total = 0;
-  for (NodeId v = 0; v < g.node_count(); ++v) {
-    for (std::uint32_t i = 0; i <= v % 3; ++i) {
-      initial[v].push_back(WalkToken{v, 5, 5});
-      ++total;
-    }
-  }
-  TokenWalkProtocol protocol(g, initial);
-  net.run(protocol);
-  std::size_t stored = 0;
-  for (const auto& tokens : protocol.stored()) {
-    for (const StoredToken& t : tokens) {
-      EXPECT_EQ(t.length, 5u);
-      stored += 1;
-    }
-  }
-  EXPECT_EQ(stored, total);
-}
-
-TEST(TokenWalk, ZeroLengthTokenStaysAtSource) {
-  const Graph g = gen::cycle(4);
-  Network net(g, 29);
-  std::vector<std::vector<WalkToken>> initial(g.node_count());
-  initial[2].push_back(WalkToken{2, 0, 0});
-  TokenWalkProtocol protocol(g, initial);
-  const RunStats stats = net.run(protocol);
-  EXPECT_EQ(protocol.stored()[2].size(), 1u);
-  EXPECT_EQ(stats.messages, 0u);
-}
-
-TEST(TokenWalk, SingleTokenEndpointMatchesOracleDistribution) {
-  // A single token of length l is a plain random walk; its endpoint must be
-  // distributed as P^l e_s.
-  const Graph g = gen::lollipop(4, 3);
-  const MarkovOracle oracle(g);
-  const std::uint64_t l = 6;
-  const auto expected = oracle.distribution_after(0, l);
-
-  std::vector<std::uint64_t> counts(g.node_count(), 0);
-  const int runs = 4000;
-  for (int r = 0; r < runs; ++r) {
-    Network net(g, 1000 + r);
-    std::vector<std::vector<WalkToken>> initial(g.node_count());
-    initial[0].push_back(
-        WalkToken{0, static_cast<std::uint32_t>(l),
-                  static_cast<std::uint32_t>(l)});
-    TokenWalkProtocol protocol(g, initial);
-    net.run(protocol);
-    for (NodeId v = 0; v < g.node_count(); ++v) {
-      if (!protocol.stored()[v].empty()) ++counts[v];
-    }
-  }
-  const auto result = chi_square_test(counts, expected);
-  EXPECT_GT(result.p_value, 1e-4) << "chi2=" << result.statistic;
-}
-
-TEST(TokenWalk, ManyTokensCongestCost) {
-  // q tokens crossing one bridge edge must serialize: rounds >= q.
-  const Graph g = gen::path(2);
-  Network net(g, 31);
-  std::vector<std::vector<WalkToken>> initial(g.node_count());
-  const std::uint32_t q = 25;
-  for (std::uint32_t i = 0; i < q; ++i) {
-    initial[0].push_back(WalkToken{0, 1, 1});
-  }
-  TokenWalkProtocol protocol(g, initial);
-  const RunStats stats = net.run(protocol);
-  EXPECT_EQ(protocol.stored()[1].size(), q);
-  EXPECT_GE(stats.rounds, q);
 }
 
 }  // namespace

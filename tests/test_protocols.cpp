@@ -7,6 +7,7 @@
 #include "congest/mux.hpp"
 #include "congest/primitives.hpp"
 #include "graph/generators.hpp"
+#include "graph/markov.hpp"
 #include "util/stats.hpp"
 #include "walk_test_utils.hpp"
 
@@ -74,6 +75,53 @@ TEST(ShortWalkPhase, TrajectoriesReplayToTheStoredEndpoint) {
   // The endpoint has no outgoing record: that is where the replay stops.
   EXPECT_EQ(traj.find_forward(at, TrajectoryStore::key(0, 0), length),
             nullptr);
+}
+
+TEST(ShortWalkPhase, ZeroLengthWalkStaysAtItsOrigin) {
+  const Graph g = gen::cycle(4);
+  Network net(g, 29);
+  WalkStore store(g.node_count());
+  ShortWalkPhaseProtocol protocol(g, {{2, 0, 0}}, store, nullptr);
+  const RunStats stats = net.run(protocol);
+  EXPECT_EQ(store.held[2].size(), 1u);
+  EXPECT_EQ(stats.messages, 0u);
+}
+
+TEST(ShortWalkPhase, SingleWalkEndpointMatchesOracleDistribution) {
+  // A single short walk of length l is a plain random walk; its endpoint
+  // must be distributed as P^l e_s.
+  const Graph g = gen::lollipop(4, 3);
+  const MarkovOracle oracle(g);
+  const std::uint32_t l = 6;
+  const auto expected = oracle.distribution_after(0, l);
+
+  std::vector<std::uint64_t> counts(g.node_count(), 0);
+  for (int r = 0; r < 4000; ++r) {
+    Network net(g, 1000 + r);
+    WalkStore store(g.node_count());
+    ShortWalkPhaseProtocol protocol(g, {{0, 0, l}}, store, nullptr);
+    net.run(protocol);
+    for (NodeId v = 0; v < g.node_count(); ++v) {
+      if (!store.held[v].empty()) ++counts[v];
+    }
+  }
+  const auto result = chi_square_test(counts, expected);
+  EXPECT_GT(result.p_value, 1e-4) << "chi2=" << result.statistic;
+}
+
+TEST(ShortWalkPhase, WalksCrossingOneEdgeSerialize) {
+  // q one-hop walks over a single edge pay one round each (Lemma 2.1's
+  // congestion is emergent): rounds >= q.
+  const Graph g = gen::path(2);
+  Network net(g, 31);
+  WalkStore store(g.node_count());
+  const std::uint32_t q = 25;
+  std::vector<ShortWalkPhaseProtocol::Job> jobs;
+  for (std::uint32_t i = 0; i < q; ++i) jobs.push_back({0, i, 1});
+  ShortWalkPhaseProtocol protocol(g, jobs, store, nullptr);
+  const RunStats stats = net.run(protocol);
+  EXPECT_EQ(store.held[1].size(), q);
+  EXPECT_GE(stats.rounds, q);
 }
 
 TEST(GetMoreWalks, StoresExactlyCountWalks) {
@@ -203,8 +251,9 @@ TEST(GetMoreWalks, InterleavedGenerationsReplayToTheirSources) {
       EXPECT_EQ(r.next_slot == TrajectoryStore::kSpentSlot, r.hop > 0);
     }
   }
-  const std::vector<std::uint32_t> live = store.live_generations();
-  EXPECT_EQ(live, (std::vector<std::uint32_t>{0, 1}));
+  const std::vector<std::uint8_t> live =
+      store.live_generations(traj.next_generation);
+  EXPECT_EQ(live, (std::vector<std::uint8_t>{1, 1}));
   // Freeing keeps the live generations' unspent records (one hop-0 record
   // per token) and drops the rest once neither generation is held.
   const std::uint64_t stored = traj.gmw_record_count();

@@ -363,10 +363,11 @@ TEST(WalkService, BatchBoundaryCompactsTokensAndFreesSpentGenerations) {
       }
     }
     // Generations with records but no held token: the next pass frees them.
-    const std::vector<std::uint32_t> live = engine.store().live_generations();
+    const std::vector<std::uint8_t> live =
+        engine.store().live_generations(trajectories.next_generation);
     dead_before_pass.clear();
     for (const std::uint32_t gen : generations_in_records()) {
-      if (!std::binary_search(live.begin(), live.end(), gen)) {
+      if (!core::TrajectoryStore::is_live(live, gen)) {
         dead_before_pass.push_back(gen);
       }
     }

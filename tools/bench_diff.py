@@ -216,7 +216,7 @@ def self_test() -> int:
 
     # New (e.g. obs_*) keys on the current side must never fail the diff.
     code, out = diff(base, {**base, "obs_round_wall_us_p99": 512,
-                            "obs_token_sends": 3},
+                            "obs_executor_runs": 3},
                      fail_on_regression=True)
     check("unknown new keys pass", code == 0 and "new fields" in out,
           f"code={code}")

@@ -94,10 +94,8 @@ if [[ "${DRW_BENCH:-0}" == "1" ]]; then
   # sequential stitching >=1.5x wall-clock at 8 threads (same self-skip
   # ladder), with mux results bit-identical to the serial schedule.
   "$BUILD_DIR/bench_mux"
-  # bench_arena gates the transmit fast path's packing losslessness
-  # (PackedToken round trips bit-identically, the classifier binds on the
-  # 32-bit payload boundary) and records the arena / generic / SoA
-  # per-message costs into BENCH_arena.json for the trajectory diff.
+  # bench_arena records the arena push+pop and staged-send per-message
+  # costs into BENCH_arena.json for the trajectory diff (no gate).
   "$BUILD_DIR/bench_arena" --benchmark_min_time=1x
   # bench_serve_latency gates the admission front end: under a hot-key
   # flood, deficit-round-robin admission must hold the light class's p99
@@ -137,7 +135,10 @@ PY
   # 1024-step requests each; two ask for two walks, one records its path)
   # served with --paths. After every batch the store holds no used short
   # walk, and over the run the freeing pass drops spent GET-MORE-WALKS
-  # routing records.
+  # routing records. The same batches served at four threads (with every
+  # round dispatched to the pool) must print byte-identical results (the
+  # executor timing and stats-file lines aside): the owner shards replay
+  # every worker's staged sends in canonical order.
   python3 - gmw_batches.req <<'PY'
 import random, sys
 rng = random.Random(19)
@@ -152,7 +153,13 @@ with open(sys.argv[1], "w") as f:
         f.write("# batch\n")
 PY
   "$BUILD_DIR/drw" serve --graph=regular:512,4 --seed=2 --threads=1 --paths \
-      --requests=gmw_batches.req --stats-json=stats_gmw.json > /dev/null
+      --requests=gmw_batches.req --stats-json=stats_gmw.json \
+      --print-results > gmw_t1.out
+  DRW_PARALLEL_GRAIN=1 "$BUILD_DIR/drw" serve --graph=regular:512,4 --seed=2 \
+      --threads=4 --paths --requests=gmw_batches.req --print-results \
+      > gmw_t4.out
+  diff <(grep -Ev '^(executor|stats json):' gmw_t1.out) \
+       <(grep -Ev '^(executor|stats json):' gmw_t4.out)
   python3 - stats_gmw.json <<'PY'
 import json, sys
 stats = json.load(open(sys.argv[1]))
