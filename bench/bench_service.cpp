@@ -19,6 +19,7 @@
 // compute/transmit/merge breakdown of the widest point.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <span>
 #include <thread>
@@ -135,23 +136,27 @@ ParallelPoint run_parallel_point_once(
   return point;
 }
 
-/// Best-of-2 wall time per width: one scheduling hiccup on a shared CI
-/// runner must not trip the speedup gates. Both reps are seeded alike, so
-/// they double as a same-width determinism check.
-ParallelPoint run_parallel_point(const Graph& g, std::uint32_t diameter,
-                                 unsigned threads,
-                                 std::span<const service::WalkRequest> reqs) {
-  ParallelPoint best = run_parallel_point_once(g, diameter, threads, reqs);
-  const ParallelPoint rep = run_parallel_point_once(g, diameter, threads, reqs);
+/// Same-seed reps per width. Each wall and phase field keeps its minimum
+/// over the reps, and the reps interleave the widths, so one width's reps
+/// are spread over the whole sweep instead of sharing one stretch of it:
+/// a slow stretch on a shared runner must not trip the speedup gates or
+/// the gated t_widest_transmit_ms. On a shared 4-thread host such
+/// stretches last 30-40 s and can double the 8-thread transmit time; a
+/// best-of-2 of back-to-back reps read 2885..5194 ms over six runs of one
+/// commit. The reps double as a same-width determinism check.
+constexpr int kParallelReps = 4;
+
+/// Folds one more rep of a width into its point.
+void keep_fastest(ParallelPoint& best, const ParallelPoint& rep) {
   if (rep.destinations != best.destinations) {
     std::fprintf(stderr, "parallel experiment: same-seed reps diverged\n");
     std::exit(1);
   }
-  if (rep.wall_ms < best.wall_ms) {
-    best.wall_ms = rep.wall_ms;
-    best.stats = rep.stats;
-  }
-  return best;
+  best.wall_ms = std::min(best.wall_ms, rep.wall_ms);
+  best.stats.compute_ms = std::min(best.stats.compute_ms, rep.stats.compute_ms);
+  best.stats.transmit_ms =
+      std::min(best.stats.transmit_ms, rep.stats.transmit_ms);
+  best.stats.merge_ms = std::min(best.stats.merge_ms, rep.stats.merge_ms);
 }
 
 int run_parallel_experiment(bench::JsonReport& json) {
@@ -181,33 +186,40 @@ int run_parallel_experiment(bench::JsonReport& json) {
   const unsigned hw = std::thread::hardware_concurrency();
   // On a 1-core host every width executes the same single-stream schedule
   // (the pool only adds hand-offs), so re-measuring t2/t8 burns ~3x the
-  // wall time for three copies of the same number; measure t1 once and let
+  // wall time for three copies of the same number; measure t1 alone and let
   // the cross-width determinism guarantee rest on tests/test_determinism.
   const bool sweep_widths = hw > 1;
-  const unsigned sweep[] = {1, 2, 8};
+  std::vector<unsigned> sweep = {1};
+  if (sweep_widths) sweep.insert(sweep.end(), {2, 8});
+  std::vector<ParallelPoint> points(sweep.size());
+  // The metrics registry records the widest width's first two reps, which
+  // add_registry_fields folds into the report below; two keeps its
+  // counters comparable with the committed baselines.
+  obs::Registry::global().reset();
+  for (int rep = 0; rep < kParallelReps; ++rep) {
+    for (std::size_t w = 0; w < sweep.size(); ++w) {
+      obs::Registry::global().set_enabled(w + 1 == sweep.size() && rep < 2);
+      const ParallelPoint run =
+          run_parallel_point_once(g, diameter, sweep[w], requests);
+      if (rep == 0) {
+        points[w] = run;
+      } else {
+        keep_fastest(points[w], run);
+      }
+    }
+  }
   bench::Table table({"threads", "wall ms", "rounds", "messages", "speedup"});
-  ParallelPoint base;
-  ParallelPoint widest;
+  const ParallelPoint& base = points.front();
+  const ParallelPoint& widest = points.back();
   double speedup2 = 0.0;
   double speedup8 = 0.0;
   bool identical = true;
-  // Arm the metrics registry for the sweep; resetting per width leaves it
-  // holding the WIDEST point's distributions when the loop ends, which
-  // add_registry_fields folds into the report below.
-  obs::Registry::global().set_enabled(true);
-  for (const unsigned threads : sweep) {
-    if (threads != 1 && !sweep_widths) continue;
-    obs::Registry::global().reset();
-    const ParallelPoint point =
-        run_parallel_point(g, diameter, threads, requests);
-    widest = point;
-    if (threads == 1) {
-      base = point;
-    } else {
-      identical = identical && point.destinations == base.destinations &&
-                  point.rounds == base.rounds &&
-                  point.messages == base.messages;
-    }
+  for (std::size_t w = 0; w < sweep.size(); ++w) {
+    const unsigned threads = sweep[w];
+    const ParallelPoint& point = points[w];
+    identical = identical && point.destinations == base.destinations &&
+                point.rounds == base.rounds &&
+                point.messages == base.messages;
     const double speedup = base.wall_ms / point.wall_ms;
     if (threads == 2) speedup2 = speedup;
     if (threads == 8) speedup8 = speedup;
@@ -232,9 +244,10 @@ int run_parallel_experiment(bench::JsonReport& json) {
   // Per-phase breakdown of the widest measured point -- how to read these
   // fields is documented in README "Performance tuning".
   bench::add_phase_fields(json, "t_widest_", widest.stats);
-  // Registry distributions of the same point (both best-of-2 reps
-  // accumulate, so counters are ~2x the RunStats totals; the percentile
-  // fields are the interesting trajectory signal).
+  // Registry distributions of the same point (two reps accumulate, so
+  // counters are 2x the RunStats totals; the percentile fields are the
+  // interesting trajectory signal).
+  obs::Registry::global().set_enabled(true);
   bench::add_registry_fields(json, "obs_widest_");
   obs::Registry::global().set_enabled(false);
   obs::Registry::global().reset();

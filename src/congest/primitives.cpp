@@ -84,12 +84,27 @@ BfsTree BfsTreeProtocol::take_tree() {
       tree_.children[cursor[tree_.parent[v]]++] = static_cast<NodeId>(v);
     }
   }
+  // Subtree heights bottom-up: BFS order lists every node after its parent,
+  // so the reverse scan meets each node after all of its children.
+  tree_.subtree_height.assign(n, 0);
+  std::vector<NodeId> order;
+  order.reserve(n);
+  if (n != 0) order.push_back(root_);
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    for (const NodeId c : tree_.children_of(order[i])) order.push_back(c);
+  }
+  for (auto it = order.rbegin(); it != order.rend(); ++it) {
+    if (*it == root_) continue;
+    std::uint32_t& up = tree_.subtree_height[tree_.parent[*it]];
+    up = std::max(up, tree_.subtree_height[*it] + 1);
+  }
   return std::move(tree_);
 }
 
 std::size_t BfsTree::bytes() const {
   return (parent.size() + children.size()) * sizeof(NodeId) +
-         (child_begin.size() + depth.size()) * sizeof(std::uint32_t);
+         (child_begin.size() + depth.size() + subtree_height.size()) *
+             sizeof(std::uint32_t);
 }
 
 // ------------------------------------------------------------ tree cache
@@ -149,28 +164,16 @@ void BroadcastProtocol::on_round(Context& ctx) {
 
 ConvergecastSum::ConvergecastSum(const BfsTree& tree,
                                  std::vector<std::uint64_t> values)
-    : tree_(&tree), acc_(std::move(values)) {
-  const std::size_t n = acc_.size();
-  pending_children_.resize(n);
-  sent_.assign(n, 0);
-  for (NodeId v = 0; v < n; ++v) pending_children_[v] = tree_->child_count(v);
-}
-
-void ConvergecastSum::maybe_forward(Context& ctx) {
-  const NodeId v = ctx.self();
-  if (sent_[v] || pending_children_[v] != 0 || v == tree_->root) return;
-  sent_[v] = 1;
-  ctx.send_to(tree_->parent[v], Message{kUp, {acc_[v], 0, 0, 0}});
-}
+    : tree_(&tree), acc_(std::move(values)) {}
 
 void ConvergecastSum::on_round(Context& ctx) {
   const NodeId v = ctx.self();
   for (const Delivery& d : ctx.inbox()) {
-    if (d.msg.type != kUp) continue;
-    acc_[v] += d.msg.f[0];
-    --pending_children_[v];
+    if (d.msg.type == kUp) acc_[v] += d.msg.f[0];
   }
-  maybe_forward(ctx);
+  if (v != tree_->root && ctx.round() == tree_->subtree_height[v]) {
+    ctx.send_to(tree_->parent[v], Message{kUp, {acc_[v], 0, 0, 0}});
+  }
 }
 
 // --------------------------------------------------- pipelined vector upcast

@@ -27,14 +27,18 @@ namespace drw::congest {
 
 /// A rooted BFS tree: output of BfsTreeProtocol, input to the cast protocols.
 /// Flat layout: the parent array plus the children in CSR form, ascending
-/// within each node -- about 16n bytes in four allocations, so a tree is
-/// cheap to build and cheap to keep (BfsTreeCache).
+/// within each node, and each node's depth and subtree height -- about 20n
+/// bytes in five allocations, so a tree is cheap to build and cheap to keep
+/// (BfsTreeCache).
 struct BfsTree {
   NodeId root = kInvalidNode;
   std::vector<NodeId> parent;                // parent[root] == root
   std::vector<std::uint32_t> child_begin;    // size n + 1
   std::vector<NodeId> children;              // size n - 1, grouped by parent
   std::vector<std::uint32_t> depth;          // hops from root
+  /// Hops down to v's deepest descendant (0 at leaves): the round in which
+  /// v reports in a convergecast where every node waits for its children.
+  std::vector<std::uint32_t> subtree_height;
   std::uint32_t height = 0;                  // max depth
 
   std::span<const NodeId> children_of(NodeId v) const {
@@ -125,7 +129,8 @@ class BroadcastProtocol final : public Protocol {
 };
 
 /// Sums a per-node 64-bit value up the tree; result available at the root
-/// after O(height) rounds via `root_sum()`.
+/// after O(height) rounds via `root_sum()`. Node v reports in round
+/// subtree_height[v], when its last child's value has just arrived.
 class ConvergecastSum final : public Protocol {
  public:
   ConvergecastSum(const BfsTree& tree, std::vector<std::uint64_t> values);
@@ -134,11 +139,8 @@ class ConvergecastSum final : public Protocol {
 
  private:
   enum MsgType : std::uint16_t { kUp = 1 };
-  void maybe_forward(Context& ctx);
   const BfsTree* tree_;
   std::vector<std::uint64_t> acc_;
-  std::vector<std::uint32_t> pending_children_;
-  std::vector<std::uint8_t> sent_;
 };
 
 /// Element-wise sums per-node vectors of length K up the tree, pipelined one

@@ -200,14 +200,12 @@ void GetMoreWalksProtocol::on_round(congest::Context& ctx) {
 // ------------------------------------------------------ sample convergecast
 
 SampleConvergecast::SampleConvergecast(const congest::BfsTree& tree,
-                                       const WalkStore& store, NodeId source)
-    : tree_(&tree), store_(&store), source_(source) {
+                                       const WalkStore& store, NodeId source,
+                                       Sweep sweep)
+    : tree_(&tree), store_(&store), source_(source), sweep_(sweep) {
   const std::size_t n = store.held.size();
   acc_.resize(n);
   via_.resize(n);
-  pending_children_.resize(n);
-  sent_.assign(n, 0);
-  for (NodeId v = 0; v < n; ++v) pending_children_[v] = tree_->child_count(v);
 }
 
 void SampleConvergecast::absorb(congest::Context& ctx, NodeId from,
@@ -229,19 +227,6 @@ void SampleConvergecast::absorb(congest::Context& ctx, NodeId from,
   }
 }
 
-void SampleConvergecast::maybe_forward(congest::Context& ctx) {
-  const NodeId v = ctx.self();
-  if (sent_[v] || pending_children_[v] != 0 || v == tree_->root) return;
-  sent_[v] = 1;
-  const Candidate& c = acc_[v];
-  ctx.send_to(tree_->parent[v],
-              congest::Message{
-                  kCandidate,
-                  {c.holder, c.count,
-                   (static_cast<std::uint64_t>(c.kind) << 32) | c.length,
-                   (static_cast<std::uint64_t>(c.seq) << 32) | c.held_index}});
-}
-
 void SampleConvergecast::on_round(congest::Context& ctx) {
   const NodeId v = ctx.self();
   if (ctx.round() == 0) {
@@ -261,12 +246,8 @@ void SampleConvergecast::on_round(congest::Context& ctx) {
         own.held_index = idx;
       }
     }
-    const std::uint64_t preserved = own.count;
     acc_[v] = own;
-    acc_[v].count = preserved;
     via_[v] = v;
-    maybe_forward(ctx);
-    return;
   }
   for (const congest::Delivery& d : ctx.inbox()) {
     if (d.msg.type != kCandidate) continue;
@@ -278,9 +259,29 @@ void SampleConvergecast::on_round(congest::Context& ctx) {
     incoming.seq = static_cast<std::uint32_t>(d.msg.f[3] >> 32);
     incoming.held_index = static_cast<std::uint32_t>(d.msg.f[3]);
     absorb(ctx, d.from, incoming);
-    --pending_children_[v];
   }
-  maybe_forward(ctx);
+  const std::uint64_t due = tree_->subtree_height[v];
+  if (ctx.round() > due) {
+    throw std::logic_error("SampleConvergecast: report after its round");
+  }
+  if (v == tree_->root) {
+    if (sweep_ == Sweep::kSilent && ctx.round() < due) ctx.wake_me();
+    return;
+  }
+  const Candidate& c = acc_[v];
+  if (sweep_ == Sweep::kSilent && c.count == 0) return;
+  if (ctx.round() < due) {
+    // A first sweep's last child report arrives in round `due`; a silent
+    // sweep's holder has to stay awake until then.
+    if (sweep_ == Sweep::kSilent) ctx.wake_me();
+    return;
+  }
+  ctx.send_to(tree_->parent[v],
+              congest::Message{
+                  kCandidate,
+                  {c.holder, c.count,
+                   (static_cast<std::uint64_t>(c.kind) << 32) | c.length,
+                   (static_cast<std::uint64_t>(c.seq) << 32) | c.held_index}});
 }
 
 // ------------------------------------------------------------ sample commit

@@ -113,6 +113,18 @@ class GetMoreWalksProtocol final : public congest::Protocol {
 /// unused short walks from v (Lemma A.2). Each node also remembers where
 /// its kept candidate came from (itself or one child): the path the winner
 /// took up the tree, which SampleCommit walks back down.
+///
+/// Node u reports in round subtree_height[u], when its last child's report
+/// has just arrived. The first sweep over a freshly built tree (kFirst) has
+/// every node report, count 0 included -- those messages are how the nodes
+/// learn their subtree heights. On a tree swept before (kSilent), the
+/// network being synchronous, silence by that round carries the count-0
+/// report: only nodes whose subtree holds an unused source-v token send,
+/// each waking itself until its round, and the root stays awake until
+/// round `height` as it would have to in any case. Both kinds cost exactly
+/// `height` rounds and make the same draws, so they return the same
+/// candidate and path; a kSilent sweep's messages are the non-root nodes
+/// whose subtree holds an unused source-v token.
 class SampleConvergecast final : public congest::Protocol {
  public:
   struct Candidate {
@@ -123,9 +135,10 @@ class SampleConvergecast final : public congest::Protocol {
     std::uint32_t seq = 0;
     std::uint32_t held_index = 0;  ///< index into store.held[holder]
   };
+  enum class Sweep : std::uint8_t { kFirst, kSilent };
 
   SampleConvergecast(const congest::BfsTree& tree, const WalkStore& store,
-                     NodeId source);
+                     NodeId source, Sweep sweep);
   void on_round(congest::Context& ctx) override;
 
   /// Root's result after the run; count == 0 means "no unused walks left"
@@ -139,14 +152,12 @@ class SampleConvergecast final : public congest::Protocol {
  private:
   enum MsgType : std::uint16_t { kCandidate = 30 };
   void absorb(congest::Context& ctx, NodeId from, const Candidate& incoming);
-  void maybe_forward(congest::Context& ctx);
   const congest::BfsTree* tree_;
   const WalkStore* store_;
   NodeId source_;
+  Sweep sweep_;
   std::vector<Candidate> acc_;
   std::vector<NodeId> via_;
-  std::vector<std::uint32_t> pending_children_;
-  std::vector<std::uint8_t> sent_;
 };
 
 /// Sweep 3 of SAMPLE-DESTINATION: only the holder of the sampled short

@@ -317,10 +317,13 @@ void StitchEngine::WalkTask::begin_stitch_or_finish() {
     own_tree_.reset();
     tree_ = engine_->tree_cache_.find(current_);
     if (tree_ != nullptr) {
-      // Sweep 1's tree is a function of the root alone: reuse it.
+      // Sweep 1's tree is a function of the root alone: reuse it. Its
+      // nodes know their subtree heights from the sweep that followed the
+      // build, so count-0 subtrees stay silent.
       ++result_.counters.tree_reuses;
       protocol_ = std::make_unique<SampleConvergecast>(
-          *tree_, engine_->store_, current_);
+          *tree_, engine_->store_, current_,
+          SampleConvergecast::Sweep::kSilent);
       step_ = Step::kSample;
     } else {
       protocol_ = std::make_unique<congest::BfsTreeProtocol>(
@@ -345,8 +348,9 @@ void StitchEngine::WalkTask::advance(const congest::RunStats& lane_stats) {
         own_tree_ = std::make_unique<congest::BfsTree>(std::move(built));
         tree_ = own_tree_.get();
       }
-      protocol_ = std::make_unique<SampleConvergecast>(*tree_, engine_->store_,
-                                                       current_);
+      protocol_ = std::make_unique<SampleConvergecast>(
+          *tree_, engine_->store_, current_,
+          SampleConvergecast::Sweep::kFirst);
       step_ = Step::kSample;
       break;
     }
@@ -388,8 +392,9 @@ void StitchEngine::WalkTask::advance(const congest::RunStats& lane_stats) {
     }
     case Step::kGetMore:
       ++result_.counters.get_more_walks_calls;
-      protocol_ = std::make_unique<SampleConvergecast>(*tree_, engine_->store_,
-                                                       current_);
+      protocol_ = std::make_unique<SampleConvergecast>(
+          *tree_, engine_->store_, current_,
+          SampleConvergecast::Sweep::kSilent);
       step_ = Step::kResample;
       break;
     case Step::kCommit:

@@ -63,8 +63,8 @@ struct WalkResult {
 class StitchEngine {
  public:
   /// Byte budget of the per-connector BFS tree cache (see tree_cache()).
-  /// A fixed constant: 64 MiB holds every root of a 512-node graph (~8 KB
-  /// each) and about a thousand roots of a 4039-node one.
+  /// A fixed constant: 64 MiB holds every root of a 512-node graph (~10 KB
+  /// each) and about 830 roots of a 4039-node one.
   static constexpr std::size_t kTreeCacheBytes = std::size_t{64} << 20;
 
   StitchEngine(congest::Network& net, Params params, std::uint32_t diameter);

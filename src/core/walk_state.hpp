@@ -6,9 +6,11 @@
 //
 //   * WalkStore: the short-walk endpoint tokens ("only the destination of
 //     each of these walks is aware of its source"). SAMPLE-DESTINATION
-//     samples an unused token for a given source uniformly and Sweep 3
-//     (SampleCommit, one message per hop down the path the sample took up
-//     the tree) marks it used at its holder so no walk is ever re-stitched.
+//     samples an unused token for a given source uniformly -- on a tree
+//     swept before, only the subtrees holding such tokens report -- and
+//     Sweep 3 (SampleCommit, one message per hop down the path the sample
+//     took up the tree) marks it used at its holder so no walk is ever
+//     re-stitched.
 //     Between batches, compact() drops the used tokens and keeps the rest
 //     in order.
 //   * TrajectoryStore: optional per-hop routing records that let the walk be

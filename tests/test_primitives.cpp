@@ -72,7 +72,7 @@ TEST(BfsTreeProtocol, FlatTreeIsConsistentFromEveryRoot) {
       ASSERT_EQ(tree.parent.size(), n);
       ASSERT_EQ(tree.child_begin.size(), n + 1);
       ASSERT_EQ(tree.children.size(), n - 1);
-      EXPECT_EQ(tree.bytes(), 16 * n);
+      EXPECT_EQ(tree.bytes(), 20 * n);
       EXPECT_EQ(tree.parent[root], root);
       EXPECT_EQ(tree.height, eccentricity(g, root));
       std::vector<int> listed(n, 0);
@@ -89,7 +89,13 @@ TEST(BfsTreeProtocol, FlatTreeIsConsistentFromEveryRoot) {
       }
       for (NodeId v = 0; v < n; ++v) {
         EXPECT_EQ(listed[v], v == root ? 0 : 1) << "root " << root;
+        std::uint32_t below = 0;
+        for (const NodeId c : tree.children_of(v)) {
+          below = std::max(below, tree.subtree_height[c] + 1);
+        }
+        EXPECT_EQ(tree.subtree_height[v], below) << "root " << root;
       }
+      EXPECT_EQ(tree.subtree_height[root], tree.height);
     }
   }
 }

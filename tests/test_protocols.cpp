@@ -270,7 +270,8 @@ TEST(SampleConvergecast, FindsTheOnlyToken) {
   store.held[7].push_back(HeldToken{2, 9, 6, WalkKind::kPhase1, 0, false});
   RunStats stats;
   const congest::BfsTree tree = congest::build_bfs_tree(net, 2, stats);
-  SampleConvergecast sample(tree, store, 2);
+  SampleConvergecast sample(tree, store, 2,
+                            SampleConvergecast::Sweep::kFirst);
   net.run(sample);
   EXPECT_EQ(sample.result().count, 1u);
   EXPECT_EQ(sample.result().holder, 7u);
@@ -287,7 +288,8 @@ TEST(SampleConvergecast, IgnoresUsedAndForeignTokens) {
   store.held[5].push_back(HeldToken{3, 0, 6, WalkKind::kPhase1, 0, false});
   RunStats stats;
   const congest::BfsTree tree = congest::build_bfs_tree(net, 2, stats);
-  SampleConvergecast sample(tree, store, 2);
+  SampleConvergecast sample(tree, store, 2,
+                            SampleConvergecast::Sweep::kFirst);
   net.run(sample);
   EXPECT_EQ(sample.result().count, 0u);  // NULL: GET-MORE-WALKS needed
 }
@@ -310,7 +312,8 @@ TEST(SampleConvergecast, UniformOverAllUnusedTokens) {
     Network net(g, 500 + r);
     RunStats stats;
     const congest::BfsTree tree = congest::build_bfs_tree(net, 0, stats);
-    SampleConvergecast sample(tree, store, 0);
+    SampleConvergecast sample(tree, store, 0,
+                              SampleConvergecast::Sweep::kFirst);
     net.run(sample);
     ASSERT_EQ(sample.result().count, 6u);
     ++counts[sample.result().seq];
@@ -318,6 +321,97 @@ TEST(SampleConvergecast, UniformOverAllUnusedTokens) {
   const std::vector<double> expected(6, 1.0 / 6.0);
   const auto result = chi_square_test(counts, expected);
   EXPECT_GT(result.p_value, 1e-4) << "chi2=" << result.statistic;
+}
+
+// Sweep 2 on a tree swept before: silence carries the count-0 report. From
+// every root of a star, a lollipop, a grid and a random regular graph, with
+// the root's tokens spread over several holders (the root among them) next
+// to foreign and already-used ones, the silent sweep must make the first
+// sweep's draws -- same candidate, same path down to the holder -- in the
+// same `height` rounds, while only the non-root nodes whose subtree holds
+// an unused root token send.
+TEST(SampleConvergecast, SilentSweepSendsOnlyFromHolderSubtrees) {
+  Rng graph_rng(19);
+  const std::vector<Graph> graphs = {gen::star(9), gen::lollipop(5, 5),
+                                     gen::grid(4, 4),
+                                     gen::random_regular(64, 4, graph_rng)};
+  using Sweep = SampleConvergecast::Sweep;
+  for (const Graph& g : graphs) {
+    const auto n = static_cast<NodeId>(g.node_count());
+    Network net(g, 47);
+    for (NodeId root = 0; root < n; ++root) {
+      RunStats build;
+      const congest::BfsTree tree = congest::build_bfs_tree(net, root, build);
+      WalkStore store(n);
+      WalkStore drained(n);
+      std::uint64_t unused = 0;
+      std::vector<std::uint8_t> reports(n, 0);
+      for (NodeId v = 0; v < n; ++v) {
+        const HeldToken foreign{(root + 1) % n, 0, 4, WalkKind::kPhase1, 0,
+                                false};
+        const HeldToken used{root, 0, 4, WalkKind::kPhase1, 0, true};
+        store.held[v].push_back(foreign);
+        drained.held[v].push_back(foreign);
+        if ((v + root) % 4 == 1) {
+          store.held[v].push_back(used);
+          drained.held[v].push_back(used);
+        }
+        if (v != root && (v * 7 + root) % 5 != 0) continue;
+        for (std::uint32_t i = 0; i < 1 + v % 3; ++i) {
+          store.held[v].push_back(
+              HeldToken{root, i, 4 + i, WalkKind::kPhase1, 0, false});
+          ++unused;
+        }
+        for (NodeId u = v; u != root && reports[u] == 0; u = tree.parent[u]) {
+          reports[u] = 1;
+        }
+      }
+      const auto expected_messages = static_cast<std::uint64_t>(
+          std::count(reports.begin(), reports.end(), 1));
+
+      const std::vector<Rng> streams =
+          congest::ProtocolMux::derive_lane_rngs(91, root, n);
+      std::vector<Rng> first_streams = streams;
+      std::vector<Rng> silent_streams = streams;
+      SampleConvergecast first(tree, store, root, Sweep::kFirst);
+      const RunStats first_stats = net.run(first, first_streams);
+      SampleConvergecast silent(tree, store, root, Sweep::kSilent);
+      const RunStats silent_stats = net.run(silent, silent_streams);
+
+      const SampleConvergecast::Candidate a = first.result();
+      const SampleConvergecast::Candidate b = silent.result();
+      ASSERT_EQ(a.count, unused) << "root " << root;
+      EXPECT_EQ(b.count, a.count) << "root " << root;
+      EXPECT_EQ(b.holder, a.holder) << "root " << root;
+      EXPECT_EQ(b.held_index, a.held_index) << "root " << root;
+      EXPECT_EQ(b.seq, a.seq) << "root " << root;
+      EXPECT_EQ(b.length, a.length) << "root " << root;
+      EXPECT_EQ(first_stats.rounds, tree.height) << "root " << root;
+      EXPECT_EQ(silent_stats.rounds, tree.height) << "root " << root;
+      EXPECT_EQ(first_stats.messages, n - 1u) << "root " << root;
+      EXPECT_EQ(silent_stats.messages, expected_messages) << "root " << root;
+      for (NodeId v = 0; v < n; ++v) {
+        ASSERT_EQ(first_streams[v](), silent_streams[v]())
+            << "root " << root << ": node " << v << " drew differently";
+      }
+      const std::vector<NodeId> first_via = first.take_path();
+      const std::vector<NodeId> silent_via = silent.take_path();
+      NodeId u = root;
+      for (std::uint32_t hop = 0; first_via[u] != u; ++hop) {
+        ASSERT_LE(hop, tree.height) << "root " << root;
+        ASSERT_EQ(silent_via[u], first_via[u]) << "root " << root;
+        u = first_via[u];
+      }
+      EXPECT_EQ(silent_via[u], u) << "root " << root;
+      EXPECT_EQ(u, a.holder) << "root " << root;
+
+      SampleConvergecast empty(tree, drained, root, Sweep::kSilent);
+      const RunStats empty_stats = net.run(empty);
+      EXPECT_EQ(empty.result().count, 0u) << "root " << root;
+      EXPECT_EQ(empty_stats.messages, 0u) << "root " << root;
+      EXPECT_EQ(empty_stats.rounds, tree.height) << "root " << root;
+    }
+  }
 }
 
 // Sweep 3: the commit walks the sampled candidate's recorded path down the
@@ -360,7 +454,8 @@ TEST(SampleCommit, FlipsOnlyTheSampledTokenInDepthMessages) {
       const congest::BfsTree tree = congest::build_bfs_tree(net, root, build);
       bool root_held = false;
       for (; unused > 0; --unused) {
-        SampleConvergecast sample(tree, store, root);
+        SampleConvergecast sample(tree, store, root,
+                                  SampleConvergecast::Sweep::kSilent);
         net.run(sample);
         const SampleConvergecast::Candidate sampled = sample.result();
         ASSERT_EQ(sampled.count, unused);
@@ -377,7 +472,8 @@ TEST(SampleCommit, FlipsOnlyTheSampledTokenInDepthMessages) {
           EXPECT_EQ(stats.messages, 0u);
         }
       }
-      SampleConvergecast drained(tree, store, root);
+      SampleConvergecast drained(tree, store, root,
+                                 SampleConvergecast::Sweep::kSilent);
       net.run(drained);
       EXPECT_EQ(drained.result().count, 0u);
       EXPECT_TRUE(root_held) << "root " << root;

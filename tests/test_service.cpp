@@ -536,6 +536,45 @@ TEST(WalkService, WarmStitchesCommitAlongTheSampledPath) {
   EXPECT_GE(warm_batches, 10);
 }
 
+TEST(WalkService, WarmSampleSweepsSendOnlyFromHolderSubtrees) {
+  // A stitch at a connector whose tree was swept before runs a silent
+  // sample sweep: only the subtrees holding the connector's unused walks
+  // report, at most U paths of at most D hops, where U is the largest
+  // unused stock of any source when the batch starts. With the commit's
+  // <= D messages, a warm stitch costs at most U * D + D messages, well
+  // under the n - 1 of a sweep in which every node reports. Checked on
+  // every batch that builds no tree and calls no in-walk GET-MORE-WALKS.
+  Rng graph_rng(5);
+  const Graph g = gen::random_regular(256, 8, graph_rng);
+  const std::uint32_t diameter = exact_diameter(g);
+  Network net(g, 23);
+  WalkService service(net, diameter, tiny_lambda_config(8));
+  const std::vector<WalkRequest> batch = {
+      WalkRequest{0, 64, 1}, WalkRequest{21, 64, 1}, WalkRequest{42, 64, 1},
+  };
+  int warm_batches = 0;
+  for (int i = 0; i < 120; ++i) {
+    const std::vector<std::uint64_t> stock =
+        service.engine().unused_counts_by_source();
+    const BatchReport report = service.serve(batch);
+    if (report.tree_builds != 0 || report.engine_gmw_calls != 0) continue;
+    ++warm_batches;
+    ASSERT_GT(report.stitches, 0u);
+    // Pre-batch top-ups add to some sources' stock before any stitch.
+    const std::uint64_t most_unused =
+        *std::max_element(stock.begin(), stock.end()) +
+        report.replenished_walks;
+    std::uint64_t phase2_messages = 0;
+    for (const RequestResult& r : report.results) {
+      phase2_messages += r.counters.phase2.messages;
+    }
+    EXPECT_LE(phase2_messages,
+              report.stitches * (most_unused * diameter + diameter))
+        << "batch " << i << ": U = " << most_unused;
+  }
+  EXPECT_GE(warm_batches, 20);
+}
+
 TEST(WalkService, MixingEstimatorRunsThroughService) {
   Rng rng(9);
   const Graph g = gen::random_regular(48, 4, rng);
