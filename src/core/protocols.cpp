@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "util/rng.hpp"
+
 namespace drw::core {
 
 namespace {
@@ -18,8 +20,12 @@ ShortWalkPhaseProtocol::ShortWalkPhaseProtocol(const Graph& g,
                                                TrajectoryStore* trajectories,
                                                TransitionModel model)
     : graph_(&g), jobs_by_node_(g.node_count()), store_(&store),
-      trajectories_(trajectories), model_(model),
-      staying_(g.node_count()) {
+      trajectories_(trajectories),
+      gen_base_(trajectories != nullptr
+                    ? trajectories->new_generations(
+                          static_cast<std::uint32_t>(g.node_count()))
+                    : 0),
+      model_(model), staying_(g.node_count()) {
   if (trajectories != nullptr && model != TransitionModel::kSimple) {
     throw std::invalid_argument(
         "ShortWalkPhase: trajectory recording requires the simple walk");
@@ -28,39 +34,38 @@ ShortWalkPhaseProtocol::ShortWalkPhaseProtocol(const Graph& g,
 }
 
 void ShortWalkPhaseProtocol::route(congest::Context& ctx, NodeId source,
-                                   std::uint32_t seq, std::uint32_t total,
+                                   std::uint32_t total,
                                    std::uint32_t remaining,
                                    std::uint32_t arrival_slot) {
   const NodeId v = ctx.self();
+  const std::uint32_t gen = gen_base_ + source;
   if (remaining == 0) {
-    store_->held[v].push_back(HeldToken{source, seq, total, WalkKind::kPhase1,
-                                        arrival_slot == kNoSlot ? 0
-                                                                : arrival_slot,
-                                        false});
+    store_->held[v].push_back(HeldToken{
+        source, gen, total, arrival_slot == kNoSlot ? 0 : arrival_slot,
+        false});
     return;
   }
   const std::uint32_t slot = sample_step(ctx.rng(), *graph_, v, model_);
   if (slot == kStaySlot) {
     // Self-loop step: one round elapses, no message travels.
-    staying_[v].push_back(
-        Pending{source, seq, total, remaining - 1u, arrival_slot});
+    staying_[v].push_back(Pending{source, total, remaining - 1u,
+                                  arrival_slot});
     ctx.wake_me();
     return;
   }
   if (trajectories_ != nullptr) {
-    const std::uint32_t hop = total - remaining;
-    trajectories_->forward[v].push_back(
-        ForwardRecord{TrajectoryStore::key(source, seq), hop, slot});
+    trajectories_->append_gmw(
+        v, GmwRecord{gen, total - remaining, arrival_slot, slot});
   }
-  ctx.send(slot, congest::Message{kToken, {source, seq, total,
-                                           remaining - 1u}});
+  ctx.send(slot, congest::Message{kToken, {source, total, remaining - 1u,
+                                           0}});
 }
 
 void ShortWalkPhaseProtocol::on_round(congest::Context& ctx) {
   const NodeId v = ctx.self();
   if (ctx.round() == 0) {
     for (const Job& job : jobs_by_node_[v]) {
-      route(ctx, v, job.seq, job.length, job.length, kNoSlot);
+      route(ctx, v, job.length, job.length, kNoSlot);
     }
     jobs_by_node_[v].clear();
     return;
@@ -69,15 +74,14 @@ void ShortWalkPhaseProtocol::on_round(congest::Context& ctx) {
     std::vector<Pending> stayed;
     stayed.swap(staying_[v]);
     for (const Pending& p : stayed) {
-      route(ctx, p.source, p.seq, p.total, p.remaining, p.arrival_slot);
+      route(ctx, p.source, p.total, p.remaining, p.arrival_slot);
     }
   }
   for (const congest::Delivery& d : ctx.inbox()) {
     if (d.msg.type != kToken) continue;
     route(ctx, static_cast<NodeId>(d.msg.f[0]),
           static_cast<std::uint32_t>(d.msg.f[1]),
-          static_cast<std::uint32_t>(d.msg.f[2]),
-          static_cast<std::uint32_t>(d.msg.f[3]), ctx.slot_of(d.from));
+          static_cast<std::uint32_t>(d.msg.f[2]), ctx.slot_of(d.from));
   }
 }
 
@@ -91,7 +95,7 @@ GetMoreWalksProtocol::GetMoreWalksProtocol(const Graph& g, NodeId source,
                                            TransitionModel model)
     : graph_(&g), source_(source), initial_count_(count), lambda_(lambda),
       extend_(extend), store_(&store), trajectories_(trajectories),
-      gen_(trajectories != nullptr ? trajectories->new_generation() : 0),
+      gen_(trajectories != nullptr ? trajectories->new_generations(1) : 0),
       model_(model), staying_(g.node_count(), {0, 0}) {
   if (lambda == 0) throw std::invalid_argument("GetMoreWalks: lambda == 0");
   if (trajectories != nullptr && model != TransitionModel::kSimple) {
@@ -118,9 +122,8 @@ void GetMoreWalksProtocol::process(
       if (!extend_) {
         // PODC 2009 preset: all walks have length exactly lambda.
         for (std::uint64_t i = 0; i < count; ++i) {
-          store_->held[v].push_back(HeldToken{source_, gen_, steps,
-                                              WalkKind::kGetMore,
-                                              arrival_slot, false});
+          store_->held[v].push_back(
+              HeldToken{source_, gen_, steps, arrival_slot, false});
         }
         continue;
       }
@@ -133,9 +136,8 @@ void GetMoreWalksProtocol::process(
         if (ctx.rng().next_bool(stop_probability)) ++stopped;
       }
       for (std::uint64_t t = 0; t < stopped; ++t) {
-        store_->held[v].push_back(HeldToken{source_, gen_, steps,
-                                            WalkKind::kGetMore, arrival_slot,
-                                            false});
+        store_->held[v].push_back(
+            HeldToken{source_, gen_, steps, arrival_slot, false});
       }
       surviving = count - stopped;
     }
@@ -241,7 +243,6 @@ void SampleConvergecast::on_round(congest::Context& ctx) {
       if (ctx.rng().next_below(own.count) == 0) {
         own.holder = v;
         own.length = t.length;
-        own.kind = t.kind;
         own.seq = t.seq;
         own.held_index = idx;
       }
@@ -254,7 +255,6 @@ void SampleConvergecast::on_round(congest::Context& ctx) {
     Candidate incoming;
     incoming.holder = static_cast<NodeId>(d.msg.f[0]);
     incoming.count = d.msg.f[1];
-    incoming.kind = static_cast<WalkKind>(d.msg.f[2] >> 32);
     incoming.length = static_cast<std::uint32_t>(d.msg.f[2]);
     incoming.seq = static_cast<std::uint32_t>(d.msg.f[3] >> 32);
     incoming.held_index = static_cast<std::uint32_t>(d.msg.f[3]);
@@ -279,8 +279,7 @@ void SampleConvergecast::on_round(congest::Context& ctx) {
   ctx.send_to(tree_->parent[v],
               congest::Message{
                   kCandidate,
-                  {c.holder, c.count,
-                   (static_cast<std::uint64_t>(c.kind) << 32) | c.length,
+                  {c.holder, c.count, c.length,
                    (static_cast<std::uint64_t>(c.seq) << 32) | c.held_index}});
 }
 
@@ -395,95 +394,50 @@ void NaiveSegmentProtocol::on_round(congest::Context& ctx) {
 
 // ------------------------------------------------------------ regeneration
 
-RegenerateProtocol::RegenerateProtocol(const Graph& g,
-                                       std::vector<ForwardJob> forward,
-                                       std::vector<ReverseJob> reverse,
+RegenerateProtocol::RegenerateProtocol(const Graph& g, std::vector<Job> jobs,
                                        TrajectoryStore& trajectories,
-                                       PositionTable& positions)
-    : forward_by_node_(g.node_count()), reverse_by_node_(g.node_count()),
-      trajectories_(&trajectories), positions_(&positions) {
-  for (const ForwardJob& job : forward) {
-    forward_by_node_[job.source].push_back(job);
-  }
-  for (const ReverseJob& job : reverse) {
-    reverse_by_node_[job.holder].push_back(job);
-  }
+                                       PositionTable& positions,
+                                       std::uint64_t salt)
+    : jobs_by_node_(g.node_count()), trajectories_(&trajectories),
+      positions_(&positions), salt_(salt) {
+  for (const Job& job : jobs) jobs_by_node_[job.holder].push_back(job);
 }
 
-void RegenerateProtocol::forward_step(congest::Context& ctx, NodeId source,
-                                      std::uint32_t seq, std::uint64_t offset,
-                                      std::uint32_t hop,
-                                      std::uint32_t walk_id) {
-  const NodeId v = ctx.self();
+void RegenerateProtocol::step(congest::Context& ctx, std::uint32_t walk_id,
+                              std::uint32_t gen, std::uint64_t offset,
+                              std::uint32_t hop, std::uint32_t prev_slot) {
+  (*positions_)[ctx.self()].push_back(WalkPosition{walk_id, offset + hop});
   if (hop > 0) {
-    (*positions_)[v].push_back(WalkPosition{walk_id, offset + hop});
+    ctx.send(prev_slot,
+             congest::Message{kReplay, {walk_id, gen, offset, hop - 1u}});
   }
-  const ForwardRecord* record =
-      trajectories_->find_forward(v, TrajectoryStore::key(source, seq), hop);
-  // No outgoing record at this hop: v is the walk's endpoint; replay done.
-  if (record == nullptr) return;
-  ctx.send(record->next_slot,
-           congest::Message{
-               kForward,
-               {(static_cast<std::uint64_t>(walk_id) << 32) | source, seq,
-                offset, hop + 1u}});
-}
-
-void RegenerateProtocol::reverse_step(congest::Context& ctx, NodeId source,
-                                      std::uint32_t gen, std::uint64_t offset,
-                                      std::uint32_t hop, std::uint32_t walk_id,
-                                      std::uint32_t via_slot) {
-  const NodeId v = ctx.self();
-  if (hop > 0) {
-    (*positions_)[v].push_back(WalkPosition{walk_id, offset + hop});
-  }
-  if (hop == 0) return;  // back at the short walk's source
-  // Any unspent record of this generation whose next hop went toward the
-  // node we came from will do: the generation's tokens are exchangeable.
-  const std::uint32_t prev_slot = trajectories_->take_gmw(v, gen, hop,
-                                                          via_slot);
-  if (prev_slot == TrajectoryStore::kSpentSlot) {
-    throw std::logic_error("RegenerateProtocol: no record matches edge");
-  }
-  ctx.send(prev_slot,
-           congest::Message{
-               kReverse,
-               {(static_cast<std::uint64_t>(walk_id) << 32) | source, gen,
-                offset, hop - 1u}});
 }
 
 void RegenerateProtocol::on_round(congest::Context& ctx) {
   const NodeId v = ctx.self();
   if (ctx.round() == 0) {
-    for (const ForwardJob& job : forward_by_node_[v]) {
-      forward_step(ctx, job.source, job.seq, job.offset, 0, job.walk_id);
-    }
-    for (const ReverseJob& job : reverse_by_node_[v]) {
-      (*positions_)[v].push_back(
-          WalkPosition{job.walk_id, job.offset + job.length});
-      if (job.length > 0) {
-        ctx.send(job.arrival_slot,
-                 congest::Message{
-                     kReverse,
-                     {(static_cast<std::uint64_t>(job.walk_id) << 32) |
-                          job.source,
-                      job.gen, job.offset, job.length - 1u}});
-      }
+    for (const Job& job : jobs_by_node_[v]) {
+      step(ctx, job.walk_id, job.gen, job.offset, job.length,
+           job.arrival_slot);
     }
     return;
   }
   for (const congest::Delivery& d : ctx.inbox()) {
-    const auto walk_id = static_cast<std::uint32_t>(d.msg.f[0] >> 32);
-    const auto source = static_cast<NodeId>(d.msg.f[0]);
-    if (d.msg.type == kForward) {
-      forward_step(ctx, source, static_cast<std::uint32_t>(d.msg.f[1]),
-                   d.msg.f[2], static_cast<std::uint32_t>(d.msg.f[3]),
-                   walk_id);
-    } else if (d.msg.type == kReverse) {
-      reverse_step(ctx, source, static_cast<std::uint32_t>(d.msg.f[1]),
-                   d.msg.f[2], static_cast<std::uint32_t>(d.msg.f[3]),
-                   walk_id, ctx.slot_of(d.from));
+    const auto walk_id = static_cast<std::uint32_t>(d.msg.f[0]);
+    const auto gen = static_cast<std::uint32_t>(d.msg.f[1]);
+    const auto hop = static_cast<std::uint32_t>(d.msg.f[3]);
+    // Back at the short walk's source: the stitch recorded that position as
+    // the previous segment's end (or the walk's start).
+    if (d.msg.type != kReplay || hop == 0) continue;
+    std::uint64_t draw = salt_ ^ walk_id;
+    draw = splitmix64(draw) ^ d.msg.f[2];
+    draw = splitmix64(draw) ^ hop;
+    const std::uint32_t prev_slot = trajectories_->take_gmw(
+        v, gen, hop, ctx.slot_of(d.from), splitmix64(draw));
+    if (prev_slot == TrajectoryStore::kSpentSlot) {
+      throw std::logic_error("RegenerateProtocol: no record matches edge");
     }
+    step(ctx, walk_id, gen, d.msg.f[2], hop, prev_slot);
   }
 }
 

@@ -6,7 +6,8 @@
 // single_random_walk.cpp sequence them and accumulate round counts.
 //
 // LANE COMPATIBILITY: every protocol here draws randomness exclusively
-// through Context::rng() and keeps all mutable state node-indexed, so each
+// through Context::rng() (RegenerateProtocol's record matching hashes the
+// walk instead) and keeps all mutable state node-indexed, so each
 // can run as one lane of a congest::ProtocolMux (the mux retargets
 // ctx.rng() to a per-lane stream and isolates messages/wakes per lane).
 // The stitch protocols' only cross-instance coupling is the shared
@@ -31,12 +32,13 @@ namespace drw::core {
 /// nodes keep forwarding these tokens with decreased desired walk length").
 /// Distinct tokens occupy distinct messages, so congestion is real and the
 /// round count displays Lemma 2.1's O(lambda * eta * log n) behaviour.
+/// The tokens from a source are one generation, id base + source: with
+/// trajectories the run takes n ids at construction (else base is 0).
 class ShortWalkPhaseProtocol final : public congest::Protocol {
  public:
   /// A short walk to launch from node `origin`.
   struct Job {
     NodeId origin = kInvalidNode;
-    std::uint32_t seq = 0;
     std::uint32_t length = 0;  ///< in [lambda, 2*lambda - 1]
   };
 
@@ -49,18 +51,17 @@ class ShortWalkPhaseProtocol final : public congest::Protocol {
   enum MsgType : std::uint16_t { kToken = 10 };
   struct Pending {
     NodeId source;
-    std::uint32_t seq;
     std::uint32_t total;
     std::uint32_t remaining;
     std::uint32_t arrival_slot;
   };
-  void route(congest::Context& ctx, NodeId source, std::uint32_t seq,
-             std::uint32_t total, std::uint32_t remaining,
-             std::uint32_t arrival_slot);
+  void route(congest::Context& ctx, NodeId source, std::uint32_t total,
+             std::uint32_t remaining, std::uint32_t arrival_slot);
   const Graph* graph_;
   std::vector<std::vector<Job>> jobs_by_node_;
   WalkStore* store_;
   TrajectoryStore* trajectories_;
+  std::uint32_t gen_base_;
   TransitionModel model_;
   /// Tokens that took a self-loop step (lazy / Metropolis stay): processed
   /// again next round without any message, via wake_me.
@@ -131,8 +132,7 @@ class SampleConvergecast final : public congest::Protocol {
     NodeId holder = kInvalidNode;
     std::uint64_t count = 0;       ///< tokens this candidate was sampled from
     std::uint32_t length = 0;
-    WalkKind kind = WalkKind::kPhase1;
-    std::uint32_t seq = 0;
+    std::uint32_t seq = 0;         ///< the token's generation
     std::uint32_t held_index = 0;  ///< index into store.held[holder]
   };
   enum class Sweep : std::uint8_t { kFirst, kSilent };
@@ -229,51 +229,41 @@ class NaiveSegmentProtocol final : public congest::Protocol {
   std::vector<std::vector<Pending>> staying_;
 };
 
-/// Regeneration (Section 2.2): every stitched short walk is replayed so each
-/// node on it learns its absolute position(s). Phase-1 segments replay
-/// forward from their source via recorded (source, seq) hop pointers;
-/// GET-MORE-WALKS segments replay backward from their endpoint, each hop
-/// consuming the first unspent record of the token's generation that left
-/// toward the node the replay came from. The tokens of one generation are
-/// exchangeable, so any such matching is distribution-correct, and it never
-/// depends on when spent generations are freed. All segments replay in
-/// parallel; the round count is dominated by the longest segment,
-/// O~(lambda) = O~(sqrt(l D)).
+/// Regeneration (Section 2.2): every stitched short walk is replayed
+/// backward from its endpoint so each node on it learns its absolute
+/// position(s). Each hop takes one unspent record of the token's generation
+/// that left toward the node the replay came from, chosen uniformly (see
+/// walk_state.hpp) by a SplitMix64 hash of `salt`, the walk id, the
+/// segment's offset and the hop -- never a node-stream coin, so no other
+/// draw moves and the paths are the same at every thread count and after a
+/// warm restart. All segments replay in parallel; the round count is
+/// dominated by the longest segment, O~(lambda) = O~(sqrt(l D)).
 class RegenerateProtocol final : public congest::Protocol {
  public:
-  struct ForwardJob {
-    NodeId source = kInvalidNode;  ///< stitch connector = short-walk source
-    std::uint32_t seq = 0;
+  struct Job {
+    NodeId holder = kInvalidNode;  ///< short-walk endpoint
+    std::uint32_t gen = 0;         ///< the token's generation
+    std::uint32_t length = 0;
+    std::uint32_t arrival_slot = 0;
     std::uint64_t offset = 0;      ///< absolute position of the source
     std::uint32_t walk_id = 0;
   };
-  struct ReverseJob {
-    NodeId holder = kInvalidNode;  ///< short-walk endpoint
-    NodeId source = kInvalidNode;
-    std::uint32_t gen = 0;         ///< the token's GET-MORE-WALKS generation
-    std::uint32_t length = 0;
-    std::uint32_t arrival_slot = 0;
-    std::uint64_t offset = 0;
-    std::uint32_t walk_id = 0;
-  };
 
-  RegenerateProtocol(const Graph& g, std::vector<ForwardJob> forward,
-                     std::vector<ReverseJob> reverse,
-                     TrajectoryStore& trajectories, PositionTable& positions);
+  RegenerateProtocol(const Graph& g, std::vector<Job> jobs,
+                     TrajectoryStore& trajectories, PositionTable& positions,
+                     std::uint64_t salt);
   void on_round(congest::Context& ctx) override;
 
  private:
-  enum MsgType : std::uint16_t { kForward = 50, kReverse = 51 };
-  void forward_step(congest::Context& ctx, NodeId source, std::uint32_t seq,
-                    std::uint64_t offset, std::uint32_t hop,
-                    std::uint32_t walk_id);
-  void reverse_step(congest::Context& ctx, NodeId source, std::uint32_t gen,
-                    std::uint64_t offset, std::uint32_t hop,
-                    std::uint32_t walk_id, std::uint32_t via_slot);
-  std::vector<std::vector<ForwardJob>> forward_by_node_;
-  std::vector<std::vector<ReverseJob>> reverse_by_node_;
+  enum MsgType : std::uint16_t { kReplay = 51 };
+  /// This node is the segment's position `hop` (from its source): records
+  /// it and, above the source, sends the replay on through `prev_slot`.
+  void step(congest::Context& ctx, std::uint32_t walk_id, std::uint32_t gen,
+            std::uint64_t offset, std::uint32_t hop, std::uint32_t prev_slot);
+  std::vector<std::vector<Job>> jobs_by_node_;
   TrajectoryStore* trajectories_;
   PositionTable* positions_;
+  std::uint64_t salt_;
 };
 
 }  // namespace drw::core

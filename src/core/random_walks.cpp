@@ -39,8 +39,8 @@ StitchEngine::StitchEngine(congest::Network& net, Params params,
       tree_cache_(net.graph().node_count(), kTreeCacheBytes) {
   if (params_.record_trajectories &&
       params_.transition != TransitionModel::kSimple) {
-    // GET-MORE-WALKS tokens travel as anonymous aggregated counts; their
-    // reverse replay relies on every transit being an edge traversal.
+    // The backward replay relies on every recorded hop being an edge
+    // traversal (GET-MORE-WALKS tokens travel as anonymous counts).
     throw std::invalid_argument(
         "StitchEngine: walk regeneration requires the simple walk");
   }
@@ -80,7 +80,7 @@ void StitchEngine::prepare(std::uint64_t k, std::uint64_t l) {
           params_.random_lengths
               ? static_cast<std::uint32_t>(rng.next_below(lambda_))
               : 0u;
-      jobs.push_back(ShortWalkPhaseProtocol::Job{v, i, lambda_ + extra});
+      jobs.push_back(ShortWalkPhaseProtocol::Job{v, lambda_ + extra});
     }
   }
   const auto prepared_count = static_cast<std::uint64_t>(jobs.size());
@@ -89,7 +89,7 @@ void StitchEngine::prepare(std::uint64_t k, std::uint64_t l) {
       params_.record_trajectories ? &trajectories_ : nullptr,
       params_.transition);
   const congest::RunStats stats = net_->run(phase1);
-  if (params_.record_trajectories) trajectories_.sort_forward();
+  if (params_.record_trajectories) trajectories_.sort_records();
   total_ += stats;
   // Stash Phase-1 cost so the next walk() can report it.
   pending_phase1_ = stats;
@@ -119,8 +119,7 @@ WalkResult StitchEngine::complete_walk(NodeId source, std::uint64_t l,
                                        std::uint32_t walk_id,
                                        std::uint64_t start_step,
                                        bool record_positions) {
-  if (!deferred_tails_.empty() || !deferred_forward_.empty() ||
-      !deferred_reverse_.empty()) {
+  if (!deferred_tails_.empty() || !deferred_regen_.empty()) {
     throw std::logic_error(
         "StitchEngine::walk: deferred tails are pending (run them first)");
   }
@@ -192,8 +191,7 @@ StitchEngine::EngineState StitchEngine::release_state() {
 
 void StitchEngine::adopt_state(EngineState state) {
   const std::size_t n = net_->graph().node_count();
-  if (state.store.held.size() != n ||
-      state.trajectories.forward.size() != n) {
+  if (state.store.held.size() != n || state.trajectories.gmw.size() != n) {
     throw std::invalid_argument(
         "StitchEngine::adopt_state: node count mismatch");
   }
@@ -398,8 +396,7 @@ void StitchEngine::WalkTask::advance(const congest::RunStats& lane_stats) {
       step_ = Step::kResample;
       break;
     case Step::kCommit:
-      segments_.push_back(
-          Segment{candidate_, current_, start_step_ + completed_});
+      segments_.push_back(Segment{candidate_, start_step_ + completed_});
       ++engine_->connector_visits_[current_];
       completed_ += candidate_.length;
       current_ = candidate_.holder;
@@ -429,16 +426,11 @@ void StitchEngine::WalkTask::finish() {
   // Regeneration jobs (Section 2.2), deferred into one batched replay.
   if (record_) {
     for (const Segment& s : segments_) {
-      if (s.token.kind == WalkKind::kPhase1) {
-        engine_->deferred_forward_.push_back(RegenerateProtocol::ForwardJob{
-            s.from, s.token.seq, s.offset, walk_id_});
-      } else {
-        const HeldToken& held =
-            engine_->store_.held[s.token.holder][s.token.held_index];
-        engine_->deferred_reverse_.push_back(RegenerateProtocol::ReverseJob{
-            s.token.holder, s.from, s.token.seq, s.token.length,
-            held.arrival_slot, s.offset, walk_id_});
-      }
+      const HeldToken& held =
+          engine_->store_.held[s.token.holder][s.token.held_index];
+      engine_->deferred_regen_.push_back(RegenerateProtocol::Job{
+          s.token.holder, s.token.seq, s.token.length, held.arrival_slot,
+          s.offset, walk_id_});
     }
   }
 }
@@ -461,27 +453,20 @@ StitchEngine::WalkTask StitchEngine::start_walk_task(
 }
 
 congest::RunStats StitchEngine::run_deferred_regen() {
-  if (deferred_forward_.empty() && deferred_reverse_.empty()) return {};
+  if (deferred_regen_.empty()) return {};
   obs::Span span(obs::Name::kEngineRegen, obs::kPidService, 0,
-                 deferred_forward_.size() + deferred_reverse_.size());
+                 deferred_regen_.size());
   // Canonical ascending-walk_id order (stable: preserves each walk's
-  // segment order): reverse replay consumes shared anonymous records, so
-  // the job order must not depend on task completion order.
-  std::stable_sort(deferred_forward_.begin(), deferred_forward_.end(),
-                   [](const RegenerateProtocol::ForwardJob& a,
-                      const RegenerateProtocol::ForwardJob& b) {
+  // segment order): the replay consumes shared anonymous records, so the
+  // job order must not depend on task completion order.
+  std::stable_sort(deferred_regen_.begin(), deferred_regen_.end(),
+                   [](const RegenerateProtocol::Job& a,
+                      const RegenerateProtocol::Job& b) {
                      return a.walk_id < b.walk_id;
                    });
-  std::stable_sort(deferred_reverse_.begin(), deferred_reverse_.end(),
-                   [](const RegenerateProtocol::ReverseJob& a,
-                      const RegenerateProtocol::ReverseJob& b) {
-                     return a.walk_id < b.walk_id;
-                   });
-  RegenerateProtocol regen(net_->graph(), std::move(deferred_forward_),
-                           std::move(deferred_reverse_), trajectories_,
-                           positions_);
-  deferred_forward_.clear();
-  deferred_reverse_.clear();
+  RegenerateProtocol regen(net_->graph(), std::move(deferred_regen_),
+                           trajectories_, positions_, stream_salt_);
+  deferred_regen_.clear();
   const congest::RunStats stats = net_->run(regen);
   total_ += stats;
   return stats;

@@ -187,7 +187,6 @@ class StitchEngine {
     };
     struct Segment {
       SampleConvergecast::Candidate token;
-      NodeId from = kInvalidNode;
       std::uint64_t offset = 0;
     };
 
@@ -317,8 +316,9 @@ class StitchEngine {
   /// growth across serving batches. Empty unless record_trajectories.
   PositionTable drain_positions();
 
-  /// Records a GET-MORE-WALKS freeing pass may leave on top of twice what
-  /// the previous pass kept before the next pass runs.
+  /// Routing records (Phase-1 and GET-MORE-WALKS generations alike) a
+  /// freeing pass may leave on top of twice what the previous pass kept
+  /// before the next pass runs.
   static constexpr std::uint64_t kGmwRecordSlack = 4096;
   /// The store's size after compact_store().
   struct StoreFootprint {
@@ -345,9 +345,10 @@ class StitchEngine {
   Params params_;
   std::uint32_t diameter_;
   /// Drawn from the network's node-0 stream at construction and mixed into
-  /// every task's stream key, so engines built one after another on the
-  /// same network (many_random_walks calls, RST phases) never replay each
-  /// other's coins even though they reuse walk ids.
+  /// every task's stream key and every regeneration draw, so engines built
+  /// one after another on the same network (many_random_walks calls, RST
+  /// phases) never replay each other's coins even though they reuse walk
+  /// ids.
   std::uint64_t stream_salt_;
   std::uint32_t lambda_ = 0;
   bool naive_mode_ = false;
@@ -363,8 +364,7 @@ class StitchEngine {
   std::vector<std::uint64_t> connector_visits_;
   congest::BfsTreeCache tree_cache_;
   std::vector<NaiveSegmentProtocol::Job> deferred_tails_;
-  std::vector<RegenerateProtocol::ForwardJob> deferred_forward_;
-  std::vector<RegenerateProtocol::ReverseJob> deferred_reverse_;
+  std::vector<RegenerateProtocol::Job> deferred_regen_;
 };
 
 /// Theorem 2.5: one walk of length l from `source`. Positions are recorded

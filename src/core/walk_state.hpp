@@ -14,19 +14,17 @@
 //     Between batches, compact() drops the used tokens and keeps the rest
 //     in order.
 //   * TrajectoryStore: optional per-hop routing records that let the walk be
-//     regenerated (Section 2.2). Phase-1 tokens carry a (source, seq)
-//     identity and are replayed forward; their records are one flat array
-//     per node, appended during Phase 1, sorted by (key, hop) once it ends
-//     and binary-searched by the replay.
-//     GET-MORE-WALKS tokens are aggregated counts with no identity. Each
-//     GET-MORE-WALKS run is a *generation*: its tokens carry the generation
-//     id in HeldToken::seq, and every hop leaves an anonymous (gen, hop,
-//     prev_slot, next_slot) record in one flat array per node. A token is
-//     replayed backward by matching it to any hop-consistent chain of its
-//     generation's records; the tokens of one run are exchangeable, so every
-//     such matching yields the same walk distribution. Once no token of a
-//     generation is held any more, its records can never be replayed and
-//     drop_spent() frees them.
+//     regenerated (Section 2.2). Short walks come in *generations* -- Phase
+//     1 takes one per source, each GET-MORE-WALKS run one -- whose id the
+//     token carries in HeldToken::seq; every hop leaves an anonymous (gen,
+//     hop, prev_slot, next_slot) record in one flat array per node. A
+//     replay walks back from the endpoint, at each hop taking one unspent
+//     record of the generation that left toward the node it came from,
+//     chosen *uniformly*: swapping the pasts of two i.i.d. tokens that
+//     stand on one node after equal hops keeps their joint law, so the
+//     replayed path is exact. A fixed choice is not (the first record in
+//     arrival order favours low-id predecessors). Once no token of a
+//     generation is held, drop_spent() frees its records.
 #pragma once
 
 #include <algorithm>
@@ -38,16 +36,11 @@
 
 namespace drw::core {
 
-/// How a stored short walk was created (affects replay direction).
-enum class WalkKind : std::uint8_t { kPhase1 = 0, kGetMore = 1 };
-
 /// A short-walk endpoint held by its destination node.
 struct HeldToken {
   NodeId source = kInvalidNode;
-  std::uint32_t seq = 0;          ///< Phase-1: unique per source;
-                                  ///< GET-MORE-WALKS: the generation
+  std::uint32_t seq = 0;          ///< the generation that created it
   std::uint32_t length = 0;       ///< in [lambda, 2*lambda - 1]
-  WalkKind kind = WalkKind::kPhase1;
   std::uint32_t arrival_slot = 0; ///< slot the token arrived through
                                   ///< (reverse-replay entry point)
   bool used = false;
@@ -66,7 +59,7 @@ struct WalkStore {
     }
   }
 
-  /// One flag per GET-MORE-WALKS generation id in [0, generations)
+  /// One flag per generation id in [0, generations)
   /// (TrajectoryStore::next_generation): 1 iff the generation still has a
   /// held token, i.e. its records can yet be replayed. Ids are dense, so
   /// freeing indexes this instead of searching a sorted list.
@@ -75,7 +68,6 @@ struct WalkStore {
     std::vector<std::uint8_t> live(generations, 0);
     for (const auto& tokens : held) {
       for (const HeldToken& t : tokens) {
-        if (t.kind != WalkKind::kGetMore) continue;
         if (t.seq >= live.size()) live.resize(t.seq + std::size_t{1}, 0);
         live[t.seq] = 1;
       }
@@ -84,20 +76,7 @@ struct WalkStore {
   }
 };
 
-/// One forward routing record: the Phase-1 token with identity `key`
-/// (TrajectoryStore::key(source, seq)) was at this node having completed
-/// `hop` hops and left through `next_slot`.
-struct ForwardRecord {
-  std::uint64_t key = 0;
-  std::uint32_t hop = 0;
-  std::uint32_t next_slot = 0;
-
-  friend bool operator<(const ForwardRecord& a, const ForwardRecord& b) {
-    return a.key != b.key ? a.key < b.key : a.hop < b.hop;
-  }
-};
-
-/// One anonymous GET-MORE-WALKS record at a node: a token of generation
+/// One anonymous routing record at a node: a token of generation
 /// `gen` arrived through `prev_slot` having completed `hop` hops and left
 /// through `next_slot` (TrajectoryStore::kSpentSlot once a replay used it).
 struct GmwRecord {
@@ -112,25 +91,18 @@ struct GmwRecord {
 };
 
 struct TrajectoryStore {
-  /// next_slot of a replayed GET-MORE-WALKS record: a tombstone that keeps
-  /// the array's order and matches no slot.
+  /// next_slot of a replayed record: a tombstone that keeps the array's
+  /// order and matches no slot. Also the prev_slot of a hop-0 record.
   static constexpr std::uint32_t kSpentSlot = static_cast<std::uint32_t>(-1);
 
-  explicit TrajectoryStore(std::size_t n)
-      : forward(n), gmw(n), gmw_unsorted(n, 0) {}
+  explicit TrajectoryStore(std::size_t n) : gmw(n), gmw_unsorted(n, 0) {}
 
-  static std::uint64_t key(NodeId source, std::uint32_t seq) {
-    return (static_cast<std::uint64_t>(source) << 32) | seq;
-  }
-
-  /// forward[v] = the Phase-1 hops taken from node v. Sorted by (key, hop)
-  /// once Phase 1 ends (sort_forward); a token is at one node per hop, so
-  /// a (key, hop) pair occurs at most once per node.
-  std::vector<std::vector<ForwardRecord>> forward;
-  /// gmw[v] = the GET-MORE-WALKS hops taken from node v. Generations
-  /// increase and a run's hops advance in lockstep, so records arrive sorted
-  /// by (gen, hop). Only concurrent runs (mux lanes) interleave them; that
-  /// sets gmw_unsorted[v], and the next lookup at v sorts once (stably).
+  /// gmw[v] = the hops taken from node v. A GET-MORE-WALKS run's hops
+  /// advance in lockstep and its generation is above every earlier one, so
+  /// its records arrive sorted by (gen, hop); Phase 1's do not (its tokens
+  /// queue), and neither do concurrent runs' (mux lanes). An out-of-order
+  /// append sets gmw_unsorted[v], and the next lookup at v sorts once
+  /// (stably).
   std::vector<std::vector<GmwRecord>> gmw;
   std::vector<std::uint8_t> gmw_unsorted;
   /// The next generation id. Runs take theirs on the scheduler thread, so
@@ -139,21 +111,25 @@ struct TrajectoryStore {
   /// Records the previous drop_spent() kept (the freeing threshold).
   std::uint64_t records_kept = 0;
 
-  void sort_forward() {
-    for (auto& records : forward) std::sort(records.begin(), records.end());
-  }
-  /// The record of token `key` at node v after `hop` hops, or nullptr (v is
-  /// then that token's endpoint). Requires sort_forward().
-  const ForwardRecord* find_forward(NodeId v, std::uint64_t key,
-                                    std::uint32_t hop) const {
-    const std::vector<ForwardRecord>& records = forward[v];
-    const ForwardRecord probe{key, hop, 0};
-    const auto it = std::lower_bound(records.begin(), records.end(), probe);
-    return it != records.end() && it->key == key && it->hop == hop ? &*it
-                                                                   : nullptr;
+  /// Takes `count` consecutive generation ids and returns the first.
+  std::uint32_t new_generations(std::uint32_t count) {
+    const std::uint32_t first = next_generation;
+    next_generation += count;
+    return first;
   }
 
-  std::uint32_t new_generation() { return next_generation++; }
+  /// Sorts every node's records now (after Phase 1), not at first lookups
+  /// inside a batch, and counts them as kept: nothing is spent yet.
+  void sort_records() {
+    records_kept = 0;
+    for (std::size_t v = 0; v < gmw.size(); ++v) {
+      if (gmw_unsorted[v] != 0) {
+        std::stable_sort(gmw[v].begin(), gmw[v].end());
+        gmw_unsorted[v] = 0;
+      }
+      records_kept += gmw[v].size();
+    }
+  }
 
   void append_gmw(NodeId v, const GmwRecord& record) {
     std::vector<GmwRecord>& records = gmw[v];
@@ -161,24 +137,33 @@ struct TrajectoryStore {
     records.push_back(record);
   }
 
-  /// Replays one hop backward: takes the first unspent record at node v of
-  /// generation `gen` after `hop` hops that left through `next_slot`, marks
-  /// it spent and returns its prev_slot (kSpentSlot if there is none).
+  /// Replays one hop backward: among the unspent records at node v of
+  /// generation `gen` after `hop` hops that left through `next_slot`, takes
+  /// the (draw mod their number)-th, marks it spent and returns its
+  /// prev_slot (kSpentSlot if there is none). Tombstones and freeing
+  /// passes keep the unspent records' order, so they never move a pick.
   std::uint32_t take_gmw(NodeId v, std::uint32_t gen, std::uint32_t hop,
-                         std::uint32_t next_slot) {
+                         std::uint32_t next_slot, std::uint64_t draw) {
     std::vector<GmwRecord>& records = gmw[v];
     if (gmw_unsorted[v] != 0) {
       std::stable_sort(records.begin(), records.end());
       gmw_unsorted[v] = 0;
     }
-    const GmwRecord probe{gen, hop, 0, 0};
-    for (auto it = std::lower_bound(records.begin(), records.end(), probe);
-         it != records.end() && it->gen == gen && it->hop == hop; ++it) {
-      if (it->next_slot != next_slot) continue;
-      it->next_slot = kSpentSlot;
-      return it->prev_slot;
+    const auto [first, last] =
+        std::equal_range(records.begin(), records.end(),
+                         GmwRecord{gen, hop, 0, 0});
+    const auto matches = [next_slot](const GmwRecord& r) {
+      return r.next_slot == next_slot;
+    };
+    const auto count = std::count_if(first, last, matches);
+    if (count == 0) return kSpentSlot;
+    auto it = first;
+    for (auto skip = draw % static_cast<std::uint64_t>(count);
+         !matches(*it) || skip-- > 0;) {
+      ++it;
     }
-    return kSpentSlot;
+    it->next_slot = kSpentSlot;
+    return it->prev_slot;
   }
 
   std::uint64_t gmw_record_count() const {

@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <stdexcept>
 
 #include "resil/failpoint.hpp"
@@ -86,38 +87,13 @@ struct Reader {
 };
 
 // --- trajectory (de)serialization -----------------------------------------
-// Forward records are emitted per node as (key, count, records) groups in
-// ascending key order: a group is one run of equal keys in the flat array
-// sorted by (key, hop), its records ascending by hop, so reading the groups
-// back in order restores the sorted array (version-1 files list a key's hops
-// in Phase-1 arrival order, which is ascending).
+// Versions 1-3 list each node's Phase-1 forward records as (key, count,
+// records) groups in ascending key order, each group's records ascending by
+// hop (version-1 files list a key's hops in Phase-1 arrival order, which is
+// ascending). They are read into LegacyPhase1 and sorted once more.
 
-void write_forward_side(
-    Writer& w, const std::vector<std::vector<core::ForwardRecord>>& side) {
-  for (const auto& records : side) {
-    std::uint64_t groups = 0;
-    for (std::size_t i = 0; i < records.size(); ++i) {
-      if (i == 0 || records[i].key != records[i - 1].key) ++groups;
-    }
-    w.u64(groups);
-    for (std::size_t i = 0; i < records.size();) {
-      std::size_t end = i;
-      while (end < records.size() && records[end].key == records[i].key) {
-        ++end;
-      }
-      w.u64(records[i].key);
-      w.u64(end - i);
-      for (; i < end; ++i) {
-        w.u32(records[i].hop);
-        w.u32(records[i].next_slot);
-      }
-    }
-  }
-}
-
-void read_forward_side(Reader& r,
-                       std::vector<std::vector<core::ForwardRecord>>& side) {
-  for (auto& records : side) {
+void read_legacy_forward(Reader& r, LegacyPhase1& legacy) {
+  for (auto& hops : legacy.hops) {
     const std::uint64_t groups = r.count(/*key+count=*/16);
     for (std::uint64_t g = 0; g < groups; ++g) {
       const std::uint64_t key = r.u64();
@@ -125,15 +101,18 @@ void read_forward_side(Reader& r,
       for (std::uint64_t i = 0; i < n; ++i) {
         const std::uint32_t hop = r.u32();
         const std::uint32_t next_slot = r.u32();
-        records.push_back(core::ForwardRecord{key, hop, next_slot});
+        hops.push_back(LegacyPhase1::Hop{key, hop, next_slot});
+        legacy.recorded = true;
       }
     }
+    std::sort(hops.begin(), hops.end());
   }
 }
 
-// GET-MORE-WALKS records (version 3): the generation counter, then per node
-// the unspent records of the generations some held token still belongs to,
-// stably sorted by (gen, hop). Tombstones, dead generations and the order
+// Routing records (version 3: GET-MORE-WALKS generations only; version 4:
+// every generation): the generation counter, then per node the unspent
+// records of the generations some held token still belongs to, stably
+// sorted by (gen, hop). Tombstones, dead generations and the order
 // concurrent runs appended in never reach the file, so its bytes are a
 // function of the state a replay can observe.
 void write_gmw_side(Writer& w, const core::TrajectoryStore& trajectories,
@@ -175,8 +154,8 @@ void read_gmw_side(Reader& r, core::TrajectoryStore& trajectories) {
 // Versions 1 and 2 stored GET-MORE-WALKS hops as anonymous fragments keyed
 // by (source, hop), per node in ascending key order, and their tokens all
 // had seq 0. Each source's fragments become one generation whose id is the
-// source; its seq-0 tokens join it (fix_legacy_generations), and new
-// generations start above the legacy range, at n.
+// source; its seq-0 tokens join it (decode_payload), and new generations
+// start above the legacy range, at n.
 void read_legacy_fragments(Reader& r, core::TrajectoryStore& trajectories) {
   for (auto& records : trajectories.gmw) {
     const std::uint64_t entries = r.count(/*key+count=*/16);
@@ -194,14 +173,6 @@ void read_legacy_fragments(Reader& r, core::TrajectoryStore& trajectories) {
   }
   trajectories.next_generation =
       static_cast<std::uint32_t>(trajectories.gmw.size());
-}
-
-void fix_legacy_generations(core::WalkStore& store) {
-  for (auto& tokens : store.held) {
-    for (core::HeldToken& t : tokens) {
-      if (t.kind == core::WalkKind::kGetMore) t.seq = t.source;
-    }
-  }
 }
 
 // --- cached BFS roots: an n-bit bitset in u64 words (version >= 2) ---------
@@ -254,11 +225,9 @@ std::vector<std::uint8_t> encode_payload(const ServiceSnapshot& snap) {
       w.u32(t.seq);
       w.u32(t.length);
       w.u32(t.arrival_slot);
-      w.u8(static_cast<std::uint8_t>(t.kind));
       w.u8(t.used ? 1 : 0);
     }
   }
-  write_forward_side(w, snap.engine.trajectories.forward);
   write_gmw_side(w, snap.engine.trajectories,
                  snap.engine.store.live_generations(
                      snap.engine.trajectories.next_generation));
@@ -266,9 +235,10 @@ std::vector<std::uint8_t> encode_payload(const ServiceSnapshot& snap) {
   return std::move(w.bytes);
 }
 
-/// Decodes a payload of `version` (1 to 3). Versions 1 and 2 carry legacy
-/// fragments (read_legacy_fragments); version 1 has no cached-root bitset
-/// and restores with an empty tree cache.
+/// Decodes a payload of `version` (1 to 4). Versions 1 to 3 tag each token
+/// with its kind and carry Phase-1 forward records (legacy_phase1);
+/// versions 1 and 2 carry legacy fragments (read_legacy_fragments);
+/// version 1 has no cached-root bitset.
 ServiceSnapshot decode_payload(const std::uint8_t* data, std::size_t size,
                                std::uint32_t version) {
   Reader r{data, data + size};
@@ -289,26 +259,36 @@ ServiceSnapshot decode_payload(const std::uint8_t* data, std::size_t size,
   snap.inventory.unused = r.u64s();
   snap.inventory.demand = r.u64s();
   snap.inventory.last_visits = r.u64s();
+  const bool legacy = version < 4;
+  if (legacy) snap.legacy_phase1.emplace().hops.resize(n);
   snap.engine.store = core::WalkStore(n);
-  for (auto& held : snap.engine.store.held) {
-    held.resize(r.count(/*token bytes=*/18));
-    for (core::HeldToken& t : held) {
+  for (NodeId v = 0; v < n; ++v) {
+    auto& held = snap.engine.store.held[v];
+    held.resize(r.count(/*token bytes=*/legacy ? 18 : 17));
+    for (std::uint32_t i = 0; i < held.size(); ++i) {
+      core::HeldToken& t = held[i];
       t.source = r.u32();
       t.seq = r.u32();
       t.length = r.u32();
       t.arrival_slot = r.u32();
-      t.kind = static_cast<core::WalkKind>(r.u8());
+      if (legacy) {
+        // The kind byte: 0 = Phase 1, 1 = GET-MORE-WALKS.
+        if (r.u8() == 0) {
+          snap.legacy_phase1->tokens.push_back({v, i, t.seq});
+        } else if (version < 3) {
+          t.seq = t.source;
+        }
+      }
       t.used = r.u8() != 0;
     }
   }
   core::TrajectoryStore& trajectories = snap.engine.trajectories;
   trajectories = core::TrajectoryStore(n);
-  read_forward_side(r, trajectories.forward);
+  if (legacy) read_legacy_forward(r, *snap.legacy_phase1);
   if (version >= 3) {
     read_gmw_side(r, trajectories);
   } else {
     read_legacy_fragments(r, trajectories);
-    fix_legacy_generations(snap.engine.store);
   }
   for (std::size_t v = 0; v < n; ++v) {
     const auto& records = trajectories.gmw[v];
@@ -490,6 +470,80 @@ ReadOutcome read_snapshot_file(const std::string& path) {
   } catch (const std::exception& e) {
     return {std::nullopt, std::string("payload decode failed: ") + e.what()};
   }
+}
+
+std::string bind_to_graph(const Graph& g, ServiceSnapshot& snap) {
+  constexpr std::uint32_t kNoSlot = core::TrajectoryStore::kSpentSlot;
+  const std::size_t n = g.node_count();
+  core::WalkStore& store = snap.engine.store;
+  core::TrajectoryStore& trajectories = snap.engine.trajectories;
+  if (store.held.size() != n || trajectories.gmw.size() != n) {
+    return "node count mismatch";
+  }
+  for (NodeId v = 0; v < n; ++v) {
+    // kNoSlot marks a hop-0 record's arrival and a replayed record, and a
+    // lazy walk's token that never moved arrived through no slot.
+    const auto bad = [degree = g.degree(v)](std::uint32_t slot) {
+      return slot >= degree && slot != kNoSlot;
+    };
+    for (const core::HeldToken& t : store.held[v]) {
+      if (t.source >= n || bad(t.arrival_slot)) return "token out of range";
+    }
+    for (const core::GmwRecord& r : trajectories.gmw[v]) {
+      if (bad(r.next_slot) || bad(r.prev_slot)) {
+        return "routing record slot out of range";
+      }
+    }
+    if (snap.legacy_phase1.has_value()) {
+      for (const LegacyPhase1::Hop& hop : snap.legacy_phase1->hops[v]) {
+        if (hop.next_slot >= g.degree(v)) {
+          return "Phase-1 routing record slot out of range";
+        }
+      }
+    }
+  }
+  if (!snap.legacy_phase1.has_value()) return "";
+
+  // Each held Phase-1 token's forward records, followed from its source,
+  // become records of the source's generation. Other tokens' records are
+  // dropped: their walks may have been replayed along them already.
+  const LegacyPhase1& legacy = *snap.legacy_phase1;
+  const std::uint32_t base = trajectories.next_generation;
+  if (base > std::numeric_limits<std::uint32_t>::max() - n) {
+    return "generation counter overflows";
+  }
+  for (const LegacyPhase1::Token& token : legacy.tokens) {
+    core::HeldToken& t = store.held[token.holder][token.index];
+    t.seq = base + t.source;
+    const std::uint64_t key =
+        (static_cast<std::uint64_t>(t.source) << 32) | token.seq;
+    NodeId at = t.source;
+    NodeId prev = kInvalidNode;
+    if (!legacy.recorded) continue;  // without --paths tokens only move
+    for (std::uint32_t hop = 0; hop < t.length; ++hop) {
+      const std::vector<LegacyPhase1::Hop>& hops = legacy.hops[at];
+      const auto it = std::lower_bound(hops.begin(), hops.end(),
+                                       LegacyPhase1::Hop{key, hop, 0});
+      if (it == hops.end() || it->key != key || it->hop != hop) {
+        return "Phase-1 token without a routing record";
+      }
+      trajectories.append_gmw(
+          at, core::GmwRecord{t.seq, hop,
+                              hop == 0 ? kNoSlot : g.slot_of(at, prev),
+                              it->next_slot});
+      ++trajectories.records_kept;
+      prev = at;
+      at = g.neighbor(at, it->next_slot);
+    }
+    if (t.length > 0 && (at != token.holder ||
+                         t.arrival_slot >= g.degree(at) ||
+                         g.neighbor(at, t.arrival_slot) != prev)) {
+      return "Phase-1 routing records do not lead to their token";
+    }
+  }
+  trajectories.next_generation = base + static_cast<std::uint32_t>(n);
+  snap.legacy_phase1.reset();
+  return "";
 }
 
 std::string snapshot_generation_path(const std::string& path,

@@ -20,7 +20,7 @@
 // and per-request stats for all subsequent batches versus the uninterrupted
 // run, at every thread count x mux width.
 //
-// On-disk format (version 3, native-endian, single-host checkpoint):
+// On-disk format (version 4, native-endian, single-host checkpoint):
 //
 //   [0]  magic   "DRWSNAP1"            (8 bytes)
 //   [8]  version u32 | reserved u32
@@ -28,17 +28,16 @@
 //   [24] CRC-32 (IEEE) of payload u32 | reserved u32
 //   [32] payload...
 //
-// Version 3 stores GET-MORE-WALKS routing records by generation: the
-// generation counter, then each node's unspent records of the generations
-// some held token still belongs to, sorted by (gen, hop). The bytes are a
-// function of the logical state, not of tombstones or the freeing schedule.
-// The payload ends with the engine's cached BFS roots as an n-bit bitset
-// (since version 2); restore rebuilds those trees locally and charges them
-// no rounds, so the warm-restarted counters match the uninterrupted run.
-// Version 1 and 2 files still restore: their (source, hop)-keyed fragments
-// become one generation per source, whose id is the source, and new
-// generations start at n. A version-1 file has no root bitset and restores
-// with an empty tree cache.
+// Version 4 stores every routing record, Phase-1 and GET-MORE-WALKS alike:
+// the generation counter, then each node's unspent records of the
+// generations some held token still belongs to, sorted by (gen, hop). The
+// bytes are a function of the logical state, not of tombstones or the
+// freeing schedule. The payload ends with the engine's cached BFS roots as
+// an n-bit bitset (since version 2); restore rebuilds those trees locally
+// and charges them no rounds, so the warm-restarted counters match the
+// uninterrupted run. Version 1-3 files still restore (bind_to_graph()
+// turns their per-token Phase-1 records into generations); a version-1
+// file restores with an empty tree cache.
 //
 // Writes are atomic: payload assembled in memory -> <path>.tmp -> fsync ->
 // rename(tmp, path) -> fsync(dir). A crash at any point leaves either the
@@ -58,7 +57,7 @@
 
 namespace drw::resil {
 
-inline constexpr std::uint32_t kSnapshotVersion = 3;
+inline constexpr std::uint32_t kSnapshotVersion = 4;
 
 /// The WalkInventory image rides along as raw arrays so resil does not
 /// depend on the service layer (the service copies in/out).
@@ -68,6 +67,27 @@ struct InventoryImage {
   std::vector<std::uint64_t> last_visits;
   std::uint64_t total_unused = 0;
   std::uint64_t total_demand = 0;
+};
+
+/// A version 1-3 file's Phase-1 records: forward hops keyed by the token.
+struct LegacyPhase1 {
+  struct Hop {
+    std::uint64_t key = 0;  ///< (source << 32) | seq
+    std::uint32_t hop = 0;
+    std::uint32_t next_slot = 0;
+
+    friend bool operator<(const Hop& a, const Hop& b) {
+      return a.key != b.key ? a.key < b.key : a.hop < b.hop;
+    }
+  };
+  struct Token {  ///< store.held[holder][index] had per-source index seq
+    NodeId holder = kInvalidNode;
+    std::uint32_t index = 0;
+    std::uint32_t seq = 0;
+  };
+  std::vector<std::vector<Hop>> hops;  ///< per node, sorted by (key, hop)
+  std::vector<Token> tokens;
+  bool recorded = false;  ///< the file has any hop (it served --paths)
 };
 
 /// Everything a WalkService needs to warm-start bit-identically.
@@ -80,6 +100,8 @@ struct ServiceSnapshot {
   std::vector<NodeId> tree_roots;
   InventoryImage inventory;
   std::vector<std::array<std::uint64_t, 4>> rng_states;  // per node
+  /// Set only by a version 1-3 file, until bind_to_graph() converts it.
+  std::optional<LegacyPhase1> legacy_phase1;
 };
 
 /// Structure + seed fingerprint: FNV-1a over the node count, every
@@ -107,6 +129,12 @@ struct ReadOutcome {
 /// missing/torn/corrupt/mismatched file comes back as an empty snapshot
 /// plus the detection reason, so callers can log it and cold-start.
 ReadOutcome read_snapshot_file(const std::string& path);
+
+/// Checks that the snapshot's tokens and records fit `g` (sources are
+/// nodes, slots are edges) and files a version 1-3 file's Phase-1 records
+/// as one generation per source, numbered from the file's counter. Returns
+/// why the snapshot does not fit -- the caller cold-starts -- or "".
+std::string bind_to_graph(const Graph& g, ServiceSnapshot& snap);
 
 /// Generation naming for rotated snapshots: slot 0 is `path` itself (the
 /// single-file layout), slot k >= 1 is `path.k` with 1 the newest

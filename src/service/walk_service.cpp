@@ -349,16 +349,17 @@ bool WalkService::restore_from_file(const std::string& path,
   if (snap.graph_fingerprint != state_fingerprint()) {
     return cold("graph/seed/config fingerprint mismatch");
   }
-  if (snap.engine.store.held.size() != n ||
-      snap.engine.trajectories.forward.size() != n ||
-      snap.engine.trajectories.gmw.size() != n ||
-      snap.connector_visits.size() != n || snap.rng_states.size() != n ||
+  if (snap.connector_visits.size() != n || snap.rng_states.size() != n ||
       snap.inventory.unused.size() != n ||
       snap.inventory.demand.size() != n ||
       snap.inventory.last_visits.size() != n) {
     return cold("node count mismatch");
   }
   if (snap.engine.lambda == 0) return cold("lambda == 0");
+  if (std::string error = resil::bind_to_graph(net_->graph(), snap);
+      !error.empty()) {
+    return cold(error);
+  }
 
   const std::uint64_t total_unused = snap.inventory.total_unused;
   engine_.adopt_state(std::move(snap.engine));

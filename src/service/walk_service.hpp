@@ -122,7 +122,8 @@ struct BatchReport {
   std::uint64_t rejected = 0;        ///< requests returned with status != kOk
   /// The short-walk store after the batch (StitchEngine::compact_store):
   /// tokens held, of them unused (equal once used ones are dropped), and
-  /// GET-MORE-WALKS routing records stored / freed by this batch's pass.
+  /// routing records (Phase-1 and GET-MORE-WALKS generations alike) stored
+  /// / freed by this batch's pass.
   std::uint64_t held_tokens = 0;
   std::uint64_t unused_tokens = 0;
   std::uint64_t gmw_records = 0;

@@ -56,6 +56,10 @@ TEST(EngineHooks, ReplenishAddsExactlyCountUnusedTokens) {
   StitchEngine engine(net, small_lambda_params(), exact_diameter(g));
   engine.prepare(1, 30);
   const std::vector<std::uint64_t> before = engine.unused_counts_by_source();
+  std::vector<std::size_t> phase1_held;
+  for (const auto& held : engine.store().held) {
+    phase1_held.push_back(held.size());
+  }
 
   const congest::RunStats stats = engine.replenish(7, 10);
   const std::vector<std::uint64_t> after = engine.unused_counts_by_source();
@@ -63,16 +67,16 @@ TEST(EngineHooks, ReplenishAddsExactlyCountUnusedTokens) {
   // GET-MORE-WALKS is O(lambda) rounds regardless of count (aggregation).
   EXPECT_GT(stats.rounds, 0u);
   EXPECT_LE(stats.rounds, 8u * engine.lambda());
-  // Fresh tokens are tagged as GET-MORE-WALKS walks with lengths in
-  // [lambda, 2*lambda).
+  // Fresh tokens are appended after the Phase-1 ones, all from source 7,
+  // with lengths in [lambda, 2*lambda).
   std::uint64_t fresh = 0;
-  for (const auto& held : engine.store().held) {
-    for (const core::HeldToken& t : held) {
-      if (t.source == 7 && t.kind == core::WalkKind::kGetMore) {
-        EXPECT_GE(t.length, engine.lambda());
-        EXPECT_LT(t.length, 2 * engine.lambda());
-        ++fresh;
-      }
+  for (NodeId v = 0; v < g.node_count(); ++v) {
+    const auto& held = engine.store().held[v];
+    for (std::size_t i = phase1_held[v]; i < held.size(); ++i) {
+      EXPECT_EQ(held[i].source, 7u);
+      EXPECT_GE(held[i].length, engine.lambda());
+      EXPECT_LT(held[i].length, 2 * engine.lambda());
+      ++fresh;
     }
   }
   EXPECT_EQ(fresh, 10u);
@@ -97,11 +101,17 @@ TEST(EngineHooks, ReplenishedTokensYieldExactWalkDistribution) {
     Network net(g, 52000 + run);
     StitchEngine engine(net, params, 2);
     engine.prepare(1, l);
+    std::vector<std::size_t> phase1_held;
+    for (const auto& held : engine.store().held) {
+      phase1_held.push_back(held.size());
+    }
     engine.replenish(0, 40);
     ++counts[engine.walk(0, l, 0).destination];
-    for (const auto& held : engine.store().held) {
-      for (const core::HeldToken& t : held) {
-        if (t.used && t.kind == core::WalkKind::kGetMore) ++getmore_consumed;
+    // Replenished tokens are the ones appended after the Phase-1 ones.
+    for (NodeId v = 0; v < g.node_count(); ++v) {
+      const auto& held = engine.store().held[v];
+      for (std::size_t i = phase1_held[v]; i < held.size(); ++i) {
+        getmore_consumed += held[i].used;
       }
     }
   }

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <string>
 
 #include "congest/mux.hpp"
 #include "congest/primitives.hpp"
@@ -26,7 +28,7 @@ TEST(ShortWalkPhase, StoresEveryWalkWithItsLength) {
   std::size_t expected = 0;
   for (NodeId v = 0; v < g.node_count(); ++v) {
     for (std::uint32_t i = 0; i < g.degree(v); ++i) {
-      jobs.push_back(ShortWalkPhaseProtocol::Job{v, i, 4 + (i % 4)});
+      jobs.push_back(ShortWalkPhaseProtocol::Job{v, 4 + (i % 4)});
       ++expected;
     }
   }
@@ -36,7 +38,7 @@ TEST(ShortWalkPhase, StoresEveryWalkWithItsLength) {
   for (NodeId v = 0; v < g.node_count(); ++v) {
     for (const HeldToken& t : store.held[v]) {
       EXPECT_FALSE(t.used);
-      EXPECT_EQ(t.kind, WalkKind::kPhase1);
+      EXPECT_EQ(t.seq, t.source);  // no trajectories: generation base 0
       EXPECT_GE(t.length, 4u);
       EXPECT_LE(t.length, 7u);
       ++stored;
@@ -45,43 +47,11 @@ TEST(ShortWalkPhase, StoresEveryWalkWithItsLength) {
   EXPECT_EQ(stored, expected);
 }
 
-TEST(ShortWalkPhase, TrajectoriesReplayToTheStoredEndpoint) {
-  // With trajectories recorded, following the per-hop pointers from the
-  // source must land exactly on the node holding the stored token.
-  const Graph g = gen::grid(4, 4);
-  Network net(g, 13);
-  WalkStore store(g.node_count());
-  TrajectoryStore traj(g.node_count());
-  const std::uint32_t length = 9;
-  std::vector<ShortWalkPhaseProtocol::Job> jobs{{0, 0, length}};
-  ShortWalkPhaseProtocol protocol(g, jobs, store, &traj);
-  net.run(protocol);
-  traj.sort_forward();
-
-  NodeId holder = kInvalidNode;
-  for (NodeId v = 0; v < g.node_count(); ++v) {
-    if (!store.held[v].empty()) holder = v;
-  }
-  ASSERT_NE(holder, kInvalidNode);
-
-  NodeId at = 0;
-  for (std::uint32_t hop = 0; hop < length; ++hop) {
-    const ForwardRecord* r =
-        traj.find_forward(at, TrajectoryStore::key(0, 0), hop);
-    ASSERT_NE(r, nullptr) << "missing hop " << hop;
-    at = g.neighbor(at, r->next_slot);
-  }
-  EXPECT_EQ(at, holder);
-  // The endpoint has no outgoing record: that is where the replay stops.
-  EXPECT_EQ(traj.find_forward(at, TrajectoryStore::key(0, 0), length),
-            nullptr);
-}
-
 TEST(ShortWalkPhase, ZeroLengthWalkStaysAtItsOrigin) {
   const Graph g = gen::cycle(4);
   Network net(g, 29);
   WalkStore store(g.node_count());
-  ShortWalkPhaseProtocol protocol(g, {{2, 0, 0}}, store, nullptr);
+  ShortWalkPhaseProtocol protocol(g, {{2, 0}}, store, nullptr);
   const RunStats stats = net.run(protocol);
   EXPECT_EQ(store.held[2].size(), 1u);
   EXPECT_EQ(stats.messages, 0u);
@@ -99,7 +69,7 @@ TEST(ShortWalkPhase, SingleWalkEndpointMatchesOracleDistribution) {
   for (int r = 0; r < 4000; ++r) {
     Network net(g, 1000 + r);
     WalkStore store(g.node_count());
-    ShortWalkPhaseProtocol protocol(g, {{0, 0, l}}, store, nullptr);
+    ShortWalkPhaseProtocol protocol(g, {{0, l}}, store, nullptr);
     net.run(protocol);
     for (NodeId v = 0; v < g.node_count(); ++v) {
       if (!store.held[v].empty()) ++counts[v];
@@ -117,7 +87,7 @@ TEST(ShortWalkPhase, WalksCrossingOneEdgeSerialize) {
   WalkStore store(g.node_count());
   const std::uint32_t q = 25;
   std::vector<ShortWalkPhaseProtocol::Job> jobs;
-  for (std::uint32_t i = 0; i < q; ++i) jobs.push_back({0, i, 1});
+  for (std::uint32_t i = 0; i < q; ++i) jobs.push_back({0, 1});
   ShortWalkPhaseProtocol protocol(g, jobs, store, nullptr);
   const RunStats stats = net.run(protocol);
   EXPECT_EQ(store.held[1].size(), q);
@@ -135,7 +105,6 @@ TEST(GetMoreWalks, StoresExactlyCountWalks) {
   for (NodeId v = 0; v < g.node_count(); ++v) {
     for (const HeldToken& t : store.held[v]) {
       EXPECT_EQ(t.source, 4u);
-      EXPECT_EQ(t.kind, WalkKind::kGetMore);
       EXPECT_GE(t.length, 6u);
       EXPECT_LE(t.length, 11u);
       ++stored;
@@ -200,19 +169,32 @@ TEST(GetMoreWalks, FixedLengthModeStopsAtLambda) {
   EXPECT_LE(stats.rounds, 6u);
 }
 
-// Two GET-MORE-WALKS runs as lanes of one mux interleave their records at
-// shared nodes. Each run is its own generation; the first lookup at a node
-// sorts its records once, and every token of both runs replays backward to
-// its own source along graph edges, spending each record it passes once.
+// Phase 1 and two GET-MORE-WALKS runs record into one TrajectoryStore.
+// Phase 1 takes one generation per source (ids 0..n-1) and the runs take n
+// and n+1. Phase-1 tokens queue and the runs, as lanes of one mux,
+// interleave their records at shared nodes, so records arrive out of
+// (gen, hop) order and the first lookup at a node sorts them once. Every
+// token of all three replays backward to its own source along graph edges,
+// spending each record it passes once, and freeing covers every generation.
 TEST(GetMoreWalks, InterleavedGenerationsReplayToTheirSources) {
   const Graph g = gen::torus(4, 4);
-  const std::size_t n = g.node_count();
+  const auto n = static_cast<NodeId>(g.node_count());
   Network net(g, 21);
   WalkStore store(n);
   TrajectoryStore traj(n);
+  std::vector<ShortWalkPhaseProtocol::Job> phase1_jobs;
+  std::vector<std::uint8_t> expected_live(n + 2, 0);
+  for (NodeId v = 0; v < n; v += 3) {
+    for (std::uint32_t i = 0; i < 3; ++i) phase1_jobs.push_back({v, 5 + i});
+    expected_live[v] = 1;
+  }
+  ShortWalkPhaseProtocol phase1(g, phase1_jobs, store, &traj);
+  net.run(phase1);
+  EXPECT_EQ(traj.next_generation, n);
   GetMoreWalksProtocol first(g, 0, 12, 5, true, store, &traj);
   GetMoreWalksProtocol second(g, 5, 12, 5, true, store, &traj);
-  EXPECT_EQ(traj.next_generation, 2u);
+  EXPECT_EQ(traj.next_generation, n + 2);
+  expected_live[n] = expected_live[n + 1] = 1;
   std::vector<Rng> first_rngs =
       congest::ProtocolMux::derive_lane_rngs(net.seed(), 1, n);
   std::vector<Rng> second_rngs =
@@ -224,26 +206,31 @@ TEST(GetMoreWalks, InterleavedGenerationsReplayToTheirSources) {
   EXPECT_NE(std::count(traj.gmw_unsorted.begin(), traj.gmw_unsorted.end(), 1),
             0);
 
-  std::vector<RegenerateProtocol::ReverseJob> jobs;
+  std::vector<RegenerateProtocol::Job> jobs;
+  std::vector<NodeId> sources;
   for (NodeId v = 0; v < n; ++v) {
     for (const HeldToken& t : store.held[v]) {
-      ASSERT_EQ(t.kind, WalkKind::kGetMore);
-      EXPECT_EQ(t.seq, t.source == 0 ? 0u : 1u);
-      jobs.push_back(RegenerateProtocol::ReverseJob{
-          v, t.source, t.seq, t.length, t.arrival_slot, 0,
+      if (t.seq < n) {
+        EXPECT_EQ(t.seq, t.source);  // Phase 1: generation base 0
+      } else {
+        EXPECT_EQ(t.seq, t.source == 0 ? n : n + 1);
+      }
+      jobs.push_back(RegenerateProtocol::Job{
+          v, t.seq, t.length, t.arrival_slot, 0,
           static_cast<std::uint32_t>(jobs.size())});
+      sources.push_back(t.source);
     }
   }
-  ASSERT_EQ(jobs.size(), 24u);
+  ASSERT_EQ(jobs.size(), phase1_jobs.size() + 24);
   PositionTable positions(n);
-  RegenerateProtocol regen(g, {}, jobs, traj, positions);
+  RegenerateProtocol regen(g, jobs, traj, positions, 77);
   net.run(regen);
-  for (const auto& job : jobs) {
-    // A reverse replay stops at the source without recording step 0 (the
-    // stitch records it as the previous segment's end).
-    positions[job.source].push_back(WalkPosition{job.walk_id, 0});
-    test::expect_valid_walk(g, positions, job.walk_id, job.length, job.source,
-                            job.holder);
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    // A replay stops at the source without recording step 0 (the stitch
+    // records it as the previous segment's end).
+    positions[sources[j]].push_back(WalkPosition{jobs[j].walk_id, 0});
+    test::expect_valid_walk(g, positions, jobs[j].walk_id, jobs[j].length,
+                            sources[j], jobs[j].holder);
   }
   // The replay stops on reaching the source, so only hop-0 records stay.
   for (const auto& records : traj.gmw) {
@@ -253,9 +240,9 @@ TEST(GetMoreWalks, InterleavedGenerationsReplayToTheirSources) {
   }
   const std::vector<std::uint8_t> live =
       store.live_generations(traj.next_generation);
-  EXPECT_EQ(live, (std::vector<std::uint8_t>{1, 1}));
+  EXPECT_EQ(live, expected_live);
   // Freeing keeps the live generations' unspent records (one hop-0 record
-  // per token) and drops the rest once neither generation is held.
+  // per token) and drops the rest once no generation is held.
   const std::uint64_t stored = traj.gmw_record_count();
   EXPECT_EQ(traj.drop_spent(live), stored - jobs.size());
   EXPECT_EQ(traj.records_kept, jobs.size());
@@ -263,11 +250,109 @@ TEST(GetMoreWalks, InterleavedGenerationsReplayToTheirSources) {
   EXPECT_EQ(traj.gmw_record_count(), 0u);
 }
 
+// The replay is exact per token, not only pooled over tokens. One uniformly
+// chosen token of a 30-token generation -- a GET-MORE-WALKS run, or the
+// Phase-1 tokens of one source -- is replayed alone, and its position at
+// hop t must follow P^t(source, .) for every t < lambda. Taking the first
+// matching record instead of a uniform one favours the predecessors whose
+// tokens arrived first (low ids) and fails on all three graphs. Seeds are
+// fixed; a Holm step-down over every (run, graph, hop) cell keeps the
+// family-wise false-alarm rate at 1e-3.
+TEST(Regenerate, OneTokenOfAGenerationReplaysAnExactPath) {
+  constexpr std::uint32_t kLambda = 5;
+  constexpr std::uint32_t kTokens = 30;
+  constexpr int kSeeds = 6000;
+  struct Case {
+    const char* name;
+    Graph g;
+  };
+  Rng graph_rng(16);
+  std::vector<Case> cases;
+  cases.push_back({"regular", gen::random_regular(16, 3, graph_rng)});
+  cases.push_back({"lollipop", gen::lollipop(5, 4)});
+  cases.push_back({"grid", gen::grid(4, 4)});
+
+  std::vector<double> p_values;
+  std::vector<std::string> labels;
+  for (const bool phase1 : {false, true}) {
+    for (const Case& c : cases) {
+      const std::size_t n = c.g.node_count();
+      std::vector<std::vector<std::uint64_t>> counts(
+          kLambda, std::vector<std::uint64_t>(n, 0));
+      // One network per graph: its node streams run on from seed to seed.
+      Network net(c.g, 9000);
+      for (int seed = 0; seed < kSeeds; ++seed) {
+        WalkStore store(n);
+        TrajectoryStore traj(n);
+        if (phase1) {
+          std::vector<ShortWalkPhaseProtocol::Job> jobs;
+          for (std::uint32_t i = 0; i < kTokens; ++i) {
+            jobs.push_back({0, kLambda + i % kLambda});
+          }
+          ShortWalkPhaseProtocol run(c.g, jobs, store, &traj);
+          net.run(run);
+        } else {
+          GetMoreWalksProtocol run(c.g, 0, kTokens, kLambda, true, store,
+                                   &traj);
+          net.run(run);
+        }
+        Rng pick_rng(static_cast<std::uint64_t>(seed));
+        std::uint64_t pick = pick_rng.next_below(kTokens);
+        RegenerateProtocol::Job job;
+        for (NodeId v = 0; v < n && job.holder == kInvalidNode; ++v) {
+          if (pick >= store.held[v].size()) {
+            pick -= store.held[v].size();
+            continue;
+          }
+          const HeldToken& t = store.held[v][pick];
+          job = RegenerateProtocol::Job{v, t.seq, t.length, t.arrival_slot,
+                                        0, 0};
+        }
+        ASSERT_NE(job.holder, kInvalidNode);
+        PositionTable positions(n);
+        RegenerateProtocol regen(c.g, {job}, traj, positions,
+                                 static_cast<std::uint64_t>(seed));
+        net.run(regen);
+        for (NodeId v = 0; v < n; ++v) {
+          for (const WalkPosition& p : positions[v]) {
+            if (p.step < kLambda) ++counts[p.step][v];
+          }
+        }
+      }
+      const MarkovOracle oracle(c.g);
+      for (std::uint32_t t = 1; t < kLambda; ++t) {
+        p_values.push_back(
+            chi_square_test(counts[t], oracle.distribution_after(0, t))
+                .p_value);
+        labels.push_back(std::string(phase1 ? "phase1 " : "gmw ") + c.name +
+                         " t=" + std::to_string(t));
+      }
+    }
+  }
+  std::vector<std::size_t> order(p_values.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return p_values[a] < p_values[b];
+  });
+  constexpr double kAlpha = 1e-3;
+  for (std::size_t k = 0; k < order.size(); ++k) {
+    const std::size_t cell = order[k];
+    if (p_values[cell] > kAlpha / static_cast<double>(order.size() - k)) {
+      break;
+    }
+    ADD_FAILURE() << labels[cell] << ": p=" << p_values[cell]
+                  << " rejected under Holm at " << kAlpha;
+  }
+  for (std::size_t cell = 0; cell < p_values.size(); ++cell) {
+    std::printf("  %-18s p=%.3g\n", labels[cell].c_str(), p_values[cell]);
+  }
+}
+
 TEST(SampleConvergecast, FindsTheOnlyToken) {
   const Graph g = gen::grid(3, 3);
   Network net(g, 29);
   WalkStore store(g.node_count());
-  store.held[7].push_back(HeldToken{2, 9, 6, WalkKind::kPhase1, 0, false});
+  store.held[7].push_back(HeldToken{2, 9, 6, 0, false});
   RunStats stats;
   const congest::BfsTree tree = congest::build_bfs_tree(net, 2, stats);
   SampleConvergecast sample(tree, store, 2,
@@ -277,15 +362,14 @@ TEST(SampleConvergecast, FindsTheOnlyToken) {
   EXPECT_EQ(sample.result().holder, 7u);
   EXPECT_EQ(sample.result().length, 6u);
   EXPECT_EQ(sample.result().seq, 9u);
-  EXPECT_EQ(sample.result().kind, WalkKind::kPhase1);
 }
 
 TEST(SampleConvergecast, IgnoresUsedAndForeignTokens) {
   const Graph g = gen::grid(3, 3);
   Network net(g, 31);
   WalkStore store(g.node_count());
-  store.held[4].push_back(HeldToken{2, 0, 6, WalkKind::kPhase1, 0, true});
-  store.held[5].push_back(HeldToken{3, 0, 6, WalkKind::kPhase1, 0, false});
+  store.held[4].push_back(HeldToken{2, 0, 6, 0, true});
+  store.held[5].push_back(HeldToken{3, 0, 6, 0, false});
   RunStats stats;
   const congest::BfsTree tree = congest::build_bfs_tree(net, 2, stats);
   SampleConvergecast sample(tree, store, 2,
@@ -299,12 +383,12 @@ TEST(SampleConvergecast, UniformOverAllUnusedTokens) {
   const Graph g = gen::path(5);
   WalkStore store(g.node_count());
   // 6 tokens from source 0 spread over nodes 1, 3, 4.
-  store.held[1].push_back(HeldToken{0, 0, 4, WalkKind::kPhase1, 0, false});
-  store.held[1].push_back(HeldToken{0, 1, 4, WalkKind::kPhase1, 0, false});
-  store.held[3].push_back(HeldToken{0, 2, 4, WalkKind::kPhase1, 0, false});
-  store.held[3].push_back(HeldToken{0, 3, 4, WalkKind::kPhase1, 0, false});
-  store.held[3].push_back(HeldToken{0, 4, 4, WalkKind::kPhase1, 0, false});
-  store.held[4].push_back(HeldToken{0, 5, 4, WalkKind::kPhase1, 0, false});
+  store.held[1].push_back(HeldToken{0, 0, 4, 0, false});
+  store.held[1].push_back(HeldToken{0, 1, 4, 0, false});
+  store.held[3].push_back(HeldToken{0, 2, 4, 0, false});
+  store.held[3].push_back(HeldToken{0, 3, 4, 0, false});
+  store.held[3].push_back(HeldToken{0, 4, 4, 0, false});
+  store.held[4].push_back(HeldToken{0, 5, 4, 0, false});
 
   std::vector<std::uint64_t> counts(6, 0);
   const int runs = 6000;
@@ -347,9 +431,8 @@ TEST(SampleConvergecast, SilentSweepSendsOnlyFromHolderSubtrees) {
       std::uint64_t unused = 0;
       std::vector<std::uint8_t> reports(n, 0);
       for (NodeId v = 0; v < n; ++v) {
-        const HeldToken foreign{(root + 1) % n, 0, 4, WalkKind::kPhase1, 0,
-                                false};
-        const HeldToken used{root, 0, 4, WalkKind::kPhase1, 0, true};
+        const HeldToken foreign{(root + 1) % n, 0, 4, 0, false};
+        const HeldToken used{root, 0, 4, 0, true};
         store.held[v].push_back(foreign);
         drained.held[v].push_back(foreign);
         if ((v + root) % 4 == 1) {
@@ -359,7 +442,7 @@ TEST(SampleConvergecast, SilentSweepSendsOnlyFromHolderSubtrees) {
         if (v != root && (v * 7 + root) % 5 != 0) continue;
         for (std::uint32_t i = 0; i < 1 + v % 3; ++i) {
           store.held[v].push_back(
-              HeldToken{root, i, 4 + i, WalkKind::kPhase1, 0, false});
+              HeldToken{root, i, 4 + i, 0, false});
           ++unused;
         }
         for (NodeId u = v; u != root && reports[u] == 0; u = tree.parent[u]) {
@@ -440,13 +523,13 @@ TEST(SampleCommit, FlipsOnlyTheSampledTokenInDepthMessages) {
       std::uint64_t unused = 0;
       for (NodeId v = 0; v < n; ++v) {
         store.held[v].push_back(
-            HeldToken{(root + 1) % n, 0, 4, WalkKind::kPhase1, 0, false});
+            HeldToken{(root + 1) % n, 0, 4, 0, false});
         if (v != root && (v + root) % 3 != 0) continue;
         store.held[v].push_back(
-            HeldToken{root, 0, 4, WalkKind::kPhase1, 0, true});
+            HeldToken{root, 0, 4, 0, true});
         for (std::uint32_t i = 0; i < 1 + v % 2; ++i) {
           store.held[v].push_back(
-              HeldToken{root, i, 4, WalkKind::kPhase1, 0, false});
+              HeldToken{root, i, 4, 0, false});
           ++unused;
         }
       }

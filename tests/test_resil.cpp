@@ -148,12 +148,14 @@ TEST(Resil, WarmRestartBitIdenticalAcrossThreadsAndMux) {
   std::remove(path.c_str());
 }
 
-/// Copies a version-2 snapshot from tests/fixtures to a scratch path. The
-/// last version-2 build wrote them from this file's 64-node graph, seed 4242
-/// and resil_config(1): resil_trees_v2.snap after batch_one(), and
-/// resil_gmw_v2.snap after one batch of kDrainSourceFive. Their
-/// GET-MORE-WALKS routing records are (source, hop)-keyed fragments, which
-/// the current build can no longer write.
+/// Copies a legacy snapshot from tests/fixtures to a scratch path. The
+/// last version-2 and version-3 builds wrote them from this file's 64-node
+/// graph, seed 4242 and resil_config(1): resil_trees_v2.snap after
+/// batch_one(), and resil_gmw_v2.snap and resil_gmw_v3.snap after one batch
+/// of kDrainSourceFive. Their Phase-1 routing records are forward records
+/// keyed by (source, seq), and the version-2 files keep GET-MORE-WALKS
+/// records as (source, hop)-keyed fragments; the current build writes
+/// neither.
 std::string legacy_snapshot_copy(const std::string& fixture,
                                  const char* name) {
   std::ifstream in(std::string(DRW_TEST_FIXTURES) + "/" + fixture,
@@ -272,69 +274,131 @@ TEST(Resil, SnapshotRestoresTheTreeCacheAndVersionOneStartsItEmpty) {
 const std::vector<WalkRequest> kDrainSourceFive = {{5, 40, 6, true},
                                                    {5, 40, 6, false}};
 
-// A legacy file's (source, hop)-keyed GET-MORE-WALKS fragments restore as
-// one generation per source, numbered by the source, and new generations
-// start above them. Walks that stitch those tokens replay to valid walks,
-// and sampling is unchanged: the uninterrupted run draws the same
-// destinations.
-TEST(Resil, LegacyFragmentsReplayAsOneGenerationPerSource) {
+/// Offset of the first Phase-1 forward record's next_slot in a version-3
+/// snapshot file of an n-node service: walks the payload up to it (the
+/// fixed header fields, the RNG words, four u64 arrays, the 18-byte
+/// tokens, then per node a group count and per group key, count and
+/// (hop, next_slot) pairs). 0 if the file holds no forward record.
+std::size_t first_forward_next_slot(const std::vector<char>& file,
+                                    std::size_t n) {
+  const auto u64_at = [&file](std::size_t offset) {
+    std::uint64_t v = 0;
+    std::memcpy(&v, file.data() + offset, sizeof v);
+    return v;
+  };
+  std::size_t at = 32 + 56 + 32 * n;
+  for (int array = 0; array < 4; ++array) at += 8 + 8 * u64_at(at);
+  for (std::size_t v = 0; v < n; ++v) at += 8 + 18 * u64_at(at);
+  for (std::size_t v = 0; v < n; ++v, at += 8) {
+    if (u64_at(at) > 0) return at + 8 + 16 + 4;
+  }
+  return 0;
+}
+
+// Legacy files keep Phase-1 hops as per-token forward records; restore
+// files each source's as one generation numbered from the file's counter,
+// and new generations start above them. Their GET-MORE-WALKS records are
+// (source, hop)-keyed fragments (version 2: one generation per source,
+// numbered by the source, so the counter ends at 2n) or generations
+// already (version 3: the counter ends where the uninterrupted run's
+// does). Walks that stitch those tokens replay to valid walks, spending
+// the file's GET-MORE-WALKS records too, and sampling is unchanged: the
+// uninterrupted run draws the same destinations. A forward record whose
+// slot is not an edge of the graph degrades to a cold start.
+TEST(Resil, LegacySnapshotsReplayAsGenerations) {
   Rng graph_rng(808);
   const Graph g = gen::random_regular(64, 4, graph_rng);
+  const std::uint32_t n = static_cast<std::uint32_t>(g.node_count());
   const std::uint32_t diameter = exact_diameter(g);
   const std::vector<WalkRequest> reuse = {{5, 40, 6, true}, {2, 28, 2, true}};
 
   congest::Network net_a(g, 4242);
   WalkService a(net_a, diameter, resil_config(1));
   a.serve(kDrainSourceFive);
+  const std::uint32_t generations = a.engine().trajectories().next_generation;
   const BatchReport uninterrupted = a.serve(reuse);
 
-  const std::string path =
-      legacy_snapshot_copy("resil_gmw_v2.snap", "drw_resil_gmw_v2.snap");
-  congest::Network net_b(g, 4242);
-  WalkService b(net_b, diameter, resil_config(1));
-  ASSERT_TRUE(b.restore_snapshot(path));
-  const core::TrajectoryStore& trajectories = b.engine().trajectories();
-  EXPECT_EQ(trajectories.next_generation, g.node_count());
-  const auto unspent_of_source_five = [&trajectories] {
-    std::uint64_t count = 0;
-    for (const auto& records : trajectories.gmw) {
-      for (const core::GmwRecord& r : records) {
-        count += r.gen == 5 &&
-                 r.next_slot != core::TrajectoryStore::kSpentSlot;
-      }
-    }
-    return count;
+  struct Legacy {
+    const char* fixture;
+    std::uint32_t generations;  ///< the counter after restore
   };
-  const std::uint64_t legacy_records = unspent_of_source_five();
-  ASSERT_GT(legacy_records, 0u);
+  for (const Legacy& legacy : {Legacy{"resil_gmw_v2.snap", 2 * n},
+                               Legacy{"resil_gmw_v3.snap", generations}}) {
+    const std::string label = legacy.fixture;
+    const std::string path =
+        legacy_snapshot_copy(legacy.fixture, "drw_resil_legacy.snap");
+    congest::Network net_b(g, 4242);
+    WalkService b(net_b, diameter, resil_config(1));
+    ASSERT_TRUE(b.restore_snapshot(path)) << label;
+    const core::TrajectoryStore& trajectories = b.engine().trajectories();
+    ASSERT_EQ(trajectories.next_generation, legacy.generations) << label;
+    // The file's own generations sit below the Phase-1 ones it gained.
+    const std::uint32_t file_generations = legacy.generations - n;
+    const auto unspent_from_file = [&trajectories, file_generations] {
+      std::uint64_t count = 0;
+      for (const auto& records : trajectories.gmw) {
+        for (const core::GmwRecord& r : records) {
+          count += r.gen < file_generations &&
+                   r.next_slot != core::TrajectoryStore::kSpentSlot;
+        }
+      }
+      return count;
+    };
+    const std::uint64_t file_records = unspent_from_file();
+    ASSERT_GT(file_records, 0u) << label;
 
-  const BatchReport got = b.serve(reuse);
-  ASSERT_EQ(got.results.size(), reuse.size());
-  for (std::size_t i = 0; i < reuse.size(); ++i) {
-    EXPECT_EQ(got.results[i].destinations,
-              uninterrupted.results[i].destinations)
-        << "request " << i;
-    ASSERT_EQ(got.results[i].paths.size(), reuse[i].count);
-    for (std::size_t w = 0; w < reuse[i].count; ++w) {
-      const std::vector<NodeId>& walk = got.results[i].paths[w];
-      ASSERT_EQ(walk.size(), reuse[i].length + 1);
-      EXPECT_EQ(walk.front(), reuse[i].source);
-      EXPECT_EQ(walk.back(), got.results[i].destinations[w]);
-      for (std::size_t s = 1; s < walk.size(); ++s) {
-        EXPECT_TRUE(g.has_edge(walk[s - 1], walk[s]))
-            << "request " << i << " walk " << w << " step " << s;
+    const BatchReport got = b.serve(reuse);
+    ASSERT_EQ(got.results.size(), reuse.size()) << label;
+    for (std::size_t i = 0; i < reuse.size(); ++i) {
+      EXPECT_EQ(got.results[i].destinations,
+                uninterrupted.results[i].destinations)
+          << label << " request " << i;
+      ASSERT_EQ(got.results[i].paths.size(), reuse[i].count) << label;
+      for (std::size_t w = 0; w < reuse[i].count; ++w) {
+        const std::vector<NodeId>& walk = got.results[i].paths[w];
+        ASSERT_EQ(walk.size(), reuse[i].length + 1) << label;
+        EXPECT_EQ(walk.front(), reuse[i].source) << label;
+        EXPECT_EQ(walk.back(), got.results[i].destinations[w]) << label;
+        for (std::size_t s = 1; s < walk.size(); ++s) {
+          EXPECT_TRUE(g.has_edge(walk[s - 1], walk[s]))
+              << label << " request " << i << " walk " << w << " step " << s;
+        }
       }
     }
+    EXPECT_LT(unspent_from_file(), file_records) << label;
+
+    std::vector<char> file;
+    {
+      std::ifstream in(path, std::ios::binary);
+      file.assign(std::istreambuf_iterator<char>(in),
+                  std::istreambuf_iterator<char>());
+    }
+    std::remove(path.c_str());
+    if (label != "resil_gmw_v3.snap") continue;
+    const std::size_t slot_at = first_forward_next_slot(file, n);
+    ASSERT_GT(slot_at, 0u);
+    const std::uint32_t forged = 4;  // every node has slots 0..3
+    std::memcpy(file.data() + slot_at, &forged, sizeof forged);
+    const std::uint32_t crc =
+        resil::crc32(file.data() + 32, file.size() - 32);
+    std::memcpy(file.data() + 24, &crc, sizeof crc);
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out.write(file.data(), static_cast<std::streamsize>(file.size()));
+    }
+    congest::Network net_c(g, 4242);
+    WalkService c(net_c, diameter, resil_config(1));
+    EXPECT_FALSE(c.restore_snapshot(path));
+    EXPECT_FALSE(c.engine().prepared());
+    std::remove(path.c_str());
   }
-  EXPECT_LT(unspent_of_source_five(), legacy_records);
-  std::remove(path.c_str());
 }
 
-// Version 3 writes only what a replay can observe -- the unspent records of
-// live generations, sorted -- so a warm-restarted service and the
-// uninterrupted one checkpoint byte-identical files after the same batch,
-// although only the uninterrupted one still stores tombstones and spent
-// generations from before the restart.
+// Since version 3 a file holds only what a replay can observe -- the
+// unspent records of live generations, sorted -- so a warm-restarted
+// service and the uninterrupted one checkpoint byte-identical files after
+// the same batch, although only the uninterrupted one still stores
+// tombstones and spent generations from before the restart.
 TEST(Resil, SnapshotBytesAreAFunctionOfTheLogicalState) {
   Rng graph_rng(808);
   const Graph g = gen::random_regular(64, 4, graph_rng);

@@ -137,11 +137,14 @@ PY
   # Bounded --paths serving state: 400 perfbench-shaped batches (ten
   # 1024-step requests each; two ask for two walks, one records its path)
   # served with --paths. After every batch the store holds no used short
-  # walk, and over the run the freeing pass drops spent GET-MORE-WALKS
-  # routing records. The same batches served at four threads (with every
-  # round dispatched to the pool) must print byte-identical results (the
-  # executor timing and stats-file lines aside): the owner shards replay
-  # every worker's staged sends in canonical order.
+  # walk, and over the run the freeing pass drops spent routing records
+  # (Phase-1 and GET-MORE-WALKS generations alike). The same batches served
+  # at four threads (with every round dispatched to the pool) must print
+  # byte-identical results (the executor timing and stats-file lines
+  # aside): the owner shards replay every worker's staged sends in
+  # canonical order, and the replay's record matching draws from a hash of
+  # the walk, never from a node stream. The check is repeated at --mux=4,
+  # where concurrent lanes interleave their records.
   python3 - gmw_batches.req <<'PY'
 import random, sys
 rng = random.Random(19)
@@ -163,6 +166,13 @@ PY
       > gmw_t4.out
   diff <(grep -Ev '^(executor|stats json):' gmw_t1.out) \
        <(grep -Ev '^(executor|stats json):' gmw_t4.out)
+  for threads in 1 4; do
+    DRW_PARALLEL_GRAIN=1 "$BUILD_DIR/drw" serve --graph=regular:512,4 \
+        --seed=2 --threads=$threads --mux=4 --paths \
+        --requests=gmw_batches.req --print-results > gmw_mux4_t$threads.out
+  done
+  diff <(grep -Ev '^executor:' gmw_mux4_t1.out) \
+       <(grep -Ev '^executor:' gmw_mux4_t4.out)
   python3 - stats_gmw.json <<'PY'
 import json, sys
 stats = json.load(open(sys.argv[1]))
@@ -172,7 +182,7 @@ for i, b in enumerate(stats["batches"]):
                  f"{b['unused_tokens']} unused")
 life = stats["lifetime"]
 if life["gmw_records_freed"] == 0:
-    sys.exit("no GET-MORE-WALKS routing record was ever freed")
+    sys.exit("no routing record was ever freed")
 print(f"bounded state: {len(stats['batches'])} batches, "
       f"{life['held_tokens']} tokens held, {life['gmw_records']} records "
       f"stored, {life['gmw_records_freed']} freed")
