@@ -10,7 +10,6 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <limits>
 #include <stdexcept>
 
 #include "resil/failpoint.hpp"
@@ -87,34 +86,12 @@ struct Reader {
 };
 
 // --- trajectory (de)serialization -----------------------------------------
-// Versions 1-3 list each node's Phase-1 forward records as (key, count,
-// records) groups in ascending key order, each group's records ascending by
-// hop (version-1 files list a key's hops in Phase-1 arrival order, which is
-// ascending). They are read into LegacyPhase1 and sorted once more.
 
-void read_legacy_forward(Reader& r, LegacyPhase1& legacy) {
-  for (auto& hops : legacy.hops) {
-    const std::uint64_t groups = r.count(/*key+count=*/16);
-    for (std::uint64_t g = 0; g < groups; ++g) {
-      const std::uint64_t key = r.u64();
-      const std::uint64_t n = r.count(/*two u32s=*/8);
-      for (std::uint64_t i = 0; i < n; ++i) {
-        const std::uint32_t hop = r.u32();
-        const std::uint32_t next_slot = r.u32();
-        hops.push_back(LegacyPhase1::Hop{key, hop, next_slot});
-        legacy.recorded = true;
-      }
-    }
-    std::sort(hops.begin(), hops.end());
-  }
-}
-
-// Routing records (version 3: GET-MORE-WALKS generations only; version 4:
-// every generation): the generation counter, then per node the unspent
-// records of the generations some held token still belongs to, stably
-// sorted by (gen, hop). Tombstones, dead generations and the order
-// concurrent runs appended in never reach the file, so its bytes are a
-// function of the state a replay can observe.
+// Routing records: the generation counter, then per node the unspent records
+// of the generations some held token still belongs to, stably sorted by
+// (gen, hop). Tombstones, dead generations and the order concurrent runs
+// appended in never reach the file, so its bytes are a function of the state
+// a replay can observe.
 void write_gmw_side(Writer& w, const core::TrajectoryStore& trajectories,
                     const std::vector<std::uint8_t>& live) {
   w.u32(trajectories.next_generation);
@@ -151,31 +128,7 @@ void read_gmw_side(Reader& r, core::TrajectoryStore& trajectories) {
   }
 }
 
-// Versions 1 and 2 stored GET-MORE-WALKS hops as anonymous fragments keyed
-// by (source, hop), per node in ascending key order, and their tokens all
-// had seq 0. Each source's fragments become one generation whose id is the
-// source; its seq-0 tokens join it (decode_payload), and new generations
-// start above the legacy range, at n.
-void read_legacy_fragments(Reader& r, core::TrajectoryStore& trajectories) {
-  for (auto& records : trajectories.gmw) {
-    const std::uint64_t entries = r.count(/*key+count=*/16);
-    for (std::uint64_t e = 0; e < entries; ++e) {
-      const std::uint64_t key = r.u64();
-      const auto source = static_cast<std::uint32_t>(key >> 32);
-      const auto hop = static_cast<std::uint32_t>(key);
-      const std::uint64_t n = r.count(/*two u32s=*/8);
-      for (std::uint64_t i = 0; i < n; ++i) {
-        const std::uint32_t prev_slot = r.u32();
-        const std::uint32_t next_slot = r.u32();
-        records.push_back(core::GmwRecord{source, hop, prev_slot, next_slot});
-      }
-    }
-  }
-  trajectories.next_generation =
-      static_cast<std::uint32_t>(trajectories.gmw.size());
-}
-
-// --- cached BFS roots: an n-bit bitset in u64 words (version >= 2) ---------
+// --- cached BFS roots: an n-bit bitset in u64 words ------------------------
 
 void write_root_bitset(Writer& w, std::size_t n,
                        const std::vector<NodeId>& roots) {
@@ -235,12 +188,7 @@ std::vector<std::uint8_t> encode_payload(const ServiceSnapshot& snap) {
   return std::move(w.bytes);
 }
 
-/// Decodes a payload of `version` (1 to 4). Versions 1 to 3 tag each token
-/// with its kind and carry Phase-1 forward records (legacy_phase1);
-/// versions 1 and 2 carry legacy fragments (read_legacy_fragments);
-/// version 1 has no cached-root bitset.
-ServiceSnapshot decode_payload(const std::uint8_t* data, std::size_t size,
-                               std::uint32_t version) {
+ServiceSnapshot decode_payload(const std::uint8_t* data, std::size_t size) {
   Reader r{data, data + size};
   ServiceSnapshot snap;
   snap.graph_fingerprint = r.u64();
@@ -259,44 +207,27 @@ ServiceSnapshot decode_payload(const std::uint8_t* data, std::size_t size,
   snap.inventory.unused = r.u64s();
   snap.inventory.demand = r.u64s();
   snap.inventory.last_visits = r.u64s();
-  const bool legacy = version < 4;
-  if (legacy) snap.legacy_phase1.emplace().hops.resize(n);
   snap.engine.store = core::WalkStore(n);
-  for (NodeId v = 0; v < n; ++v) {
-    auto& held = snap.engine.store.held[v];
-    held.resize(r.count(/*token bytes=*/legacy ? 18 : 17));
-    for (std::uint32_t i = 0; i < held.size(); ++i) {
-      core::HeldToken& t = held[i];
+  for (auto& held : snap.engine.store.held) {
+    held.resize(r.count(/*token bytes=*/17));
+    for (core::HeldToken& t : held) {
       t.source = r.u32();
       t.seq = r.u32();
       t.length = r.u32();
       t.arrival_slot = r.u32();
-      if (legacy) {
-        // The kind byte: 0 = Phase 1, 1 = GET-MORE-WALKS.
-        if (r.u8() == 0) {
-          snap.legacy_phase1->tokens.push_back({v, i, t.seq});
-        } else if (version < 3) {
-          t.seq = t.source;
-        }
-      }
       t.used = r.u8() != 0;
     }
   }
   core::TrajectoryStore& trajectories = snap.engine.trajectories;
   trajectories = core::TrajectoryStore(n);
-  if (legacy) read_legacy_forward(r, *snap.legacy_phase1);
-  if (version >= 3) {
-    read_gmw_side(r, trajectories);
-  } else {
-    read_legacy_fragments(r, trajectories);
-  }
+  read_gmw_side(r, trajectories);
   for (std::size_t v = 0; v < n; ++v) {
     const auto& records = trajectories.gmw[v];
     trajectories.gmw_unsorted[v] = !std::is_sorted(records.begin(),
                                                    records.end());
     trajectories.records_kept += records.size();
   }
-  if (version >= 2) snap.tree_roots = read_root_bitset(r, n);
+  snap.tree_roots = read_root_bitset(r, n);
   if (r.p != r.end) throw std::runtime_error("trailing payload bytes");
   return snap;
 }
@@ -444,7 +375,7 @@ ReadOutcome read_snapshot_file(const std::string& path) {
   }
   std::uint32_t version = 0;
   std::memcpy(&version, file.data() + 8, 4);
-  if (version < 1 || version > kSnapshotVersion) {
+  if (version != kSnapshotVersion) {
     return {std::nullopt, "unsupported snapshot version " +
                               std::to_string(version) + " (expected " +
                               std::to_string(kSnapshotVersion) + ")"};
@@ -465,21 +396,24 @@ ReadOutcome read_snapshot_file(const std::string& path) {
     return {std::nullopt, "checksum mismatch (torn or corrupt snapshot)"};
   }
   try {
-    return {decode_payload(file.data() + kHeaderSize, payload_size, version),
-            ""};
+    return {decode_payload(file.data() + kHeaderSize, payload_size), ""};
   } catch (const std::exception& e) {
     return {std::nullopt, std::string("payload decode failed: ") + e.what()};
   }
 }
 
-std::string bind_to_graph(const Graph& g, ServiceSnapshot& snap) {
+std::string bind_to_graph(const Graph& g, bool recorded,
+                          const ServiceSnapshot& snap) {
   constexpr std::uint32_t kNoSlot = core::TrajectoryStore::kSpentSlot;
   const std::size_t n = g.node_count();
-  core::WalkStore& store = snap.engine.store;
-  core::TrajectoryStore& trajectories = snap.engine.trajectories;
+  const core::WalkStore& store = snap.engine.store;
+  const core::TrajectoryStore& trajectories = snap.engine.trajectories;
   if (store.held.size() != n || trajectories.gmw.size() != n) {
     return "node count mismatch";
   }
+  // A generation at or above the counter would be handed out again to a
+  // later run, whose records its replay would then mix with the file's.
+  const std::uint32_t generations = trajectories.next_generation;
   for (NodeId v = 0; v < n; ++v) {
     // kNoSlot marks a hop-0 record's arrival and a replayed record, and a
     // lazy walk's token that never moved arrived through no slot.
@@ -488,61 +422,19 @@ std::string bind_to_graph(const Graph& g, ServiceSnapshot& snap) {
     };
     for (const core::HeldToken& t : store.held[v]) {
       if (t.source >= n || bad(t.arrival_slot)) return "token out of range";
+      if (recorded && t.seq >= generations) {
+        return "token generation out of range";
+      }
     }
     for (const core::GmwRecord& r : trajectories.gmw[v]) {
       if (bad(r.next_slot) || bad(r.prev_slot)) {
         return "routing record slot out of range";
       }
-    }
-    if (snap.legacy_phase1.has_value()) {
-      for (const LegacyPhase1::Hop& hop : snap.legacy_phase1->hops[v]) {
-        if (hop.next_slot >= g.degree(v)) {
-          return "Phase-1 routing record slot out of range";
-        }
+      if (r.gen >= generations) {
+        return "routing record generation out of range";
       }
     }
   }
-  if (!snap.legacy_phase1.has_value()) return "";
-
-  // Each held Phase-1 token's forward records, followed from its source,
-  // become records of the source's generation. Other tokens' records are
-  // dropped: their walks may have been replayed along them already.
-  const LegacyPhase1& legacy = *snap.legacy_phase1;
-  const std::uint32_t base = trajectories.next_generation;
-  if (base > std::numeric_limits<std::uint32_t>::max() - n) {
-    return "generation counter overflows";
-  }
-  for (const LegacyPhase1::Token& token : legacy.tokens) {
-    core::HeldToken& t = store.held[token.holder][token.index];
-    t.seq = base + t.source;
-    const std::uint64_t key =
-        (static_cast<std::uint64_t>(t.source) << 32) | token.seq;
-    NodeId at = t.source;
-    NodeId prev = kInvalidNode;
-    if (!legacy.recorded) continue;  // without --paths tokens only move
-    for (std::uint32_t hop = 0; hop < t.length; ++hop) {
-      const std::vector<LegacyPhase1::Hop>& hops = legacy.hops[at];
-      const auto it = std::lower_bound(hops.begin(), hops.end(),
-                                       LegacyPhase1::Hop{key, hop, 0});
-      if (it == hops.end() || it->key != key || it->hop != hop) {
-        return "Phase-1 token without a routing record";
-      }
-      trajectories.append_gmw(
-          at, core::GmwRecord{t.seq, hop,
-                              hop == 0 ? kNoSlot : g.slot_of(at, prev),
-                              it->next_slot});
-      ++trajectories.records_kept;
-      prev = at;
-      at = g.neighbor(at, it->next_slot);
-    }
-    if (t.length > 0 && (at != token.holder ||
-                         t.arrival_slot >= g.degree(at) ||
-                         g.neighbor(at, t.arrival_slot) != prev)) {
-      return "Phase-1 routing records do not lead to their token";
-    }
-  }
-  trajectories.next_generation = base + static_cast<std::uint32_t>(n);
-  snap.legacy_phase1.reset();
   return "";
 }
 

@@ -28,16 +28,16 @@
 //   [24] CRC-32 (IEEE) of payload u32 | reserved u32
 //   [32] payload...
 //
-// Version 4 stores every routing record, Phase-1 and GET-MORE-WALKS alike:
-// the generation counter, then each node's unspent records of the
+// The payload stores every routing record, Phase-1 and GET-MORE-WALKS
+// alike: the generation counter, then each node's unspent records of the
 // generations some held token still belongs to, sorted by (gen, hop). The
 // bytes are a function of the logical state, not of tombstones or the
 // freeing schedule. The payload ends with the engine's cached BFS roots as
-// an n-bit bitset (since version 2); restore rebuilds those trees locally
-// and charges them no rounds, so the warm-restarted counters match the
-// uninterrupted run. Version 1-3 files still restore (bind_to_graph()
-// turns their per-token Phase-1 records into generations); a version-1
-// file restores with an empty tree cache.
+// an n-bit bitset; restore rebuilds those trees locally and charges them no
+// rounds, so the warm-restarted counters match the uninterrupted run.
+// Restore reads kSnapshotVersion only: a file of any other version (written
+// across a format change) is a cold start with the reason, and the cold
+// service samples walks from the same law.
 //
 // Writes are atomic: payload assembled in memory -> <path>.tmp -> fsync ->
 // rename(tmp, path) -> fsync(dir). A crash at any point leaves either the
@@ -69,27 +69,6 @@ struct InventoryImage {
   std::uint64_t total_demand = 0;
 };
 
-/// A version 1-3 file's Phase-1 records: forward hops keyed by the token.
-struct LegacyPhase1 {
-  struct Hop {
-    std::uint64_t key = 0;  ///< (source << 32) | seq
-    std::uint32_t hop = 0;
-    std::uint32_t next_slot = 0;
-
-    friend bool operator<(const Hop& a, const Hop& b) {
-      return a.key != b.key ? a.key < b.key : a.hop < b.hop;
-    }
-  };
-  struct Token {  ///< store.held[holder][index] had per-source index seq
-    NodeId holder = kInvalidNode;
-    std::uint32_t index = 0;
-    std::uint32_t seq = 0;
-  };
-  std::vector<std::vector<Hop>> hops;  ///< per node, sorted by (key, hop)
-  std::vector<Token> tokens;
-  bool recorded = false;  ///< the file has any hop (it served --paths)
-};
-
 /// Everything a WalkService needs to warm-start bit-identically.
 struct ServiceSnapshot {
   std::uint64_t graph_fingerprint = 0;
@@ -100,8 +79,6 @@ struct ServiceSnapshot {
   std::vector<NodeId> tree_roots;
   InventoryImage inventory;
   std::vector<std::array<std::uint64_t, 4>> rng_states;  // per node
-  /// Set only by a version 1-3 file, until bind_to_graph() converts it.
-  std::optional<LegacyPhase1> legacy_phase1;
 };
 
 /// Structure + seed fingerprint: FNV-1a over the node count, every
@@ -130,11 +107,13 @@ struct ReadOutcome {
 /// plus the detection reason, so callers can log it and cold-start.
 ReadOutcome read_snapshot_file(const std::string& path);
 
-/// Checks that the snapshot's tokens and records fit `g` (sources are
-/// nodes, slots are edges) and files a version 1-3 file's Phase-1 records
-/// as one generation per source, numbered from the file's counter. Returns
+/// Checks that the snapshot's tokens and routing records fit `g` (sources
+/// are nodes, slots are edges) and that every record's generation -- and,
+/// when the service records paths (`recorded`), every token's -- lies below
+/// the file's generation counter, so no later run reuses its id. Returns
 /// why the snapshot does not fit -- the caller cold-starts -- or "".
-std::string bind_to_graph(const Graph& g, ServiceSnapshot& snap);
+std::string bind_to_graph(const Graph& g, bool recorded,
+                          const ServiceSnapshot& snap);
 
 /// Generation naming for rotated snapshots: slot 0 is `path` itself (the
 /// single-file layout), slot k >= 1 is `path.k` with 1 the newest

@@ -356,7 +356,8 @@ bool WalkService::restore_from_file(const std::string& path,
     return cold("node count mismatch");
   }
   if (snap.engine.lambda == 0) return cold("lambda == 0");
-  if (std::string error = resil::bind_to_graph(net_->graph(), snap);
+  if (std::string error =
+          resil::bind_to_graph(net_->graph(), config_.enable_paths, snap);
       !error.empty()) {
     return cold(error);
   }

@@ -5,6 +5,7 @@
 // service-boundary validation caps with structured per-request errors.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -148,62 +149,72 @@ TEST(Resil, WarmRestartBitIdenticalAcrossThreadsAndMux) {
   std::remove(path.c_str());
 }
 
-/// Copies a legacy snapshot from tests/fixtures to a scratch path. The
-/// last version-2 and version-3 builds wrote them from this file's 64-node
-/// graph, seed 4242 and resil_config(1): resil_trees_v2.snap after
-/// batch_one(), and resil_gmw_v2.snap and resil_gmw_v3.snap after one batch
-/// of kDrainSourceFive. Their Phase-1 routing records are forward records
-/// keyed by (source, seq), and the version-2 files keep GET-MORE-WALKS
-/// records as (source, hop)-keyed fragments; the current build writes
-/// neither.
-std::string legacy_snapshot_copy(const std::string& fixture,
-                                 const char* name) {
-  std::ifstream in(std::string(DRW_TEST_FIXTURES) + "/" + fixture,
-                   std::ios::binary);
-  std::vector<char> file((std::istreambuf_iterator<char>(in)),
-                         std::istreambuf_iterator<char>());
-  EXPECT_FALSE(file.empty()) << "missing fixture " << fixture;
-  const std::string path = tmp_path(name);
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(file.data(), static_cast<std::streamsize>(file.size()));
-  return path;
+std::vector<char> read_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::vector<char>((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
 }
 
-/// Rewrites a version-2 snapshot of an n-node service as the version-1
-/// layout: the same payload without the trailing cached-root bitset (a u64
-/// word count plus ceil(n/64) words), re-checksummed.
-void downgrade_to_version_one(const std::string& path, std::size_t n) {
-  std::ifstream in(path, std::ios::binary);
-  std::vector<char> file((std::istreambuf_iterator<char>(in)),
-                         std::istreambuf_iterator<char>());
-  in.close();
-  const std::size_t bitset_bytes = 8 + 8 * ((n + 63) / 64);
-  ASSERT_GT(file.size(), 32 + bitset_bytes);
-  std::uint32_t version = 0;
-  std::memcpy(&version, file.data() + 8, 4);
-  ASSERT_EQ(version, 2u);
-  file.resize(file.size() - bitset_bytes);
-  version = 1;
-  const std::uint64_t payload_size = file.size() - 32;
-  const std::uint32_t crc = resil::crc32(file.data() + 32, payload_size);
-  std::memcpy(file.data() + 8, &version, 4);
-  std::memcpy(file.data() + 16, &payload_size, 8);
-  std::memcpy(file.data() + 24, &crc, 4);
+/// Writes an edited snapshot file with its payload CRC recomputed, so only
+/// the checks behind the CRC can reject it.
+void write_rechecksummed(const std::string& path, std::vector<char> file) {
+  const std::uint32_t crc = resil::crc32(file.data() + 32, file.size() - 32);
+  std::memcpy(file.data() + 24, &crc, sizeof crc);
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out.write(file.data(), static_cast<std::streamsize>(file.size()));
+}
+
+/// Offsets into a snapshot file of an n-node service, found by walking its
+/// payload: the fixed fields, the RNG words, four u64 arrays, per node a
+/// count and 17-byte tokens (source, seq, length, arrival_slot, used), the
+/// generation counter, per node a count and 16-byte routing records (gen,
+/// hop, prev_slot, next_slot), and the cached-root bitset.
+struct PayloadOffsets {
+  std::size_t token = 0;  ///< the first held token
+  std::size_t next_generation = 0;
+  std::size_t record = 0;  ///< the first routing record
+  NodeId record_node = kInvalidNode;  ///< the node that stores it
+  std::size_t roots = 0;  ///< the bitset, at its word count
+};
+
+PayloadOffsets payload_offsets(const std::vector<char>& file, std::size_t n) {
+  const auto u64_at = [&file](std::size_t offset) {
+    std::uint64_t v = 0;
+    std::memcpy(&v, file.data() + offset, sizeof v);
+    return v;
+  };
+  PayloadOffsets out;
+  std::size_t at = 32 + 56 + 32 * n;
+  for (int array = 0; array < 4; ++array) at += 8 + 8 * u64_at(at);
+  for (std::size_t v = 0; v < n; ++v) {
+    const std::uint64_t tokens = u64_at(at);
+    if (tokens > 0 && out.token == 0) out.token = at + 8;
+    at += 8 + 17 * tokens;
+  }
+  out.next_generation = at;
+  at += 4;
+  for (NodeId v = 0; v < n; ++v) {
+    const std::uint64_t records = u64_at(at);
+    if (records > 0 && out.record == 0) {
+      out.record = at + 8;
+      out.record_node = v;
+    }
+    at += 8 + 16 * records;
+  }
+  out.roots = at;
+  return out;
 }
 
 // The snapshot carries the BFS tree cache's roots: a warm restart rebuilds
-// exactly the trees the cache held at the checkpoint. Legacy files restore
-// too: a version-2 file (fragment-keyed records) warm-starts with its cache
-// and samples what the uninterrupted run samples, and its version-1 copy
-// (no roots) warm-starts with an empty cache -- so it rebuilds trees on
-// first visit and pays those rounds, but serves the same walks.
-TEST(Resil, SnapshotRestoresTheTreeCacheAndVersionOneStartsItEmpty) {
+// exactly the trees the cache held at the checkpoint. A file whose bitset
+// holds no root restores with an empty cache -- it rebuilds trees on first
+// visit and pays those rounds, but serves the same walks.
+TEST(Resil, SnapshotRestoresTheTreeCache) {
   Rng graph_rng(808);
   const Graph g = gen::random_regular(64, 4, graph_rng);
   const std::uint32_t diameter = exact_diameter(g);
   const std::string path = tmp_path("drw_resil_trees.snap");
+  const std::string cold_path = tmp_path("drw_resil_trees_cold.snap");
 
   congest::Network net_a(g, 4242);
   WalkService a(net_a, diameter, resil_config(1));
@@ -225,35 +236,25 @@ TEST(Resil, SnapshotRestoresTheTreeCacheAndVersionOneStartsItEmpty) {
   // The rebuild is local: it is charged to no engine total.
   EXPECT_EQ(b.engine().total_stats().rounds, 0u);
   EXPECT_EQ(b.engine().total_stats().messages, 0u);
-  const BatchReport uninterrupted = a.serve(batch_two());
+  const BatchReport warm = b.serve(batch_two());
 
-  const std::string v2_path =
-      legacy_snapshot_copy("resil_trees_v2.snap", "drw_resil_trees_v2.snap");
-  congest::Network net_v2(g, 4242);
-  WalkService v2(net_v2, diameter, resil_config(1));
-  ASSERT_TRUE(v2.restore_snapshot(v2_path));
-  EXPECT_EQ(v2.engine().tree_cache().roots(), roots);
-  const BatchReport ref = v2.serve(batch_two());
-  ASSERT_EQ(ref.results.size(), uninterrupted.results.size());
-  for (std::size_t i = 0; i < ref.results.size(); ++i) {
-    EXPECT_EQ(ref.results[i].destinations,
-              uninterrupted.results[i].destinations)
-        << "request " << i;
-  }
-
-  const std::string v1_path =
-      legacy_snapshot_copy("resil_trees_v2.snap", "drw_resil_trees_v1.snap");
-  downgrade_to_version_one(v1_path, g.node_count());
+  std::vector<char> file = read_bytes(path);
+  const PayloadOffsets offsets = payload_offsets(file, g.node_count());
+  const std::size_t words = (g.node_count() + 63) / 64;
+  ASSERT_EQ(offsets.roots + 8 + 8 * words, file.size());
+  std::fill(file.begin() + static_cast<std::ptrdiff_t>(offsets.roots + 8),
+            file.end(), 0);
+  write_rechecksummed(cold_path, file);
   congest::Network net_c(g, 4242);
   WalkService c(net_c, diameter, resil_config(1));
-  ASSERT_TRUE(c.restore_snapshot(v1_path));
+  ASSERT_TRUE(c.restore_snapshot(cold_path));
   EXPECT_EQ(c.engine().tree_cache().size(), 0u);
   const BatchReport got = c.serve(batch_two());
-  ASSERT_EQ(got.results.size(), ref.results.size());
-  for (std::size_t i = 0; i < ref.results.size(); ++i) {
-    EXPECT_EQ(got.results[i].destinations, ref.results[i].destinations)
+  ASSERT_EQ(got.results.size(), warm.results.size());
+  for (std::size_t i = 0; i < warm.results.size(); ++i) {
+    EXPECT_EQ(got.results[i].destinations, warm.results[i].destinations)
         << "request " << i;
-    EXPECT_EQ(got.results[i].paths, ref.results[i].paths) << "request " << i;
+    EXPECT_EQ(got.results[i].paths, warm.results[i].paths) << "request " << i;
     for (const std::vector<NodeId>& walk : got.results[i].paths) {
       for (std::size_t s = 1; s < walk.size(); ++s) {
         EXPECT_TRUE(g.has_edge(walk[s - 1], walk[s]))
@@ -261,138 +262,17 @@ TEST(Resil, SnapshotRestoresTheTreeCacheAndVersionOneStartsItEmpty) {
       }
     }
   }
-  EXPECT_EQ(got.stitches, ref.stitches);
+  EXPECT_EQ(got.stitches, warm.stitches);
   EXPECT_EQ(got.tree_builds + got.tree_reuses, got.stitches);
-  EXPECT_GT(got.tree_builds, ref.tree_builds);
-  EXPECT_GT(got.stats.messages, ref.stats.messages);
+  EXPECT_GT(got.tree_builds, warm.tree_builds);
+  EXPECT_GT(got.stats.messages, warm.stats.messages);
   std::remove(path.c_str());
-  std::remove(v2_path.c_str());
-  std::remove(v1_path.c_str());
+  std::remove(cold_path.c_str());
 }
 
 // Drains source 5's Phase-1 pool, so GET-MORE-WALKS runs from it.
 const std::vector<WalkRequest> kDrainSourceFive = {{5, 40, 6, true},
                                                    {5, 40, 6, false}};
-
-/// Offset of the first Phase-1 forward record's next_slot in a version-3
-/// snapshot file of an n-node service: walks the payload up to it (the
-/// fixed header fields, the RNG words, four u64 arrays, the 18-byte
-/// tokens, then per node a group count and per group key, count and
-/// (hop, next_slot) pairs). 0 if the file holds no forward record.
-std::size_t first_forward_next_slot(const std::vector<char>& file,
-                                    std::size_t n) {
-  const auto u64_at = [&file](std::size_t offset) {
-    std::uint64_t v = 0;
-    std::memcpy(&v, file.data() + offset, sizeof v);
-    return v;
-  };
-  std::size_t at = 32 + 56 + 32 * n;
-  for (int array = 0; array < 4; ++array) at += 8 + 8 * u64_at(at);
-  for (std::size_t v = 0; v < n; ++v) at += 8 + 18 * u64_at(at);
-  for (std::size_t v = 0; v < n; ++v, at += 8) {
-    if (u64_at(at) > 0) return at + 8 + 16 + 4;
-  }
-  return 0;
-}
-
-// Legacy files keep Phase-1 hops as per-token forward records; restore
-// files each source's as one generation numbered from the file's counter,
-// and new generations start above them. Their GET-MORE-WALKS records are
-// (source, hop)-keyed fragments (version 2: one generation per source,
-// numbered by the source, so the counter ends at 2n) or generations
-// already (version 3: the counter ends where the uninterrupted run's
-// does). Walks that stitch those tokens replay to valid walks, spending
-// the file's GET-MORE-WALKS records too, and sampling is unchanged: the
-// uninterrupted run draws the same destinations. A forward record whose
-// slot is not an edge of the graph degrades to a cold start.
-TEST(Resil, LegacySnapshotsReplayAsGenerations) {
-  Rng graph_rng(808);
-  const Graph g = gen::random_regular(64, 4, graph_rng);
-  const std::uint32_t n = static_cast<std::uint32_t>(g.node_count());
-  const std::uint32_t diameter = exact_diameter(g);
-  const std::vector<WalkRequest> reuse = {{5, 40, 6, true}, {2, 28, 2, true}};
-
-  congest::Network net_a(g, 4242);
-  WalkService a(net_a, diameter, resil_config(1));
-  a.serve(kDrainSourceFive);
-  const std::uint32_t generations = a.engine().trajectories().next_generation;
-  const BatchReport uninterrupted = a.serve(reuse);
-
-  struct Legacy {
-    const char* fixture;
-    std::uint32_t generations;  ///< the counter after restore
-  };
-  for (const Legacy& legacy : {Legacy{"resil_gmw_v2.snap", 2 * n},
-                               Legacy{"resil_gmw_v3.snap", generations}}) {
-    const std::string label = legacy.fixture;
-    const std::string path =
-        legacy_snapshot_copy(legacy.fixture, "drw_resil_legacy.snap");
-    congest::Network net_b(g, 4242);
-    WalkService b(net_b, diameter, resil_config(1));
-    ASSERT_TRUE(b.restore_snapshot(path)) << label;
-    const core::TrajectoryStore& trajectories = b.engine().trajectories();
-    ASSERT_EQ(trajectories.next_generation, legacy.generations) << label;
-    // The file's own generations sit below the Phase-1 ones it gained.
-    const std::uint32_t file_generations = legacy.generations - n;
-    const auto unspent_from_file = [&trajectories, file_generations] {
-      std::uint64_t count = 0;
-      for (const auto& records : trajectories.gmw) {
-        for (const core::GmwRecord& r : records) {
-          count += r.gen < file_generations &&
-                   r.next_slot != core::TrajectoryStore::kSpentSlot;
-        }
-      }
-      return count;
-    };
-    const std::uint64_t file_records = unspent_from_file();
-    ASSERT_GT(file_records, 0u) << label;
-
-    const BatchReport got = b.serve(reuse);
-    ASSERT_EQ(got.results.size(), reuse.size()) << label;
-    for (std::size_t i = 0; i < reuse.size(); ++i) {
-      EXPECT_EQ(got.results[i].destinations,
-                uninterrupted.results[i].destinations)
-          << label << " request " << i;
-      ASSERT_EQ(got.results[i].paths.size(), reuse[i].count) << label;
-      for (std::size_t w = 0; w < reuse[i].count; ++w) {
-        const std::vector<NodeId>& walk = got.results[i].paths[w];
-        ASSERT_EQ(walk.size(), reuse[i].length + 1) << label;
-        EXPECT_EQ(walk.front(), reuse[i].source) << label;
-        EXPECT_EQ(walk.back(), got.results[i].destinations[w]) << label;
-        for (std::size_t s = 1; s < walk.size(); ++s) {
-          EXPECT_TRUE(g.has_edge(walk[s - 1], walk[s]))
-              << label << " request " << i << " walk " << w << " step " << s;
-        }
-      }
-    }
-    EXPECT_LT(unspent_from_file(), file_records) << label;
-
-    std::vector<char> file;
-    {
-      std::ifstream in(path, std::ios::binary);
-      file.assign(std::istreambuf_iterator<char>(in),
-                  std::istreambuf_iterator<char>());
-    }
-    std::remove(path.c_str());
-    if (label != "resil_gmw_v3.snap") continue;
-    const std::size_t slot_at = first_forward_next_slot(file, n);
-    ASSERT_GT(slot_at, 0u);
-    const std::uint32_t forged = 4;  // every node has slots 0..3
-    std::memcpy(file.data() + slot_at, &forged, sizeof forged);
-    const std::uint32_t crc =
-        resil::crc32(file.data() + 32, file.size() - 32);
-    std::memcpy(file.data() + 24, &crc, sizeof crc);
-    {
-      std::ofstream out(path, std::ios::binary | std::ios::trunc);
-      out.write(file.data(), static_cast<std::streamsize>(file.size()));
-    }
-    congest::Network net_c(g, 4242);
-    WalkService c(net_c, diameter, resil_config(1));
-    EXPECT_FALSE(c.restore_snapshot(path));
-    EXPECT_FALSE(c.engine().prepared());
-    std::remove(path.c_str());
-  }
-}
 
 // Since version 3 a file holds only what a replay can observe -- the
 // unspent records of live generations, sorted -- so a warm-restarted
@@ -619,16 +499,11 @@ TEST(Resil, CorruptSnapshotsAreDetectedAndDegradeToColdStart) {
   a.serve(batch_one());
   a.save_snapshot(path);
 
-  const auto file_bytes = [&]() {
-    std::ifstream in(path, std::ios::binary);
-    return std::vector<char>((std::istreambuf_iterator<char>(in)),
-                             std::istreambuf_iterator<char>());
-  };
   const auto write_bytes = [&](const std::vector<char>& bytes) {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   };
-  const std::vector<char> pristine = file_bytes();
+  const std::vector<char> pristine = read_bytes(path);
   ASSERT_GT(pristine.size(), 64u);
 
   const auto expect_cold_start = [&](const std::string& why) {
@@ -681,6 +556,38 @@ TEST(Resil, CorruptSnapshotsAreDetectedAndDegradeToColdStart) {
     write_bytes(bytes);
     expect_cold_start("truncated header");
   }
+
+  // Edits behind a recomputed CRC: only the version check and the bounds
+  // checks of bind_to_graph() stand between them and a warm start.
+  const PayloadOffsets offsets = payload_offsets(pristine, g.node_count());
+  ASSERT_EQ(offsets.roots + 8 + 8 * ((g.node_count() + 63) / 64),
+            pristine.size());
+  ASSERT_GT(offsets.token, 0u);
+  ASSERT_GT(offsets.record, 0u);
+  std::uint32_t generations = 0;
+  std::memcpy(&generations, pristine.data() + offsets.next_generation, 4);
+  const auto forge_u32 = [&](std::size_t at, std::uint32_t value,
+                             const std::string& reason) {
+    std::vector<char> bytes = pristine;
+    std::memcpy(bytes.data() + at, &value, sizeof value);
+    write_rechecksummed(path, bytes);
+    const resil::ReadOutcome rc = resil::read_snapshot_file(path);
+    const std::string error =
+        rc.snapshot.has_value()
+            ? resil::bind_to_graph(g, /*recorded=*/true, *rc.snapshot)
+            : rc.error;
+    EXPECT_NE(error.find(reason), std::string::npos) << error;
+    expect_cold_start(reason);
+  };
+  forge_u32(/*version=*/8, 3, "unsupported snapshot version 3");
+  forge_u32(offsets.record + 12, g.degree(offsets.record_node),
+            "routing record slot out of range");
+  forge_u32(offsets.token, static_cast<std::uint32_t>(g.node_count()),
+            "token out of range");
+  // A generation the counter would hand out again.
+  forge_u32(offsets.token + 4, generations, "token generation out of range");
+  forge_u32(offsets.record, generations,
+            "routing record generation out of range");
 
   write_bytes(pristine);
   {  // Fingerprint mismatch: same graph, different master seed.

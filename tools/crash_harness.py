@@ -27,6 +27,9 @@ Scenarios (each against a scratch directory):
      second (service.batch delay failpoint, with a live `drw request`
      client mid-flight), and is SIGKILLed there. An offline restart with
      --restore must report a warm restart from the surviving snapshot.
+  7. forged older-version header: a good snapshot whose header version
+     (bytes 8-11) is rewritten to 3 -- what a file from before a format
+     change looks like -- must cold-start and name the unsupported version.
 
 Exit status 0 when every scenario passes, 1 otherwise.
 
@@ -316,6 +319,26 @@ def scenario_kill_listening_server(drw: str, work: str) -> None:
           "restart after the listening-server kill reports a warm restart")
 
 
+def scenario_forged_old_version(drw: str, work: str) -> None:
+    print("scenario 7: forged older-version header cold-starts")
+    snap = os.path.join(work, "old_version.bin")
+    first = run(drw, work, [f"--snapshot={snap}"])
+    check(first.returncode == 0, "serving writes a snapshot")
+    with open(snap, "rb") as f:
+        blob = bytearray(f.read())
+    check(int.from_bytes(blob[8:12], "little") == 4,
+          "snapshot written as version 4")
+    blob[8:12] = (3).to_bytes(4, "little")  # the CRC covers the payload only
+    with open(snap, "wb") as f:
+        f.write(blob)
+    restart = run(drw, work, [f"--snapshot={snap}", "--restore"])
+    check(restart.returncode == 0, "cold start exits 0")
+    check("snapshot: cold start" in restart.stdout,
+          "older-version snapshot reported as a cold start")
+    check("unsupported snapshot version" in restart.stderr,
+          "unsupported version named as the reason")
+
+
 def main() -> int:
     if len(sys.argv) != 2:
         print(__doc__)
@@ -331,6 +354,7 @@ def main() -> int:
         scenario_action_smoke(drw, work)
         scenario_kill_mid_convert(drw, work)
         scenario_kill_listening_server(drw, work)
+        scenario_forged_old_version(drw, work)
     if failures:
         print(f"crash_harness: FAIL ({len(failures)} check(s))")
         return 1
