@@ -52,7 +52,7 @@ struct ModeResult {
   std::vector<std::uint64_t> walk_rounds;    ///< per lane (walk)
   std::vector<std::uint64_t> walk_messages;  ///< per lane (walk)
   std::uint64_t batch_rounds = 0;
-  std::uint64_t stitch_rounds = 0;  ///< batch minus phase1/tails/regen
+  std::uint64_t stitch_rounds = 0;  ///< batch minus phase1 and finish run
   std::uint64_t stitches = 0;
   std::uint64_t groups = 0;
   std::uint64_t lanes = 0;
@@ -95,9 +95,8 @@ ModeResult run_mode(const Graph& g, std::uint32_t diameter,
     r.walk_messages.push_back(rr.stats.messages);
   }
   r.batch_rounds = out.stats.rounds;
-  const std::uint64_t overhead = out.counters.phase1.rounds +
-                                 out.tail_stats.rounds +
-                                 out.regen_stats.rounds;
+  const std::uint64_t overhead =
+      out.counters.phase1.rounds + out.counters.finish.rounds;
   r.stitch_rounds =
       out.stats.rounds > overhead ? out.stats.rounds - overhead : 0;
   r.stitches = out.counters.stitches;

@@ -1,5 +1,6 @@
 #include "core/protocols.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "util/rng.hpp"
@@ -87,16 +88,19 @@ void ShortWalkPhaseProtocol::on_round(congest::Context& ctx) {
 
 // --------------------------------------------------------- GET-MORE-WALKS
 
-GetMoreWalksProtocol::GetMoreWalksProtocol(const Graph& g, NodeId source,
-                                           std::uint32_t count,
+GetMoreWalksProtocol::GetMoreWalksProtocol(const Graph& g,
+                                           std::vector<TopUp> topups,
                                            std::uint32_t lambda, bool extend,
                                            WalkStore& store,
                                            TrajectoryStore* trajectories,
                                            TransitionModel model)
-    : graph_(&g), source_(source), initial_count_(count), lambda_(lambda),
-      extend_(extend), store_(&store), trajectories_(trajectories),
-      gen_(trajectories != nullptr ? trajectories->new_generations(1) : 0),
-      model_(model), staying_(g.node_count(), {0, 0}) {
+    : graph_(&g), topups_(std::move(topups)), lambda_(lambda), extend_(extend), store_(&store),
+      trajectories_(trajectories),
+      gen_base_(trajectories != nullptr
+                    ? trajectories->new_generations(
+                          static_cast<std::uint32_t>(topups_.size()))
+                    : 0),
+      model_(model), staying_(g.node_count()) {
   if (lambda == 0) throw std::invalid_argument("GetMoreWalks: lambda == 0");
   if (trajectories != nullptr && model != TransitionModel::kSimple) {
     throw std::invalid_argument(
@@ -104,26 +108,31 @@ GetMoreWalksProtocol::GetMoreWalksProtocol(const Graph& g, NodeId source,
   }
 }
 
-void GetMoreWalksProtocol::process(
-    congest::Context& ctx,
-    const std::vector<std::pair<std::uint32_t, std::uint64_t>>& arrivals,
-    std::uint32_t steps) {
+void GetMoreWalksProtocol::process(congest::Context& ctx,
+                                   std::span<const Arrival> group) {
   const NodeId v = ctx.self();
+  const std::uint32_t gen = group.front().gen;
+  const std::uint32_t steps = group.front().steps;
+  const NodeId source = group.front().source;
 
   // Forwarded-token counts are accumulated across all arrival edges so each
-  // neighbor receives at most ONE aggregate message per round ("only the
+  // neighbor receives at most ONE aggregate message per group ("only the
   // count of the number of walks along an edge are passed to the node across
-  // the edge") -- this is what keeps GET-MORE-WALKS congestion-free.
-  std::vector<std::uint64_t> per_slot(ctx.degree(), 0);
+  // the edge") -- this is what keeps a one-source run congestion-free.
+  // Scratch is per executor thread (a node's on_round runs on one worker
+  // and never re-enters), so no token hop pays an allocation.
+  thread_local std::vector<std::uint64_t> per_slot;
+  per_slot.assign(ctx.degree(), 0);
+  std::uint64_t stayed = 0;
 
-  for (const auto& [arrival_slot, count] : arrivals) {
-    std::uint64_t surviving = count;
+  for (const Arrival& arrival : group) {
+    std::uint64_t surviving = arrival.count;
     if (steps >= lambda_) {
       if (!extend_) {
         // PODC 2009 preset: all walks have length exactly lambda.
-        for (std::uint64_t i = 0; i < count; ++i) {
+        for (std::uint64_t i = 0; i < arrival.count; ++i) {
           store_->held[v].push_back(
-              HeldToken{source_, gen_, steps, arrival_slot, false});
+              HeldToken{source, gen, steps, arrival.slot, false});
         }
         continue;
       }
@@ -132,71 +141,83 @@ void GetMoreWalksProtocol::process(
       const std::uint32_t i = steps - lambda_;
       const double stop_probability = 1.0 / static_cast<double>(lambda_ - i);
       std::uint64_t stopped = 0;
-      for (std::uint64_t t = 0; t < count; ++t) {
+      for (std::uint64_t t = 0; t < arrival.count; ++t) {
         if (ctx.rng().next_bool(stop_probability)) ++stopped;
       }
       for (std::uint64_t t = 0; t < stopped; ++t) {
         store_->held[v].push_back(
-            HeldToken{source_, gen_, steps, arrival_slot, false});
+            HeldToken{source, gen, steps, arrival.slot, false});
       }
-      surviving = count - stopped;
+      surviving = arrival.count - stopped;
     }
     for (std::uint64_t t = 0; t < surviving; ++t) {
       const std::uint32_t slot = sample_step(ctx.rng(), *graph_, v, model_);
       if (slot == kStaySlot) {
         // Aggregated self-loop: carried locally to the next round.
-        ++staying_[v].first;
-        staying_[v].second = steps + 1;
-        ctx.wake_me();
+        ++stayed;
         continue;
       }
       ++per_slot[slot];
       if (trajectories_ != nullptr) {
-        trajectories_->append_gmw(v, GmwRecord{gen_, steps, arrival_slot,
+        trajectories_->append_gmw(v, GmwRecord{gen, steps, arrival.slot,
                                                slot});
       }
     }
   }
 
+  if (stayed > 0) {
+    staying_[v].push_back(Arrival{gen, steps + 1, kNoSlot, source, stayed});
+    ctx.wake_me();
+  }
   for (std::uint32_t slot = 0; slot < ctx.degree(); ++slot) {
     if (per_slot[slot] == 0) continue;
     ctx.send(slot, congest::Message{kAggregate,
-                                    {source_, per_slot[slot], steps + 1u,
-                                     0}});
+                                    {source, per_slot[slot], steps + 1u,
+                                     gen}});
   }
 }
 
 void GetMoreWalksProtocol::on_round(congest::Context& ctx) {
   const NodeId v = ctx.self();
+  thread_local std::vector<Arrival> arrivals;  // per-thread, as in process()
+  arrivals.clear();
   if (ctx.round() == 0) {
-    if (v == source_ && initial_count_ > 0) {
-      process(ctx, {{kNoSlot, initial_count_}}, 0);
+    for (std::uint32_t i = 0; i < topups_.size(); ++i) {
+      if (topups_[i].source != v || topups_[i].count == 0) continue;
+      arrivals.push_back(
+          Arrival{gen_base_ + i, 0, kNoSlot, v, topups_[i].count});
     }
-    return;
-  }
-  // All same-round arrivals carry the same hop count (the aggregate tokens
-  // move in lockstep: one message per edge per round, so nothing queues);
-  // locally-stayed tokens from the previous round share that hop count too.
-  std::vector<std::pair<std::uint32_t, std::uint64_t>> arrivals;
-  std::uint32_t steps = 0;
-  bool have_steps = false;
-  if (staying_[v].first > 0) {
-    steps = staying_[v].second;
-    have_steps = true;
-    arrivals.emplace_back(kNoSlot, staying_[v].first);
-    staying_[v] = {0, 0};
-  }
-  for (const congest::Delivery& d : ctx.inbox()) {
-    if (d.msg.type != kAggregate) continue;
-    const auto msg_steps = static_cast<std::uint32_t>(d.msg.f[2]);
-    if (have_steps && msg_steps != steps) {
-      throw std::logic_error("GetMoreWalks: lockstep violated");
+  } else {
+    // Locally stayed tokens first, then the inbox in arrival order.
+    arrivals.assign(staying_[v].begin(), staying_[v].end());
+    staying_[v].clear();
+    for (const congest::Delivery& d : ctx.inbox()) {
+      if (d.msg.type != kAggregate) continue;
+      arrivals.push_back(Arrival{static_cast<std::uint32_t>(d.msg.f[3]),
+                                 static_cast<std::uint32_t>(d.msg.f[2]),
+                                 ctx.slot_of(d.from),
+                                 static_cast<NodeId>(d.msg.f[0]),
+                                 d.msg.f[1]});
     }
-    steps = msg_steps;
-    have_steps = true;
-    arrivals.emplace_back(ctx.slot_of(d.from), d.msg.f[1]);
   }
-  if (!arrivals.empty()) process(ctx, arrivals, steps);
+  // One generation's aggregates move in lockstep, but queued behind other
+  // generations' on a shared edge they can arrive at mixed hop counts.
+  // Groups run in canonical (gen, steps) order, arrival order within one,
+  // so the draws are the same at every thread count.
+  const auto key = [](const Arrival& a, const Arrival& b) {
+    return a.gen != b.gen ? a.gen < b.gen : a.steps < b.steps;
+  };
+  if (!std::is_sorted(arrivals.begin(), arrivals.end(), key)) {
+    std::stable_sort(arrivals.begin(), arrivals.end(), key);
+  }
+  for (auto begin = arrivals.begin(); begin != arrivals.end();) {
+    const auto end = std::find_if(begin, arrivals.end(),
+                                  [&](const Arrival& a) {
+                                    return key(*begin, a);
+                                  });
+    process(ctx, std::span<const Arrival>(begin, end));
+    begin = end;
+  }
 }
 
 // ------------------------------------------------------ sample convergecast

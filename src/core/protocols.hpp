@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -68,18 +69,31 @@ class ShortWalkPhaseProtocol final : public congest::Protocol {
   std::vector<std::vector<Pending>> staying_;
 };
 
-/// GET-MORE-WALKS (Algorithm 2): `count` walks from `source`, forwarded as
-/// (source, count, steps) aggregates -- one message per edge per round, so no
-/// congestion and exactly O(lambda) rounds -- then extended by reservoir
-/// sampling: at extension step i every surviving token stops with probability
-/// 1/(lambda - i), yielding lengths uniform in [lambda, 2*lambda - 1]
-/// (Lemma 2.4). With `extend == false` (PODC 2009 preset) all tokens stop at
-/// exactly lambda. With trajectories, the run takes a new generation id at
-/// construction: its tokens carry it in HeldToken::seq and its hops become
-/// that generation's records.
+/// One source's share of a GET-MORE-WALKS run: `count` walks from `source`.
+struct TopUp {
+  NodeId source = kInvalidNode;
+  std::uint32_t count = 0;
+};
+
+/// GET-MORE-WALKS (Algorithm 2) for a list of sources at once: topups[i]
+/// is generation base + i, where base is TrajectoryStore::next_generation
+/// at construction, when the run takes its ids -- so they are the same at
+/// every mux width (without trajectories the base is 0). Each generation's walks are forwarded as (source, count, steps,
+/// gen) aggregates, one message per edge per round and generation, then
+/// extended by reservoir sampling: at extension step i every surviving
+/// token stops with probability 1/(lambda - i), yielding lengths uniform in
+/// [lambda, 2*lambda - 1] (Lemma 2.4). With `extend == false` (PODC 2009
+/// preset) all tokens stop at exactly lambda. A one-entry run never queues
+/// and costs O(lambda) rounds whatever its count (Lemma 2.2). Aggregates of
+/// different generations that want one edge share its FIFO, so a
+/// multi-source run pays its contention in rounds and may deliver an
+/// aggregate after its hop count; the stop rule reads the hop, never the
+/// round, so every token keeps its law. Tokens carry their generation in
+/// HeldToken::seq, and with trajectories each hop becomes that
+/// generation's record.
 class GetMoreWalksProtocol final : public congest::Protocol {
  public:
-  GetMoreWalksProtocol(const Graph& g, NodeId source, std::uint32_t count,
+  GetMoreWalksProtocol(const Graph& g, std::vector<TopUp> topups,
                        std::uint32_t lambda, bool extend, WalkStore& store,
                        TrajectoryStore* trajectories,
                        TransitionModel model = TransitionModel::kSimple);
@@ -87,24 +101,29 @@ class GetMoreWalksProtocol final : public congest::Protocol {
 
  private:
   enum MsgType : std::uint16_t { kAggregate = 20 };
-  /// Handles one round's arrivals ((arrival_slot, count) pairs, all at the
-  /// same hop count) and emits at most one aggregate message per neighbor.
-  void process(
-      congest::Context& ctx,
-      const std::vector<std::pair<std::uint32_t, std::uint64_t>>& arrivals,
-      std::uint32_t steps);
+  /// `count` tokens of generation `gen` standing at a node after `steps`
+  /// hops, having arrived through `slot` (kNoSlot: started or stayed here).
+  struct Arrival {
+    std::uint32_t gen;
+    std::uint32_t steps;
+    std::uint32_t slot;
+    NodeId source;
+    std::uint64_t count;
+  };
+  /// Handles one (gen, steps) group of a round's arrivals and emits at most
+  /// one aggregate message per neighbor for it.
+  void process(congest::Context& ctx, std::span<const Arrival> group);
   const Graph* graph_;
-  NodeId source_;
-  std::uint32_t initial_count_;
+  std::vector<TopUp> topups_;
   std::uint32_t lambda_;
   bool extend_;
   WalkStore* store_;
   TrajectoryStore* trajectories_;
-  std::uint32_t gen_;
+  std::uint32_t gen_base_;
   TransitionModel model_;
-  /// Aggregated self-loop stays per node: (count, steps) carried to the
-  /// next round locally (no message), preserving lockstep.
-  std::vector<std::pair<std::uint64_t, std::uint32_t>> staying_;
+  /// Aggregated self-loop stays per node, carried to the next round locally
+  /// (no message) with their hop count already advanced.
+  std::vector<std::vector<Arrival>> staying_;
 };
 
 /// Sweep 2 of SAMPLE-DESTINATION (Algorithm 3): a convergecast up `tree`

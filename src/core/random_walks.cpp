@@ -9,6 +9,26 @@
 
 namespace drw::core {
 
+namespace {
+
+/// The deferred tails and the regeneration as one protocol: every node
+/// runs both, and each skips the other's message types.
+class FinishProtocol final : public congest::Protocol {
+ public:
+  FinishProtocol(NaiveSegmentProtocol& tails, RegenerateProtocol& regen)
+      : tails_(&tails), regen_(&regen) {}
+  void on_round(congest::Context& ctx) override {
+    tails_->on_round(ctx);
+    regen_->on_round(ctx);
+  }
+
+ private:
+  NaiveSegmentProtocol* tails_;
+  RegenerateProtocol* regen_;
+};
+
+}  // namespace
+
 WalkCounters& WalkCounters::operator+=(const WalkCounters& other) noexcept {
   lambda = other.lambda != 0 ? other.lambda : lambda;
   walks_prepared += other.walks_prepared;
@@ -20,7 +40,7 @@ WalkCounters& WalkCounters::operator+=(const WalkCounters& other) noexcept {
   tree_reuses += other.tree_reuses;
   phase1 += other.phase1;
   phase2 += other.phase2;
-  regen += other.regen;
+  finish += other.finish;
   return *this;
 }
 
@@ -121,17 +141,18 @@ WalkResult StitchEngine::complete_walk(NodeId source, std::uint64_t l,
                                        bool record_positions) {
   if (!deferred_tails_.empty() || !deferred_regen_.empty()) {
     throw std::logic_error(
-        "StitchEngine::walk: deferred tails are pending (run them first)");
+        "StitchEngine::walk: deferred work is pending (run it first)");
   }
   WalkTask task =
       start_walk_task(source, l, walk_id, record_positions, start_step);
   while (!task.finished()) task.step_solo();
   WalkResult result = task.result();
-  const TailOutcome tail = run_deferred_tails();
-  if (!tail.destinations.empty()) result.destination = tail.destinations[0];
-  result.stats += tail.stats;
-  result.counters.regen = run_deferred_regen();
-  result.stats += result.counters.regen;
+  const DeferredOutcome finish = run_deferred();
+  if (!finish.destinations.empty()) {
+    result.destination = finish.destinations[0];
+  }
+  result.counters.finish = finish.stats;
+  result.stats += finish.stats;
   return result;
 }
 
@@ -145,19 +166,24 @@ std::vector<std::uint64_t> StitchEngine::unused_counts_by_source() const {
   return counts;
 }
 
-congest::RunStats StitchEngine::replenish(NodeId source,
-                                          std::uint32_t count) {
+congest::RunStats StitchEngine::replenish(std::vector<TopUp> topups) {
   if (!prepared_ || naive_mode_) {
     throw std::logic_error(
         "StitchEngine::replenish: requires a prepared, non-naive engine");
   }
-  if (count == 0) return {};
-  obs::Span span(obs::Name::kEngineReplenish, obs::kPidService, 0, count);
-  GetMoreWalksProtocol more(
-      net_->graph(), source, count, lambda_, params_.random_lengths, store_,
-      params_.record_trajectories ? &trajectories_ : nullptr,
-      params_.transition);
+  if (topups.empty()) return {};
+  obs::Span span(obs::Name::kEngineReplenish, obs::kPidService, 0,
+                 topups.size());
+  const bool record = params_.record_trajectories;
+  const TrajectoryStore::Mark mark =
+      record ? trajectories_.mark() : TrajectoryStore::Mark{};
+  GetMoreWalksProtocol more(net_->graph(), std::move(topups), lambda_,
+                            params_.random_lengths, store_,
+                            record ? &trajectories_ : nullptr,
+                            params_.transition);
   const congest::RunStats stats = net_->run(more);
+  // The run took its generations above every stored one and ran alone.
+  if (record) trajectories_.sort_appended(mark);
   total_ += stats;
   return stats;
 }
@@ -252,29 +278,32 @@ PositionTable StitchEngine::drain_positions() {
   return out;
 }
 
-StitchEngine::TailOutcome StitchEngine::run_deferred_tails() {
-  TailOutcome outcome;
-  if (deferred_tails_.empty()) return outcome;
+StitchEngine::DeferredOutcome StitchEngine::run_deferred() {
+  DeferredOutcome outcome;
+  if (deferred_tails_.empty() && deferred_regen_.empty()) return outcome;
   obs::Span span(obs::Name::kEngineTails, obs::kPidService, 0,
-                 deferred_tails_.size());
-  // Canonical ascending-walk_id order: tail tokens draw from the SHARED
-  // node streams, so the job order must not depend on the mux scheduler's
-  // task completion order.
-  std::stable_sort(deferred_tails_.begin(), deferred_tails_.end(),
-                   [](const NaiveSegmentProtocol::Job& a,
-                      const NaiveSegmentProtocol::Job& b) {
-                     return a.walk_id < b.walk_id;
-                   });
+                 deferred_tails_.size() + deferred_regen_.size());
+  // Canonical ascending-walk_id order (stable: keeps each walk's segment
+  // order), independent of the mux scheduler's task completion order.
+  const auto by_walk = [](const auto& a, const auto& b) {
+    return a.walk_id < b.walk_id;
+  };
+  std::stable_sort(deferred_tails_.begin(), deferred_tails_.end(), by_walk);
+  std::stable_sort(deferred_regen_.begin(), deferred_regen_.end(), by_walk);
   for (const auto& job : deferred_tails_) {
     outcome.walk_ids.push_back(job.walk_id);
   }
-  NaiveSegmentProtocol protocol(
+  NaiveSegmentProtocol tails(
       net_->graph(), std::move(deferred_tails_),
       params_.record_trajectories ? &positions_ : nullptr,
       params_.transition);
+  RegenerateProtocol regen(net_->graph(), std::move(deferred_regen_),
+                           trajectories_, positions_, stream_salt_);
   deferred_tails_.clear();
-  outcome.stats = net_->run(protocol);
-  outcome.destinations = protocol.destinations();
+  deferred_regen_.clear();
+  FinishProtocol finish(tails, regen);
+  outcome.stats = net_->run(finish);
+  outcome.destinations = tails.destinations();
   total_ += outcome.stats;
   return outcome;
 }
@@ -381,8 +410,8 @@ void StitchEngine::WalkTask::advance(const congest::RunStats& lane_stats) {
                   engine_->prepared_k_,
               1u << 20));
       protocol_ = std::make_unique<GetMoreWalksProtocol>(
-          engine_->net_->graph(), current_, count, engine_->lambda_,
-          params.random_lengths, engine_->store_,
+          engine_->net_->graph(), std::vector<TopUp>{{current_, count}},
+          engine_->lambda_, params.random_lengths, engine_->store_,
           params.record_trajectories ? &engine_->trajectories_ : nullptr,
           params.transition);
       step_ = Step::kGetMore;
@@ -414,7 +443,7 @@ void StitchEngine::WalkTask::finish() {
   result_.destination = current_;
 
   // "Walk naively until l steps are completed": deferred into the engine's
-  // shared concurrent tail run (the source/connector position is already
+  // shared finishing run (the source/connector position is already
   // recorded, so record_start stays false).
   const std::uint64_t tail = l_ - completed_;
   if (tail > 0) {
@@ -423,7 +452,7 @@ void StitchEngine::WalkTask::finish() {
         current_, tail, walk_id_, start_step_ + completed_, false, record_});
   }
 
-  // Regeneration jobs (Section 2.2), deferred into one batched replay.
+  // Regeneration jobs (Section 2.2), deferred into the same run.
   if (record_) {
     for (const Segment& s : segments_) {
       const HeldToken& held =
@@ -450,26 +479,6 @@ StitchEngine::WalkTask StitchEngine::start_walk_task(
     throw std::logic_error("StitchEngine: walk longer than prepared for");
   }
   return WalkTask(*this, source, l, walk_id, record_positions, start_step);
-}
-
-congest::RunStats StitchEngine::run_deferred_regen() {
-  if (deferred_regen_.empty()) return {};
-  obs::Span span(obs::Name::kEngineRegen, obs::kPidService, 0,
-                 deferred_regen_.size());
-  // Canonical ascending-walk_id order (stable: preserves each walk's
-  // segment order): the replay consumes shared anonymous records, so the
-  // job order must not depend on task completion order.
-  std::stable_sort(deferred_regen_.begin(), deferred_regen_.end(),
-                   [](const RegenerateProtocol::Job& a,
-                      const RegenerateProtocol::Job& b) {
-                     return a.walk_id < b.walk_id;
-                   });
-  RegenerateProtocol regen(net_->graph(), std::move(deferred_regen_),
-                           trajectories_, positions_, stream_salt_);
-  deferred_regen_.clear();
-  const congest::RunStats stats = net_->run(regen);
-  total_ += stats;
-  return stats;
 }
 
 SingleWalkOutput single_random_walk(congest::Network& net, NodeId source,
@@ -519,13 +528,12 @@ ManyWalksOutput many_random_walks(congest::Network& net,
     out.stats += walk.stats;
     out.counters += walk.counters;
   }
-  const StitchEngine::TailOutcome tails = engine.run_deferred_tails();
-  out.stats += tails.stats;
-  for (std::size_t t = 0; t < tails.walk_ids.size(); ++t) {
-    out.destinations[tails.walk_ids[t]] = tails.destinations[t];
+  const StitchEngine::DeferredOutcome finish = engine.run_deferred();
+  out.stats += finish.stats;
+  for (std::size_t t = 0; t < finish.walk_ids.size(); ++t) {
+    out.destinations[finish.walk_ids[t]] = finish.destinations[t];
   }
-  out.counters.regen = engine.run_deferred_regen();
-  out.stats += out.counters.regen;
+  out.counters.finish = finish.stats;
   out.counters.lambda = engine.lambda();
   out.positions = engine.drain_positions();
   return out;

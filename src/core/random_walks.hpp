@@ -47,7 +47,9 @@ struct WalkCounters {
   std::uint64_t tree_reuses = 0;
   congest::RunStats phase1;            ///< Phase-1 rounds/messages
   congest::RunStats phase2;            ///< stitching rounds/messages
-  congest::RunStats regen;             ///< regeneration rounds/messages
+  /// The one run that finishes the deferred naive tails and regenerates
+  /// the stitched segments (StitchEngine::run_deferred).
+  congest::RunStats finish;
 
   WalkCounters& operator+=(const WalkCounters& other) noexcept;
 };
@@ -93,7 +95,7 @@ class StitchEngine {
   /// of position recording + regeneration even when the engine records
   /// trajectories (the serving layer's per-request `record_positions`
   /// flag); it is a no-op when the engine does not record. Throws
-  /// std::logic_error while deferred tails are pending.
+  /// std::logic_error while deferred work is pending.
   WalkResult walk(NodeId source, std::uint64_t l, std::uint32_t walk_id = 0,
                   bool record_positions = true);
 
@@ -108,7 +110,7 @@ class StitchEngine {
 
   /// Like walk(), but defers the final naive tail (the "walk naively until l
   /// steps are completed" segment): the result's destination is the LAST
-  /// CONNECTOR until run_deferred_tails() finishes the tails of all deferred
+  /// CONNECTOR until run_deferred() finishes the tails of all deferred
   /// walks concurrently. MANY-RANDOM-WALKS needs this to stay within
   /// O~(sqrt(k l D) + k): k sequential tails of up to 2*lambda steps would
   /// cost k*lambda rounds, while the k tail tokens together cost O(k + 2
@@ -116,23 +118,28 @@ class StitchEngine {
   /// fallback). The paper's Theorem 2.8 round budget accounts Phase 1 +
   /// stitching only, which is consistent with concurrent tails.
   /// In naive mode the WHOLE walk is deferred as one token job (the
-  /// destination is meaningful only after run_deferred_tails()), so a batch
+  /// destination is meaningful only after run_deferred()), so a batch
   /// of deferred naive walks costs O(k + l) rounds, not k * l.
   WalkResult walk_deferring_tail(NodeId source, std::uint64_t l,
                                  std::uint32_t walk_id,
                                  bool record_positions = true);
 
-  /// Completes all deferred tails in one protocol run; returns the final
-  /// destination per deferred walk_id plus the stats. Jobs run in
-  /// ascending-walk_id order -- the canonical order is what keeps the
-  /// shared-stream tail draws independent of the mux scheduler's task
-  /// completion order.
-  struct TailOutcome {
+  /// Completes every deferred tail and replays every deferred regeneration
+  /// job (segments of walks finished with record_positions) in ONE
+  /// Network::run: the two protocols' messages share edge FIFOs, and each
+  /// skips the other's message types. Returns the final destination per
+  /// deferred tail's walk_id plus the run's stats. Both job lists run in
+  /// canonical ascending-walk_id order: tail tokens draw from the shared
+  /// node streams, and the replay consumes shared anonymous records, so
+  /// neither may depend on the mux scheduler's task completion order. The
+  /// replay draws no node-stream coin, and positions are keyed by (walk,
+  /// step), so running both together moves no path's law.
+  struct DeferredOutcome {
     std::vector<std::uint32_t> walk_ids;
     std::vector<NodeId> destinations;
     congest::RunStats stats;
   };
-  TailOutcome run_deferred_tails();
+  DeferredOutcome run_deferred();
 
   // --- Phase 2: the resumable walk task ---------------------------------
 
@@ -149,8 +156,7 @@ class StitchEngine {
   /// per-connector token pools, which is exactly what the scheduler's
   /// connector-conflict rule serializes. The naive tail -- the whole walk
   /// when l < 2*lambda or in naive mode -- and regeneration are deferred
-  /// into the engine's batched runs (run_deferred_tails /
-  /// run_deferred_regen).
+  /// into the engine's one batched finishing run (run_deferred).
   class WalkTask {
    public:
     WalkTask(WalkTask&&) = default;
@@ -177,7 +183,7 @@ class StitchEngine {
     /// the traversal's cost.
     congest::RunStats step_solo();
     /// Valid once finished(). The destination is the last connector until
-    /// run_deferred_tails() resolves this walk_id's tail.
+    /// run_deferred() resolves this walk_id's tail.
     const WalkResult& result() const noexcept { return result_; }
 
    private:
@@ -226,11 +232,6 @@ class StitchEngine {
   WalkTask start_walk_task(NodeId source, std::uint64_t l,
                            std::uint32_t walk_id, bool record_positions,
                            std::uint64_t start_step = 0);
-
-  /// Replays every deferred regeneration job (segments of walks finished
-  /// with record_positions) in one protocol run, in canonical
-  /// ascending-walk_id order. No-op without record_trajectories.
-  congest::RunStats run_deferred_regen();
 
   /// Folds an externally driven run's cost (a mux group the scheduler ran
   /// through Network::run_multiplexed) into total_stats().
@@ -284,11 +285,13 @@ class StitchEngine {
   /// Unused short-walk tokens per source node (one scan of the store).
   std::vector<std::uint64_t> unused_counts_by_source() const;
 
-  /// External replenishment: adds `count` fresh short walks from `source`
-  /// via GET-MORE-WALKS (Algorithm 2 as a stand-alone top-up, O(lambda)
-  /// rounds) without stitching anything. Requires a prepared, non-naive
-  /// engine. Returns the rounds/messages spent.
-  congest::RunStats replenish(NodeId source, std::uint32_t count);
+  /// External replenishment: adds topups[i].count fresh short walks from
+  /// each topups[i].source via ONE multi-source GET-MORE-WALKS run
+  /// (Algorithm 2 as a stand-alone top-up: O(lambda) rounds plus the
+  /// sources' contention on shared edges, however many walks it adds)
+  /// without stitching anything. Requires a prepared, non-naive engine.
+  /// Returns the rounds/messages spent (nothing runs for an empty list).
+  congest::RunStats replenish(std::vector<TopUp> topups);
 
   /// Retargets the prepared envelope to k walks of length <= l WITHOUT
   /// discarding the store -- the persistent-inventory alternative to
@@ -327,7 +330,7 @@ class StitchEngine {
     std::uint64_t gmw_records = 0;        ///< incl. spent (tombstoned) ones
     std::uint64_t gmw_records_freed = 0;  ///< by this call's freeing pass
   };
-  /// Batch boundary, with no task open and tails and regeneration run:
+  /// Batch boundary, with no task open and run_deferred() done:
   /// drops the used tokens (WalkStore::compact). Then, once the trajectory
   /// store holds at least 2x the records the previous pass kept plus
   /// kGmwRecordSlack, frees the spent records and every generation no held
@@ -336,7 +339,7 @@ class StitchEngine {
   StoreFootprint compact_store();
 
  private:
-  /// One solo task plus its tail and regeneration (walk, continue_walk).
+  /// One solo task plus its finishing run (walk, continue_walk).
   WalkResult complete_walk(NodeId source, std::uint64_t l,
                            std::uint32_t walk_id, std::uint64_t start_step,
                            bool record_positions);

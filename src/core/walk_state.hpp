@@ -15,16 +15,16 @@
 //     in order.
 //   * TrajectoryStore: optional per-hop routing records that let the walk be
 //     regenerated (Section 2.2). Short walks come in *generations* -- Phase
-//     1 takes one per source, each GET-MORE-WALKS run one -- whose id the
-//     token carries in HeldToken::seq; every hop leaves an anonymous (gen,
-//     hop, prev_slot, next_slot) record in one flat array per node. A
-//     replay walks back from the endpoint, at each hop taking one unspent
-//     record of the generation that left toward the node it came from,
-//     chosen *uniformly*: swapping the pasts of two i.i.d. tokens that
-//     stand on one node after equal hops keeps their joint law, so the
-//     replayed path is exact. A fixed choice is not (the first record in
-//     arrival order favours low-id predecessors). Once no token of a
-//     generation is held, drop_spent() frees its records.
+//     1 takes one per source, a GET-MORE-WALKS run one per source it tops
+//     up -- whose id the token carries in HeldToken::seq; every hop leaves
+//     an anonymous (gen, hop, prev_slot, next_slot) record in one flat
+//     array per node. A replay walks back from the endpoint, at each hop
+//     taking one unspent record of the generation that left toward the
+//     node it came from, chosen *uniformly*: swapping the pasts of two
+//     i.i.d. tokens that stand on one node after equal hops keeps their
+//     joint law, so the replayed path is exact. A fixed choice is not (the
+//     first record in arrival order favours low-id predecessors). Once no
+//     token of a generation is held, drop_spent() frees its records.
 #pragma once
 
 #include <algorithm>
@@ -97,12 +97,14 @@ struct TrajectoryStore {
 
   explicit TrajectoryStore(std::size_t n) : gmw(n), gmw_unsorted(n, 0) {}
 
-  /// gmw[v] = the hops taken from node v. A GET-MORE-WALKS run's hops
-  /// advance in lockstep and its generation is above every earlier one, so
-  /// its records arrive sorted by (gen, hop); Phase 1's do not (its tokens
-  /// queue), and neither do concurrent runs' (mux lanes). An out-of-order
-  /// append sets gmw_unsorted[v], and the next lookup at v sorts once
-  /// (stably).
+  /// gmw[v] = the hops taken from node v. A one-source GET-MORE-WALKS
+  /// run's hops advance in lockstep and its generation is above every
+  /// earlier one, so its records arrive sorted by (gen, hop); Phase 1's do
+  /// not (its tokens queue), nor do a multi-source run's (its generations'
+  /// aggregates queue behind each other) or concurrent runs' (mux lanes).
+  /// An out-of-order append sets gmw_unsorted[v], and the next lookup at v
+  /// sorts once (stably) -- unless sort_appended() put a solo run's records
+  /// in place first.
   std::vector<std::vector<GmwRecord>> gmw;
   std::vector<std::uint8_t> gmw_unsorted;
   /// The next generation id. Runs take theirs on the scheduler thread, so
@@ -128,6 +130,34 @@ struct TrajectoryStore {
         gmw_unsorted[v] = 0;
       }
       records_kept += gmw[v].size();
+    }
+  }
+
+  /// Each node's record count and order flag, taken before a run that
+  /// runs alone (see sort_appended).
+  struct Mark {
+    std::vector<std::size_t> sizes;
+    std::vector<std::uint8_t> unsorted;
+  };
+  Mark mark() const {
+    Mark m{std::vector<std::size_t>(gmw.size()), gmw_unsorted};
+    for (std::size_t v = 0; v < gmw.size(); ++v) m.sizes[v] = gmw[v].size();
+    return m;
+  }
+
+  /// After a run that ran alone and took its generations above every
+  /// stored one: its records are each node's suffix past `mark`, out of
+  /// order only among themselves. Sorting that suffix (stably) puts it in
+  /// place after the older records -- the order a full stable sort would
+  /// give -- so a node sorted before the run is sorted again, and no lookup
+  /// re-sorts its whole array.
+  void sort_appended(const Mark& mark) {
+    for (std::size_t v = 0; v < gmw.size(); ++v) {
+      if (gmw_unsorted[v] == 0 || mark.unsorted[v] != 0) continue;
+      std::stable_sort(
+          gmw[v].begin() + static_cast<std::ptrdiff_t>(mark.sizes[v]),
+          gmw[v].end());
+      gmw_unsorted[v] = 0;
     }
   }
 

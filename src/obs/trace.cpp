@@ -35,7 +35,6 @@ constexpr const char* kNames[] = {
     "engine.prepare",    // kEnginePrepare
     "engine.replenish",  // kEngineReplenish
     "engine.tails",      // kEngineTails
-    "engine.regen",      // kEngineRegen
     "stitch.wave",       // kStitchWave
     "walk.lane",         // kWalkLane
     "lane.round",        // kLaneRound

@@ -49,9 +49,8 @@ enum class Name : std::uint16_t {
   kBarrierWait,       ///< span: driver waiting on the pool barrier
   kNetRun,            ///< span: one Network::run / run_multiplexed
   kEnginePrepare,     ///< span: StitchEngine::prepare (Phase 1)
-  kEngineReplenish,   ///< span: GET-MORE-WALKS replenishment run
-  kEngineTails,       ///< span: deferred naive tail segments
-  kEngineRegen,       ///< span: deferred trajectory regeneration
+  kEngineReplenish,   ///< span: a batch's GET-MORE-WALKS top-up run
+  kEngineTails,       ///< span: deferred naive tails + regeneration run
   kStitchWave,        ///< span: one conflict-free mux wave (arg = lanes)
   kWalkLane,          ///< span: one walk task on a lane (arg = walk id)
   kLaneRound,         ///< instant: lane consumed a round (arg = round)

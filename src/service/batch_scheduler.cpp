@@ -183,23 +183,20 @@ BatchScheduler::Outcome BatchScheduler::run(
 
   stitch(units, mux, out);
 
-  // One concurrent run finishes every deferred tail.
-  const core::StitchEngine::TailOutcome tails = engine_->run_deferred_tails();
-  out.tail_stats = tails.stats;
-  out.stats += tails.stats;
-  for (std::size_t t = 0; t < tails.walk_ids.size(); ++t) {
-    const std::uint32_t index = tails.walk_ids[t] - first_walk_id;
+  // One concurrent run finishes every deferred tail and regenerates every
+  // stitched segment.
+  const core::StitchEngine::DeferredOutcome finish = engine_->run_deferred();
+  out.counters.finish += finish.stats;
+  out.stats += finish.stats;
+  for (std::size_t t = 0; t < finish.walk_ids.size(); ++t) {
+    const std::uint32_t index = finish.walk_ids[t] - first_walk_id;
     if (index >= units.size()) {
       throw std::logic_error("BatchScheduler: stray deferred tail");
     }
     const Unit& u = units[index];
-    out.results[u.request_index].destinations[u.slot] = tails.destinations[t];
+    out.results[u.request_index].destinations[u.slot] =
+        finish.destinations[t];
   }
-
-  // Batched regeneration of every stitched segment.
-  out.regen_stats = engine_->run_deferred_regen();
-  out.stats += out.regen_stats;
-  out.counters.regen += out.regen_stats;
 
   // Path extraction: drain the engine's position table and invert it into
   // per-unit node sequences for the units that asked.

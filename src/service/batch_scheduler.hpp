@@ -6,7 +6,8 @@
 // every naive tail -- including the whole body of walks too short to
 // stitch (l < 2*lambda) -- is deferred and completed in ONE concurrent
 // NaiveSegmentProtocol run, so k tails cost O(k + 2*lambda) rounds instead
-// of k * 2*lambda; regeneration is batched the same way. Units run
+// of k * 2*lambda; the same run regenerates every stitched segment
+// (StitchEngine::run_deferred). Units run
 // longest-first: deep walks consume (and, via GET-MORE-WALKS, replenish)
 // the inventory early, so short walks behind them never stall on an empty
 // pool.
@@ -71,9 +72,9 @@ class BatchScheduler {
     /// single Network::run once (rounds shared across lanes), so summing
     /// the per-request stats can legitimately exceed this.
     congest::RunStats stats;
-    congest::RunStats tail_stats;        ///< the shared tail run alone
-    congest::RunStats regen_stats;       ///< the batched regeneration run
-    core::WalkCounters counters;         ///< summed over all units
+    /// Summed over all units; counters.finish is the batch's one run of
+    /// tails and regeneration.
+    core::WalkCounters counters;
     std::uint64_t walks = 0;
     std::uint64_t mux_groups = 0;        ///< traversal waves executed
     std::uint64_t mux_lanes = 0;         ///< lanes summed over waves
@@ -87,7 +88,7 @@ class BatchScheduler {
                                 std::uint32_t first_walk_id);
 
   /// Runs the batch: conflict-aware stitching waves (per `mux`) with
-  /// deferred tails, one concurrent tail run, batched regeneration,
+  /// deferred tails, one run of those tails and the regeneration,
   /// per-request assembly, and -- for units with `record` on an engine
   /// that records trajectories -- path extraction from the drained
   /// position table. The engine must be prepared for (sum of counts, max

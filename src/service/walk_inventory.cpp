@@ -52,9 +52,9 @@ void WalkInventory::restore(Image img) {
   total_demand_ = img.total_demand;
 }
 
-std::vector<Replenishment> WalkInventory::plan_replenishment(
+std::vector<core::TopUp> WalkInventory::plan_replenishment(
     const InventoryPolicy& policy) const {
-  std::vector<Replenishment> plan;
+  std::vector<core::TopUp> plan;
   for (NodeId v = 0; v < demand_.size(); ++v) {
     if (demand_[v] == 0 || unused_[v] >= demand_[v]) continue;
     const auto target = static_cast<std::uint64_t>(
@@ -63,10 +63,10 @@ std::vector<Replenishment> WalkInventory::plan_replenishment(
     const std::uint64_t want = target - unused_[v];
     const auto count = static_cast<std::uint32_t>(std::clamp<std::uint64_t>(
         want, policy.min_batch, policy.max_batch));
-    plan.push_back(Replenishment{v, count});
+    plan.push_back(core::TopUp{v, count});
   }
   std::sort(plan.begin(), plan.end(),
-            [](const Replenishment& a, const Replenishment& b) {
+            [](const core::TopUp& a, const core::TopUp& b) {
               if (a.count != b.count) return a.count > b.count;
               return a.source < b.source;
             });

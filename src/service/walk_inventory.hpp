@@ -24,18 +24,15 @@ struct InventoryPolicy {
   /// last batch; nodes whose unused supply is below the observed demand
   /// (the low-water mark) are topped up to the target.
   double headroom = 2.0;
-  /// Smallest top-up worth a GET-MORE-WALKS run (each run is O(lambda)
-  /// rounds regardless of count, so tiny counts waste rounds).
+  /// Smallest top-up a hot connector gets. All of a batch's top-ups share
+  /// one GET-MORE-WALKS run, whose O(lambda) rounds are paid once per batch
+  /// whatever the counts (Lemma 2.2), so a higher floor costs messages,
+  /// not rounds.
   std::uint32_t min_batch = 4;
   /// Hard cap per top-up (message-size / memory guard).
   std::uint32_t max_batch = 1u << 16;
 };
 
-/// One planned top-up: `count` fresh short walks from `source`.
-struct Replenishment {
-  NodeId source = kInvalidNode;
-  std::uint32_t count = 0;
-};
 
 class WalkInventory {
  public:
@@ -66,7 +63,7 @@ class WalkInventory {
   /// Plans targeted top-ups from the latest supply/demand snapshot: every
   /// node whose observed demand exceeded its remaining supply is brought up
   /// to `headroom * demand`. Returns the plan most-starved first.
-  std::vector<Replenishment> plan_replenishment(
+  std::vector<core::TopUp> plan_replenishment(
       const InventoryPolicy& policy) const;
 
   /// Raw copy of the bookkeeping arrays for checkpointing (drw::resil).

@@ -143,13 +143,12 @@ BatchReport WalkService::flush() {
   if (reuse) {
     engine_.adopt_plan(units, l_max);
     // Targeted replenishment: top up connectors whose last-batch demand
-    // outran their remaining stock, one O(lambda) GET-MORE-WALKS run each.
-    for (const Replenishment& r :
-         inventory_.plan_replenishment(config_.policy)) {
-      report.stats += engine_.replenish(r.source, r.count);
-      ++report.replenishments;
-      report.replenished_walks += r.count;
-    }
+    // outran their remaining stock, all in one O(lambda) GET-MORE-WALKS run.
+    std::vector<core::TopUp> plan =
+        inventory_.plan_replenishment(config_.policy);
+    report.replenishments = plan.size();
+    for (const core::TopUp& r : plan) report.replenished_walks += r.count;
+    report.stats += engine_.replenish(std::move(plan));
   } else {
     engine_.prepare(units, l_max);
     // A naive-mode prepare creates no short walks (the fallback of

@@ -11,10 +11,11 @@
 //     the batch's total walk count and maximum length) and keeps it across
 //     batches while the plan stays within a slack factor -- so the
 //     short-walk inventory persists instead of being discarded;
-//   * tops the inventory up INCREMENTALLY: targeted GET-MORE-WALKS runs for
-//     hot connectors (planned from observed per-node demand vs supply by
-//     WalkInventory) plus the engine's own in-walk GET-MORE-WALKS when
-//     SAMPLE-DESTINATION still comes up empty. A full Phase 1 re-prepare
+//   * tops the inventory up INCREMENTALLY: one targeted multi-source
+//     GET-MORE-WALKS run per batch for its hot connectors (planned from
+//     observed per-node demand vs supply by WalkInventory) plus the
+//     engine's own in-walk GET-MORE-WALKS when SAMPLE-DESTINATION still
+//     comes up empty. A full Phase 1 re-prepare
 //     happens only when the planned lambda drifts out of the slack window
 //     (or on first use);
 //   * reports per-request WalkResults and per-batch/lifetime throughput
@@ -109,8 +110,10 @@ struct BatchReport {
   /// cached one (tree_builds + tree_reuses == stitches).
   std::uint64_t tree_builds = 0;
   std::uint64_t tree_reuses = 0;
-  std::uint64_t replenishments = 0;     ///< targeted pre-batch top-up runs
-  std::uint64_t replenished_walks = 0;  ///< short walks added by those runs
+  /// Targeted pre-batch top-ups (one per hot connector, all in one
+  /// GET-MORE-WALKS run) and the short walks they added.
+  std::uint64_t replenishments = 0;
+  std::uint64_t replenished_walks = 0;
   /// Model cost of serving the same requests one naive token walk at a
   /// time (sum of length over all walks; a naive walk is exactly l rounds).
   std::uint64_t naive_rounds_estimate = 0;

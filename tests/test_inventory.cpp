@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 
 #include "congest/network.hpp"
@@ -12,6 +13,7 @@
 #include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
 #include "graph/markov.hpp"
+#include "obs/metrics.hpp"
 #include "util/stats.hpp"
 
 namespace drw::service {
@@ -61,7 +63,7 @@ TEST(EngineHooks, ReplenishAddsExactlyCountUnusedTokens) {
     phase1_held.push_back(held.size());
   }
 
-  const congest::RunStats stats = engine.replenish(7, 10);
+  const congest::RunStats stats = engine.replenish({{7, 10}});
   const std::vector<std::uint64_t> after = engine.unused_counts_by_source();
   EXPECT_EQ(after[7], before[7] + 10);
   // GET-MORE-WALKS is O(lambda) rounds regardless of count (aggregation).
@@ -80,6 +82,42 @@ TEST(EngineHooks, ReplenishAddsExactlyCountUnusedTokens) {
     }
   }
   EXPECT_EQ(fresh, 10u);
+}
+
+// A batch's top-ups are one GET-MORE-WALKS run: one Network::run however
+// many sources it tops up, each source receiving its counts under one
+// generation per entry, and the routing records left sorted so the next
+// lookup at a touched node does not re-sort its whole array.
+TEST(EngineHooks, ReplenishRunsEveryTopUpInOneNetworkRun) {
+  const Graph g = gen::torus(5, 5);
+  Network net(g, 3);
+  Params params = small_lambda_params();
+  params.record_trajectories = true;
+  StitchEngine engine(net, params, exact_diameter(g));
+  engine.prepare(1, 30);
+  const std::vector<std::uint64_t> before = engine.unused_counts_by_source();
+  const std::uint32_t first_gen = engine.trajectories().next_generation;
+
+  obs::Registry& reg = obs::Registry::global();
+  const bool was_enabled = reg.enabled();
+  reg.set_enabled(true);
+  const std::uint64_t runs = reg.counter("executor.runs").value();
+  engine.replenish({{7, 10}, {8, 6}, {12, 9}, {7, 3}});
+  const std::uint64_t top_up_runs = reg.counter("executor.runs").value() - runs;
+  reg.set_enabled(was_enabled);
+  EXPECT_EQ(top_up_runs, 1u);
+
+  const std::vector<std::uint64_t> after = engine.unused_counts_by_source();
+  EXPECT_EQ(after[7], before[7] + 13);
+  EXPECT_EQ(after[8], before[8] + 6);
+  EXPECT_EQ(after[12], before[12] + 9);
+  const core::TrajectoryStore& traj = engine.trajectories();
+  EXPECT_EQ(traj.next_generation, first_gen + 4);
+  for (NodeId v = 0; v < g.node_count(); ++v) {
+    EXPECT_EQ(traj.gmw_unsorted[v], 0) << "node " << v;
+    EXPECT_TRUE(std::is_sorted(traj.gmw[v].begin(), traj.gmw[v].end()))
+        << "node " << v;
+  }
 }
 
 TEST(EngineHooks, ReplenishedTokensYieldExactWalkDistribution) {
@@ -105,7 +143,7 @@ TEST(EngineHooks, ReplenishedTokensYieldExactWalkDistribution) {
     for (const auto& held : engine.store().held) {
       phase1_held.push_back(held.size());
     }
-    engine.replenish(0, 40);
+    engine.replenish({{0, 40}});
     ++counts[engine.walk(0, l, 0).destination];
     // Replenished tokens are the ones appended after the Phase-1 ones.
     for (NodeId v = 0; v < g.node_count(); ++v) {
@@ -164,7 +202,7 @@ TEST(EngineHooks, HookPreconditionsThrow) {
   const Graph g = gen::cycle(6);
   Network net(g, 1);
   StitchEngine engine(net, Params::paper(), 3);
-  EXPECT_THROW(engine.replenish(0, 4), std::logic_error);
+  EXPECT_THROW(engine.replenish({{0, 4}}), std::logic_error);
   EXPECT_THROW(engine.adopt_plan(1, 10), std::logic_error);
   EXPECT_THROW(engine.release_state(), std::logic_error);
 
@@ -226,9 +264,9 @@ TEST(Inventory, PlanTargetsStarvedConnectorsOnly) {
   InventoryPolicy policy;
   policy.min_batch = 2;
   policy.headroom = 2.0;
-  const std::vector<Replenishment> plan =
+  const std::vector<core::TopUp> plan =
       inventory.plan_replenishment(policy);
-  for (const Replenishment& r : plan) {
+  for (const core::TopUp& r : plan) {
     // Only nodes whose demand outran their remaining stock are topped up.
     EXPECT_GT(inventory.demand(r.source), inventory.unused(r.source));
     EXPECT_GE(r.count, policy.min_batch);

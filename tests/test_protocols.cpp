@@ -99,7 +99,7 @@ TEST(GetMoreWalks, StoresExactlyCountWalks) {
   const Graph g = gen::random_geometric(40, 0.3, rng);
   Network net(g, 17);
   WalkStore store(g.node_count());
-  GetMoreWalksProtocol protocol(g, 4, 30, 6, true, store, nullptr);
+  GetMoreWalksProtocol protocol(g, {{4, 30}}, 6, true, store, nullptr);
   net.run(protocol);
   std::size_t stored = 0;
   for (NodeId v = 0; v < g.node_count(); ++v) {
@@ -122,7 +122,8 @@ TEST(GetMoreWalks, AggregationAvoidsCongestion) {
   Network net(g, 19);
   WalkStore store(g.node_count());
   const std::uint32_t lambda = 20;
-  GetMoreWalksProtocol protocol(g, 0, 500, lambda, true, store, nullptr);
+  GetMoreWalksProtocol protocol(g, {{0, 500}}, lambda, true, store,
+                                nullptr);
   const RunStats stats = net.run(protocol);
   EXPECT_LE(stats.max_backlog, 1u);
   EXPECT_LE(stats.rounds, 2u * lambda + 2);
@@ -137,7 +138,8 @@ TEST(GetMoreWalks, LengthsUniformInRange) {
   for (int run = 0; run < 60; ++run) {
     Network net(g, 100 + run);
     WalkStore store(g.node_count());
-    GetMoreWalksProtocol protocol(g, 0, 100, lambda, true, store, nullptr);
+    GetMoreWalksProtocol protocol(g, {{0, 100}}, lambda, true, store,
+                                  nullptr);
     net.run(protocol);
     for (NodeId v = 0; v < g.node_count(); ++v) {
       for (const HeldToken& t : store.held[v]) {
@@ -156,7 +158,7 @@ TEST(GetMoreWalks, FixedLengthModeStopsAtLambda) {
   const Graph g = gen::cycle(12);
   Network net(g, 23);
   WalkStore store(g.node_count());
-  GetMoreWalksProtocol protocol(g, 1, 40, 5, false, store, nullptr);
+  GetMoreWalksProtocol protocol(g, {{1, 40}}, 5, false, store, nullptr);
   const RunStats stats = net.run(protocol);
   std::size_t stored = 0;
   for (NodeId v = 0; v < g.node_count(); ++v) {
@@ -167,6 +169,134 @@ TEST(GetMoreWalks, FixedLengthModeStopsAtLambda) {
   }
   EXPECT_EQ(stored, 40u);
   EXPECT_LE(stats.rounds, 6u);
+}
+
+// Counts the messages each directed edge delivers while running `inner`.
+class EdgeLoad final : public congest::Protocol {
+ public:
+  EdgeLoad(const Graph& g, congest::Protocol& inner) : inner_(&inner) {
+    for (NodeId v = 0; v < g.node_count(); ++v) {
+      delivered_.emplace_back(g.degree(v), 0);
+    }
+  }
+  void on_round(congest::Context& ctx) override {
+    for (const congest::Delivery& d : ctx.inbox()) {
+      ++delivered_[ctx.self()][ctx.slot_of(d.from)];
+    }
+    inner_->on_round(ctx);
+  }
+  /// The run's congestion: the most messages one directed edge carried.
+  std::uint64_t congestion() const {
+    std::uint64_t most = 0;
+    for (const auto& slots : delivered_) {
+      for (const std::uint64_t count : slots) most = std::max(most, count);
+    }
+    return most;
+  }
+
+ private:
+  congest::Protocol* inner_;
+  std::vector<std::vector<std::uint64_t>> delivered_;
+};
+
+// One GET-MORE-WALKS run for several sources: each source's entry is its own
+// generation and keeps the one-source law, although the sources' aggregates
+// queue behind each other on shared edges.
+//   * Every source receives exactly its count, all under its own
+//     generation (a run that gave the sources one generation fails here).
+//   * Each source's lengths are uniform in [lambda, 2*lambda - 1]
+//     (chi-square per source, pooled over seeds).
+//   * The run costs at most 2*lambda rounds plus its congestion C, the most
+//     messages one directed edge carried: queueing adds to the dilation, it
+//     does not multiply it. The sources here crowd a 16-node torus (several
+//     generations share most edges), and the run still costs fewer rounds
+//     than the one-source runs it replaces.
+//   * A one-entry run is the one-source run, token for token (the list
+//     below was recorded from the one-source protocol before it took a
+//     list).
+TEST(GetMoreWalks, MultiSourceRunKeepsEachSourcesLaw) {
+  const Graph g = gen::torus(4, 4);
+  const auto n = static_cast<NodeId>(g.node_count());
+  constexpr std::uint32_t kLambda = 6;
+  const std::vector<TopUp> topups = {{5, 12}, {6, 20}, {9, 7}, {10, 30},
+                                     {6, 5}};
+  std::vector<std::vector<std::uint64_t>> lengths(
+      topups.size(), std::vector<std::uint64_t>(kLambda, 0));
+  for (int seed = 0; seed < 400; ++seed) {
+    Network net(g, 3000 + seed);
+    WalkStore store(n);
+    TrajectoryStore traj(n);
+    traj.new_generations(3);  // earlier generations exist
+    GetMoreWalksProtocol run(g, topups, kLambda, true, store, &traj);
+    ASSERT_EQ(traj.next_generation, 3u + topups.size());
+    EdgeLoad load(g, run);
+    const RunStats stats = net.run(load);
+
+    std::vector<std::uint64_t> received(topups.size(), 0);
+    for (NodeId v = 0; v < n; ++v) {
+      for (const HeldToken& t : store.held[v]) {
+        ASSERT_GE(t.seq, 3u);
+        const std::uint32_t entry = t.seq - 3;
+        ASSERT_LT(entry, topups.size());
+        ASSERT_EQ(t.source, topups[entry].source);
+        ASSERT_GE(t.length, kLambda);
+        ASSERT_LT(t.length, 2 * kLambda);
+        ++received[entry];
+        ++lengths[entry][t.length - kLambda];
+      }
+    }
+    for (std::size_t i = 0; i < topups.size(); ++i) {
+      ASSERT_EQ(received[i], topups[i].count) << "entry " << i;
+    }
+
+    EXPECT_LE(stats.rounds, 2 * kLambda + load.congestion())
+        << "seed " << seed;
+    std::uint64_t separate = 0;
+    for (const TopUp& topup : topups) {
+      Network alone(g, 3000 + seed);
+      WalkStore own(n);
+      GetMoreWalksProtocol single(g, {topup}, kLambda, true, own, nullptr);
+      separate += alone.run(single).rounds;
+    }
+    EXPECT_LT(stats.rounds, separate) << "seed " << seed;
+  }
+  const std::vector<double> uniform(kLambda, 1.0 / kLambda);
+  for (std::size_t i = 0; i < topups.size(); ++i) {
+    const auto result = chi_square_test(lengths[i], uniform);
+    EXPECT_GT(result.p_value, 1e-4)
+        << "entry " << i << " chi2=" << result.statistic;
+  }
+
+  Network net(g, 31);
+  WalkStore store(n);
+  TrajectoryStore traj(n);
+  traj.new_generations(3);
+  GetMoreWalksProtocol one(g, {{5, 12}}, 4, true, store, &traj);
+  const RunStats stats = net.run(one);
+  EXPECT_EQ(stats.rounds, 7u);
+  EXPECT_EQ(stats.messages, 45u);
+  EXPECT_EQ(traj.gmw_record_count(), 62u);
+  struct Token {
+    NodeId holder;
+    std::uint32_t length;
+    std::uint32_t arrival_slot;
+  };
+  const Token expected[] = {{0, 4, 3},  {0, 6, 3},  {2, 6, 0},  {3, 7, 1},
+                            {8, 4, 0},  {11, 5, 1}, {12, 5, 2}, {12, 7, 0},
+                            {13, 4, 0}, {13, 4, 0}, {13, 4, 2}, {13, 6, 1}};
+  std::size_t next = 0;
+  for (NodeId v = 0; v < n; ++v) {
+    for (const HeldToken& t : store.held[v]) {
+      ASSERT_LT(next, std::size(expected));
+      EXPECT_EQ(t.seq, 3u);
+      EXPECT_EQ(v, expected[next].holder) << "token " << next;
+      EXPECT_EQ(t.length, expected[next].length) << "token " << next;
+      EXPECT_EQ(t.arrival_slot, expected[next].arrival_slot)
+          << "token " << next;
+      ++next;
+    }
+  }
+  EXPECT_EQ(next, std::size(expected));
 }
 
 // Phase 1 and two GET-MORE-WALKS runs record into one TrajectoryStore.
@@ -191,8 +321,8 @@ TEST(GetMoreWalks, InterleavedGenerationsReplayToTheirSources) {
   ShortWalkPhaseProtocol phase1(g, phase1_jobs, store, &traj);
   net.run(phase1);
   EXPECT_EQ(traj.next_generation, n);
-  GetMoreWalksProtocol first(g, 0, 12, 5, true, store, &traj);
-  GetMoreWalksProtocol second(g, 5, 12, 5, true, store, &traj);
+  GetMoreWalksProtocol first(g, {{0, 12}}, 5, true, store, &traj);
+  GetMoreWalksProtocol second(g, {{5, 12}}, 5, true, store, &traj);
   EXPECT_EQ(traj.next_generation, n + 2);
   expected_live[n] = expected_live[n + 1] = 1;
   std::vector<Rng> first_rngs =
@@ -251,9 +381,11 @@ TEST(GetMoreWalks, InterleavedGenerationsReplayToTheirSources) {
 }
 
 // The replay is exact per token, not only pooled over tokens. One uniformly
-// chosen token of a 30-token generation -- a GET-MORE-WALKS run, or the
-// Phase-1 tokens of one source -- is replayed alone, and its position at
-// hop t must follow P^t(source, .) for every t < lambda. Taking the first
+// chosen token of a 30-token generation -- a GET-MORE-WALKS run, a
+// GET-MORE-WALKS run that also tops up two neighbouring sources (their
+// generations' aggregates share edges and queue), or the Phase-1 tokens of
+// one source -- is replayed alone, and its position at hop t must follow
+// P^t(source, .) for every t < lambda. Taking the first
 // matching record instead of a uniform one favours the predecessors whose
 // tokens arrived first (low ids) and fails on all three graphs. Seeds are
 // fixed; a Holm step-down over every (run, graph, hop) cell keeps the
@@ -274,7 +406,11 @@ TEST(Regenerate, OneTokenOfAGenerationReplaysAnExactPath) {
 
   std::vector<double> p_values;
   std::vector<std::string> labels;
-  for (const bool phase1 : {false, true}) {
+  enum class Run { kGmw, kMultiSource, kPhase1 };
+  const std::pair<Run, const char*> runs[] = {
+      {Run::kGmw, "gmw"}, {Run::kMultiSource, "multi"},
+      {Run::kPhase1, "phase1"}};
+  for (const auto& [run_kind, run_name] : runs) {
     for (const Case& c : cases) {
       const std::size_t n = c.g.node_count();
       std::vector<std::vector<std::uint64_t>> counts(
@@ -284,31 +420,36 @@ TEST(Regenerate, OneTokenOfAGenerationReplaysAnExactPath) {
       for (int seed = 0; seed < kSeeds; ++seed) {
         WalkStore store(n);
         TrajectoryStore traj(n);
-        if (phase1) {
+        if (run_kind == Run::kPhase1) {
           std::vector<ShortWalkPhaseProtocol::Job> jobs;
           for (std::uint32_t i = 0; i < kTokens; ++i) {
             jobs.push_back({0, kLambda + i % kLambda});
           }
           ShortWalkPhaseProtocol run(c.g, jobs, store, &traj);
           net.run(run);
+        } else if (run_kind == Run::kMultiSource) {
+          // Source 0's generation is the middle one of three.
+          GetMoreWalksProtocol run(
+              c.g, {{1, kTokens}, {0, kTokens}, {2, kTokens}}, kLambda, true,
+              store, &traj);
+          net.run(run);
         } else {
-          GetMoreWalksProtocol run(c.g, 0, kTokens, kLambda, true, store,
+          GetMoreWalksProtocol run(c.g, {{0, kTokens}}, kLambda, true, store,
                                    &traj);
           net.run(run);
         }
-        Rng pick_rng(static_cast<std::uint64_t>(seed));
-        std::uint64_t pick = pick_rng.next_below(kTokens);
-        RegenerateProtocol::Job job;
-        for (NodeId v = 0; v < n && job.holder == kInvalidNode; ++v) {
-          if (pick >= store.held[v].size()) {
-            pick -= store.held[v].size();
-            continue;
+        std::vector<RegenerateProtocol::Job> tokens;  // source 0's
+        for (NodeId v = 0; v < n; ++v) {
+          for (const HeldToken& t : store.held[v]) {
+            if (t.source != 0) continue;
+            tokens.push_back(RegenerateProtocol::Job{
+                v, t.seq, t.length, t.arrival_slot, 0, 0});
           }
-          const HeldToken& t = store.held[v][pick];
-          job = RegenerateProtocol::Job{v, t.seq, t.length, t.arrival_slot,
-                                        0, 0};
         }
-        ASSERT_NE(job.holder, kInvalidNode);
+        ASSERT_EQ(tokens.size(), kTokens);
+        Rng pick_rng(static_cast<std::uint64_t>(seed));
+        const RegenerateProtocol::Job job =
+            tokens[pick_rng.next_below(kTokens)];
         PositionTable positions(n);
         RegenerateProtocol regen(c.g, {job}, traj, positions,
                                  static_cast<std::uint64_t>(seed));
@@ -324,8 +465,8 @@ TEST(Regenerate, OneTokenOfAGenerationReplaysAnExactPath) {
         p_values.push_back(
             chi_square_test(counts[t], oracle.distribution_after(0, t))
                 .p_value);
-        labels.push_back(std::string(phase1 ? "phase1 " : "gmw ") + c.name +
-                         " t=" + std::to_string(t));
+        labels.push_back(std::string(run_name) + " " + c.name + " t=" +
+                         std::to_string(t));
       }
     }
   }

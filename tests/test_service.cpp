@@ -203,6 +203,78 @@ TEST(WalkService, RecordedPathsAreValidWalks) {
   EXPECT_EQ(zero.destinations[0], 4u);
 }
 
+// A batch's deferred tails and its regeneration share one finishing run
+// (StitchEngine::run_deferred). Their messages queue on the same edges, so
+// each recorded path must still be a walk from its source to its
+// destination, at mux widths 1 and 4; and at each width the served results
+// must not depend on the executor's thread count. Lambda 4 with lengths
+// 5..40 mixes whole-walk tails (l < 2*lambda), stitched walks with tails,
+// pre-batch top-ups and in-walk GET-MORE-WALKS runs.
+TEST(WalkService, FinishRunRecordsWalksAtEveryWidthAndThreadCount) {
+  Rng graph_rng(77);
+  const Graph g = gen::random_regular(96, 4, graph_rng);
+  const std::uint32_t diameter = exact_diameter(g);
+  for (const unsigned mux : {1u, 4u}) {
+    std::string reference;
+    for (const unsigned threads : {1u, 4u}) {
+      Network net(g, 913);
+      net.set_threads(threads);
+      ServiceConfig config = tiny_lambda_config(4);
+      config.enable_paths = true;
+      config.mux_width = mux;
+      WalkService service(net, diameter, config);
+      Rng traffic(5);
+      std::string served;
+      std::uint64_t recorded = 0;
+      for (int batch = 0; batch < 12; ++batch) {
+        std::vector<WalkRequest> requests;
+        for (int r = 0; r < 8; ++r) {
+          requests.push_back(WalkRequest{
+              static_cast<NodeId>(traffic.next_below(g.node_count())),
+              5 + traffic.next_below(36),
+              1 + static_cast<std::uint32_t>(traffic.next_below(3)),
+              traffic.next_below(2) == 0});
+        }
+        const BatchReport report = service.serve(requests);
+        for (const RequestResult& result : report.results) {
+          const WalkRequest& req = result.request;
+          ASSERT_EQ(result.status, RequestStatus::kOk);
+          ASSERT_EQ(result.paths.size(),
+                    req.record_positions ? req.count : 0u);
+          for (std::size_t w = 0; w < result.paths.size(); ++w) {
+            const std::vector<NodeId>& path = result.paths[w];
+            ASSERT_EQ(path.size(), req.length + 1);
+            EXPECT_EQ(path.front(), req.source);
+            EXPECT_EQ(path.back(), result.destinations[w]);
+            for (std::size_t i = 1; i < path.size(); ++i) {
+              ASSERT_TRUE(g.has_edge(path[i - 1], path[i]))
+                  << "mux " << mux << " step " << i << " not an edge";
+            }
+            ++recorded;
+          }
+          for (const NodeId d : result.destinations) {
+            served += std::to_string(d) + ' ';
+          }
+          for (const std::vector<NodeId>& path : result.paths) {
+            for (const NodeId v : path) served += std::to_string(v) + ' ';
+          }
+          served += '\n';
+        }
+      }
+      const ServiceStats& life = service.lifetime();
+      EXPECT_GT(recorded, 0u);
+      EXPECT_GT(life.stitches, 0u);
+      EXPECT_GT(life.replenishments, 0u);
+      if (threads == 1) {
+        reference = served;
+      } else {
+        EXPECT_EQ(served, reference) << "mux " << mux << ": results moved "
+                                     << "with the thread count";
+      }
+    }
+  }
+}
+
 // Exactness of regenerated paths (Section 2.2). A tiny lambda and one-source
 // traffic make most stitched segments GET-MORE-WALKS tokens, replayed
 // backward through their generation's records while freeing passes run

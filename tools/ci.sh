@@ -73,10 +73,11 @@ if [[ "${DRW_SANITIZE:-0}" == "1" ]]; then
 fi
 
 if [[ "${DRW_BENCH:-0}" == "1" ]]; then
-  # bench_paper gates the paper's claims E1-E11 (round slopes in l, D and
+  # bench_paper gates the paper's claims E1-E12 (round slopes in l, D and
   # k, the Lemma 2.6 visit bound, the lower-bound gadget, RST uniformity,
-  # mixing estimates, the Section 2.1 ablations) on round, visit and count
-  # quantities only, so its verdict is deterministic and host-independent.
+  # mixing estimates, the Section 2.1 ablations, served batches against
+  # Theorem 2.8's bound) on round, visit and count quantities only, so its
+  # verdict is deterministic and host-independent.
   # Every gated quantity lands in BENCH_paper.json.
   "$BUILD_DIR/bench_paper"
   # bench_service exits non-zero if the serviced workload fails to beat
@@ -169,10 +170,30 @@ PY
   for threads in 1 4; do
     DRW_PARALLEL_GRAIN=1 "$BUILD_DIR/drw" serve --graph=regular:512,4 \
         --seed=2 --threads=$threads --mux=4 --paths \
-        --requests=gmw_batches.req --print-results > gmw_mux4_t$threads.out
+        --requests=gmw_batches.req --stats-json=stats_gmw_mux4.json \
+        --print-results > gmw_mux4_t$threads.out
   done
-  diff <(grep -Ev '^executor:' gmw_mux4_t1.out) \
-       <(grep -Ev '^executor:' gmw_mux4_t4.out)
+  diff <(grep -Ev '^(executor|stats json):' gmw_mux4_t1.out) \
+       <(grep -Ev '^(executor|stats json):' gmw_mux4_t4.out)
+  # Round gate: each batch runs its top-ups as one GET-MORE-WALKS run and
+  # its tails with its regeneration as one more. Per-source top-up runs and
+  # a separate regeneration run cost 1,159,224 rounds and 9,185,335
+  # messages here at --mux=1, and 1,111,124 and 9,332,979 at --mux=4.
+  # Lifetime rounds must stay at or below 0.65x those, and messages within
+  # 1.05x.
+  python3 - stats_gmw.json stats_gmw_mux4.json <<'PY'
+import json, sys
+for path, rounds, messages in [(sys.argv[1], 1159224, 9185335),
+                               (sys.argv[2], 1111124, 9332979)]:
+    life = json.load(open(path))["lifetime"]
+    if life["rounds"] > 0.65 * rounds:
+        sys.exit(f"{path}: {life['rounds']} rounds > 0.65 x {rounds}")
+    if life["messages"] > 1.05 * messages:
+        sys.exit(f"{path}: {life['messages']} messages > 1.05 x {messages}")
+    print(f"round gate: {path}: {life['rounds']} rounds "
+          f"({life['rounds'] / rounds:.3f} x {rounds}), "
+          f"{life['messages']} messages")
+PY
   python3 - stats_gmw.json <<'PY'
 import json, sys
 stats = json.load(open(sys.argv[1]))
