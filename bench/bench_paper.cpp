@@ -849,15 +849,25 @@ void e11a_lambda_sweep(Gates& gates) {
               "> 1 at 0.25x and 4x");
 }
 
+// E11b serves 32 walks from 32 sources spread over the graph after one
+// Phase 1: about 530 stitches. Connectors are visited in proportion to
+// degree (Lemma 2.6), so eta*deg(v) tokens run dry at about the same time
+// everywhere, after about 2m = 1062 visits, while a flat supply runs dry at
+// a hub after about 2m * avg deg / deg(hub), 520 visits at degree 17. The
+// old design, 8 walks from node 0 (about 130 stitches, and deg(0) = avg
+// deg, so both supplies gave the walks' own source 8 tokens), could not
+// tell the supplies apart: its ratio read 0.75 at 6 reps and 1.08 at 60.
+// This one reads 0.29 to 0.66 at rep-seed bases 800 to 5800.
 void e11b_eta_ablation(Gates& gates) {
   const std::uint64_t l = 8192;
+  constexpr std::uint32_t kWalks = 32;
   bench::banner("E11b / Section 2.1",
                 "walk supply allocation on an irregular graph (RGG): one "
-                "Phase 1, 8 stitched walks. eta*deg(v) per node (paper) vs a "
-                "flat eta = average degree per node (totals differ: see "
-                "walks prepared) -- flat under-provisions hubs, which recur "
-                "as connectors (Lemma 2.6), forcing extra GET-MORE-WALKS "
-                "invocations");
+                "Phase 1, 32 stitched walks from 32 spread sources. "
+                "eta*deg(v) per node (paper) vs a flat eta = average degree "
+                "per node (totals differ: see walks prepared) -- flat "
+                "under-provisions hubs, which recur as connectors (Lemma "
+                "2.6), forcing extra GET-MORE-WALKS invocations");
   Rng rng(6);
   const Graph g = gen::random_geometric(128, 0.16, rng);
   const std::uint32_t diameter = exact_diameter(g);
@@ -872,15 +882,15 @@ void e11b_eta_ablation(Gates& gates) {
     core::Params params = core::Params::paper();
     params.degree_proportional = degree_proportional;
     if (!degree_proportional) params.eta = avg_deg;
-    // One Phase-1 preparation serves a burst of walks, so the supply
-    // allocation matters: hubs recur as connectors and run dry first.
     const auto [prepared, gmw, rounds] = mean_over_reps(6, [&](int rep) {
       congest::Network net(g, 800 + rep);
       core::StitchEngine engine(net, params, diameter);
       engine.prepare(1, l);
       std::array<double, 3> totals{};
-      for (std::uint32_t w = 0; w < 8; ++w) {
-        const auto out = engine.walk(0, l, w);
+      for (std::uint32_t w = 0; w < kWalks; ++w) {
+        // 53 is odd, so the walks start at 32 distinct nodes.
+        const auto source = static_cast<NodeId>((53 * w) % g.node_count());
+        const auto out = engine.walk(source, l, w);
         totals[0] += static_cast<double>(out.counters.walks_prepared);
         totals[1] += static_cast<double>(out.counters.get_more_walks_calls);
         totals[2] += rounds_of(out.stats);

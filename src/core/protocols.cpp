@@ -13,79 +13,6 @@ constexpr std::uint32_t kNoSlot = static_cast<std::uint32_t>(-1);
 
 }  // namespace
 
-// ----------------------------------------------------------------- Phase 1
-
-ShortWalkPhaseProtocol::ShortWalkPhaseProtocol(const Graph& g,
-                                               std::vector<Job> jobs,
-                                               WalkStore& store,
-                                               TrajectoryStore* trajectories,
-                                               TransitionModel model)
-    : graph_(&g), jobs_by_node_(g.node_count()), store_(&store),
-      trajectories_(trajectories),
-      gen_base_(trajectories != nullptr
-                    ? trajectories->new_generations(
-                          static_cast<std::uint32_t>(g.node_count()))
-                    : 0),
-      model_(model), staying_(g.node_count()) {
-  if (trajectories != nullptr && model != TransitionModel::kSimple) {
-    throw std::invalid_argument(
-        "ShortWalkPhase: trajectory recording requires the simple walk");
-  }
-  for (const Job& job : jobs) jobs_by_node_[job.origin].push_back(job);
-}
-
-void ShortWalkPhaseProtocol::route(congest::Context& ctx, NodeId source,
-                                   std::uint32_t total,
-                                   std::uint32_t remaining,
-                                   std::uint32_t arrival_slot) {
-  const NodeId v = ctx.self();
-  const std::uint32_t gen = gen_base_ + source;
-  if (remaining == 0) {
-    store_->held[v].push_back(HeldToken{
-        source, gen, total, arrival_slot == kNoSlot ? 0 : arrival_slot,
-        false});
-    return;
-  }
-  const std::uint32_t slot = sample_step(ctx.rng(), *graph_, v, model_);
-  if (slot == kStaySlot) {
-    // Self-loop step: one round elapses, no message travels.
-    staying_[v].push_back(Pending{source, total, remaining - 1u,
-                                  arrival_slot});
-    ctx.wake_me();
-    return;
-  }
-  if (trajectories_ != nullptr) {
-    trajectories_->append_gmw(
-        v, GmwRecord{gen, total - remaining, arrival_slot, slot});
-  }
-  ctx.send(slot, congest::Message{kToken, {source, total, remaining - 1u,
-                                           0}});
-}
-
-void ShortWalkPhaseProtocol::on_round(congest::Context& ctx) {
-  const NodeId v = ctx.self();
-  if (ctx.round() == 0) {
-    for (const Job& job : jobs_by_node_[v]) {
-      route(ctx, v, job.length, job.length, kNoSlot);
-    }
-    jobs_by_node_[v].clear();
-    return;
-  }
-  if (!staying_[v].empty()) {
-    std::vector<Pending> stayed;
-    stayed.swap(staying_[v]);
-    for (const Pending& p : stayed) {
-      route(ctx, p.source, p.total, p.remaining, p.arrival_slot);
-    }
-  }
-  for (const congest::Delivery& d : ctx.inbox()) {
-    if (d.msg.type != kToken) continue;
-    route(ctx, static_cast<NodeId>(d.msg.f[0]),
-          static_cast<std::uint32_t>(d.msg.f[1]),
-          static_cast<std::uint32_t>(d.msg.f[2]), ctx.slot_of(d.from));
-  }
-}
-
 // --------------------------------------------------------- GET-MORE-WALKS
 
 GetMoreWalksProtocol::GetMoreWalksProtocol(const Graph& g,
@@ -94,8 +21,8 @@ GetMoreWalksProtocol::GetMoreWalksProtocol(const Graph& g,
                                            WalkStore& store,
                                            TrajectoryStore* trajectories,
                                            TransitionModel model)
-    : graph_(&g), topups_(std::move(topups)), lambda_(lambda), extend_(extend), store_(&store),
-      trajectories_(trajectories),
+    : graph_(&g), topups_(std::move(topups)), lambda_(lambda), extend_(extend),
+      store_(&store), trajectories_(trajectories),
       gen_base_(trajectories != nullptr
                     ? trajectories->new_generations(
                           static_cast<std::uint32_t>(topups_.size()))
@@ -106,6 +33,15 @@ GetMoreWalksProtocol::GetMoreWalksProtocol(const Graph& g,
     throw std::invalid_argument(
         "GetMoreWalks: trajectory recording requires the simple walk");
   }
+  for (std::uint32_t i = 0; i < topups_.size(); ++i) {
+    const TopUp& topup = topups_[i];
+    if (topup.source >= g.node_count()) {
+      throw std::invalid_argument("GetMoreWalks: source out of range");
+    }
+    if (topup.count == 0) continue;
+    staying_[topup.source].push_back(
+        Arrival{gen_base_ + i, 0, kNoSlot, 0, topup.count});
+  }
 }
 
 void GetMoreWalksProtocol::process(congest::Context& ctx,
@@ -113,7 +49,62 @@ void GetMoreWalksProtocol::process(congest::Context& ctx,
   const NodeId v = ctx.self();
   const std::uint32_t gen = group.front().gen;
   const std::uint32_t steps = group.front().steps;
-  const NodeId source = group.front().source;
+  const NodeId source = topups_[gen - gen_base_].source;
+
+  // How many of `count` tokens stop here: all of them at lambda hops in the
+  // PODC 2009 preset, else each surviving token with probability
+  // 1/(lambda - i) at extension step i (Algorithm 2, lines 8-10).
+  const auto stopped = [&](std::uint64_t count) -> std::uint64_t {
+    if (steps < lambda_) return 0;
+    if (!extend_) return count;
+    const double stop_probability =
+        1.0 / static_cast<double>(lambda_ - (steps - lambda_));
+    std::uint64_t stops = 0;
+    for (std::uint64_t t = 0; t < count; ++t) {
+      if (ctx.rng().next_bool(stop_probability)) ++stops;
+    }
+    return stops;
+  };
+  const auto hold = [&](std::uint64_t count, std::uint32_t arrival_slot) {
+    for (std::uint64_t t = 0; t < count; ++t) {
+      store_->held[v].push_back(
+          HeldToken{source, gen, steps, arrival_slot, false});
+    }
+  };
+  // One token's next step: a slot (recorded as the generation's hop) or
+  // kStaySlot.
+  const auto step = [&](std::uint32_t arrival_slot) {
+    const std::uint32_t slot = sample_step(ctx.rng(), *graph_, v, model_);
+    if (slot != kStaySlot && trajectories_ != nullptr) {
+      trajectories_->append_gmw(v, GmwRecord{gen, steps, arrival_slot, slot});
+    }
+    return slot;
+  };
+  // Self-loop stays are aggregated and carried locally to the next round.
+  const auto stay = [&](std::uint64_t count) {
+    staying_[v].push_back(Arrival{gen, steps + 1, kNoSlot, 0, count});
+    ctx.wake_me();
+  };
+  const auto send = [&](std::uint32_t slot, std::uint64_t count) {
+    ctx.send(slot, congest::Message{kAggregate, {gen, count, steps + 1u, 0}});
+  };
+
+  if (group.size() == 1 && group.front().count == 1) {
+    // One token, as in most of Phase 1's groups: the draws below, in their
+    // order, without the degree-long scratch.
+    const std::uint32_t arrival_slot = group.front().slot;
+    if (stopped(1) == 1) {
+      hold(1, arrival_slot);
+      return;
+    }
+    const std::uint32_t slot = step(arrival_slot);
+    if (slot == kStaySlot) {
+      stay(1);
+    } else {
+      send(slot, 1);
+    }
+    return;
+  }
 
   // Forwarded-token counts are accumulated across all arrival edges so each
   // neighbor receives at most ONE aggregate message per group ("only the
@@ -124,96 +115,59 @@ void GetMoreWalksProtocol::process(congest::Context& ctx,
   thread_local std::vector<std::uint64_t> per_slot;
   per_slot.assign(ctx.degree(), 0);
   std::uint64_t stayed = 0;
-
   for (const Arrival& arrival : group) {
-    std::uint64_t surviving = arrival.count;
-    if (steps >= lambda_) {
-      if (!extend_) {
-        // PODC 2009 preset: all walks have length exactly lambda.
-        for (std::uint64_t i = 0; i < arrival.count; ++i) {
-          store_->held[v].push_back(
-              HeldToken{source, gen, steps, arrival.slot, false});
-        }
-        continue;
-      }
-      // Reservoir extension (Algorithm 2, lines 8-10): stop each surviving
-      // token with probability 1/(lambda - i) at extension step i.
-      const std::uint32_t i = steps - lambda_;
-      const double stop_probability = 1.0 / static_cast<double>(lambda_ - i);
-      std::uint64_t stopped = 0;
-      for (std::uint64_t t = 0; t < arrival.count; ++t) {
-        if (ctx.rng().next_bool(stop_probability)) ++stopped;
-      }
-      for (std::uint64_t t = 0; t < stopped; ++t) {
-        store_->held[v].push_back(
-            HeldToken{source, gen, steps, arrival.slot, false});
-      }
-      surviving = arrival.count - stopped;
-    }
-    for (std::uint64_t t = 0; t < surviving; ++t) {
-      const std::uint32_t slot = sample_step(ctx.rng(), *graph_, v, model_);
+    const std::uint64_t stops = stopped(arrival.count);
+    hold(stops, arrival.slot);
+    for (std::uint64_t t = stops; t < arrival.count; ++t) {
+      const std::uint32_t slot = step(arrival.slot);
       if (slot == kStaySlot) {
-        // Aggregated self-loop: carried locally to the next round.
         ++stayed;
-        continue;
-      }
-      ++per_slot[slot];
-      if (trajectories_ != nullptr) {
-        trajectories_->append_gmw(v, GmwRecord{gen, steps, arrival.slot,
-                                               slot});
+      } else {
+        ++per_slot[slot];
       }
     }
   }
-
-  if (stayed > 0) {
-    staying_[v].push_back(Arrival{gen, steps + 1, kNoSlot, source, stayed});
-    ctx.wake_me();
-  }
+  if (stayed > 0) stay(stayed);
   for (std::uint32_t slot = 0; slot < ctx.degree(); ++slot) {
-    if (per_slot[slot] == 0) continue;
-    ctx.send(slot, congest::Message{kAggregate,
-                                    {source, per_slot[slot], steps + 1u,
-                                     gen}});
+    if (per_slot[slot] != 0) send(slot, per_slot[slot]);
   }
 }
 
 void GetMoreWalksProtocol::on_round(congest::Context& ctx) {
   const NodeId v = ctx.self();
   thread_local std::vector<Arrival> arrivals;  // per-thread, as in process()
-  arrivals.clear();
-  if (ctx.round() == 0) {
-    for (std::uint32_t i = 0; i < topups_.size(); ++i) {
-      if (topups_[i].source != v || topups_[i].count == 0) continue;
-      arrivals.push_back(
-          Arrival{gen_base_ + i, 0, kNoSlot, v, topups_[i].count});
-    }
-  } else {
-    // Locally stayed tokens first, then the inbox in arrival order.
-    arrivals.assign(staying_[v].begin(), staying_[v].end());
-    staying_[v].clear();
-    for (const congest::Delivery& d : ctx.inbox()) {
-      if (d.msg.type != kAggregate) continue;
-      arrivals.push_back(Arrival{static_cast<std::uint32_t>(d.msg.f[3]),
-                                 static_cast<std::uint32_t>(d.msg.f[2]),
-                                 ctx.slot_of(d.from),
-                                 static_cast<NodeId>(d.msg.f[0]),
-                                 d.msg.f[1]});
-    }
+  // The tokens standing here first (the node's own entries in round 0),
+  // then the inbox in arrival order.
+  arrivals.assign(staying_[v].begin(), staying_[v].end());
+  staying_[v].clear();
+  for (const congest::Delivery& d : ctx.inbox()) {
+    if (d.msg.type != kAggregate) continue;
+    arrivals.push_back(Arrival{static_cast<std::uint32_t>(d.msg.f[0]),
+                               static_cast<std::uint32_t>(d.msg.f[2]),
+                               ctx.slot_of(d.from),
+                               static_cast<std::uint32_t>(arrivals.size()),
+                               d.msg.f[1]});
   }
   // One generation's aggregates move in lockstep, but queued behind other
   // generations' on a shared edge they can arrive at mixed hop counts.
   // Groups run in canonical (gen, steps) order, arrival order within one,
-  // so the draws are the same at every thread count.
+  // so the draws are the same at every thread count. Standing entries
+  // (order 0) never share a group and an inbox arrival's order is its
+  // index, so the key is unique: std::sort, which does not allocate, gives
+  // the stable order.
   const auto key = [](const Arrival& a, const Arrival& b) {
-    return a.gen != b.gen ? a.gen < b.gen : a.steps < b.steps;
+    return a.gen != b.gen       ? a.gen < b.gen
+           : a.steps != b.steps ? a.steps < b.steps
+                                : a.order < b.order;
   };
   if (!std::is_sorted(arrivals.begin(), arrivals.end(), key)) {
-    std::stable_sort(arrivals.begin(), arrivals.end(), key);
+    std::sort(arrivals.begin(), arrivals.end(), key);
   }
   for (auto begin = arrivals.begin(); begin != arrivals.end();) {
     const auto end = std::find_if(begin, arrivals.end(),
                                   [&](const Arrival& a) {
-                                    return key(*begin, a);
+                                    return a.gen != begin->gen ||
+                                           a.steps != begin->steps;
                                   });
     process(ctx, std::span<const Arrival>(begin, end));
     begin = end;

@@ -3,7 +3,7 @@
 // (Algorithm 3), plus the naive-walk and regeneration protocols.
 //
 // Each protocol is a self-contained CONGEST state machine; the drivers in
-// single_random_walk.cpp sequence them and accumulate round counts.
+// random_walks.cpp sequence them and accumulate round counts.
 //
 // LANE COMPATIBILITY: every protocol here draws randomness exclusively
 // through Context::rng() (RegenerateProtocol's record matching hashes the
@@ -28,68 +28,29 @@
 
 namespace drw::core {
 
-/// Phase 1 of Algorithm 1: every node v starts `eta_v` tokens, the i-th with
-/// desired length lambda + r_i; tokens do one random hop per delivery ("the
-/// nodes keep forwarding these tokens with decreased desired walk length").
-/// Distinct tokens occupy distinct messages, so congestion is real and the
-/// round count displays Lemma 2.1's O(lambda * eta * log n) behaviour.
-/// The tokens from a source are one generation, id base + source: with
-/// trajectories the run takes n ids at construction (else base is 0).
-class ShortWalkPhaseProtocol final : public congest::Protocol {
- public:
-  /// A short walk to launch from node `origin`.
-  struct Job {
-    NodeId origin = kInvalidNode;
-    std::uint32_t length = 0;  ///< in [lambda, 2*lambda - 1]
-  };
-
-  ShortWalkPhaseProtocol(const Graph& g, std::vector<Job> jobs,
-                         WalkStore& store, TrajectoryStore* trajectories,
-                         TransitionModel model = TransitionModel::kSimple);
-  void on_round(congest::Context& ctx) override;
-
- private:
-  enum MsgType : std::uint16_t { kToken = 10 };
-  struct Pending {
-    NodeId source;
-    std::uint32_t total;
-    std::uint32_t remaining;
-    std::uint32_t arrival_slot;
-  };
-  void route(congest::Context& ctx, NodeId source, std::uint32_t total,
-             std::uint32_t remaining, std::uint32_t arrival_slot);
-  const Graph* graph_;
-  std::vector<std::vector<Job>> jobs_by_node_;
-  WalkStore* store_;
-  TrajectoryStore* trajectories_;
-  std::uint32_t gen_base_;
-  TransitionModel model_;
-  /// Tokens that took a self-loop step (lazy / Metropolis stay): processed
-  /// again next round without any message, via wake_me.
-  std::vector<std::vector<Pending>> staying_;
-};
-
 /// One source's share of a GET-MORE-WALKS run: `count` walks from `source`.
 struct TopUp {
   NodeId source = kInvalidNode;
   std::uint32_t count = 0;
 };
 
-/// GET-MORE-WALKS (Algorithm 2) for a list of sources at once: topups[i]
-/// is generation base + i, where base is TrajectoryStore::next_generation
-/// at construction, when the run takes its ids -- so they are the same at
-/// every mux width (without trajectories the base is 0). Each generation's walks are forwarded as (source, count, steps,
-/// gen) aggregates, one message per edge per round and generation, then
-/// extended by reservoir sampling: at extension step i every surviving
-/// token stops with probability 1/(lambda - i), yielding lengths uniform in
-/// [lambda, 2*lambda - 1] (Lemma 2.4). With `extend == false` (PODC 2009
-/// preset) all tokens stop at exactly lambda. A one-entry run never queues
-/// and costs O(lambda) rounds whatever its count (Lemma 2.2). Aggregates of
-/// different generations that want one edge share its FIFO, so a
-/// multi-source run pays its contention in rounds and may deliver an
-/// aggregate after its hop count; the stop rule reads the hop, never the
-/// round, so every token keeps its law. Tokens carry their generation in
-/// HeldToken::seq, and with trajectories each hop becomes that
+/// GET-MORE-WALKS (Algorithm 2) for a list of sources at once: topups[i] is
+/// generation base + i, where base is TrajectoryStore::next_generation at
+/// construction, when the run takes its ids -- so they are the same at every
+/// mux width (without trajectories the base is 0). Phase 1 of Algorithm 1 is
+/// one such run with an entry per node; its n generations seldom share a
+/// message, so its rounds show Lemma 2.1's congestion. Each generation's
+/// walks are forwarded as (gen, count, steps) aggregates, one message per
+/// edge per round and generation, then extended by reservoir sampling: at
+/// extension step i every surviving token stops with probability 1/(lambda -
+/// i), yielding lengths uniform in [lambda, 2*lambda - 1] (Lemma 2.4). With
+/// `extend == false` (PODC 2009 preset) all tokens stop at exactly lambda. A
+/// one-entry run never queues and costs O(lambda) rounds whatever its count
+/// (Lemma 2.2). Aggregates of different generations that want one edge share
+/// its FIFO, so a multi-source run pays its contention in rounds and may
+/// deliver an aggregate after its hop count; the stop rule reads the hop,
+/// never the round, so every token keeps its law. Tokens carry their
+/// generation in HeldToken::seq, and with trajectories each hop becomes that
 /// generation's record.
 class GetMoreWalksProtocol final : public congest::Protocol {
  public:
@@ -102,12 +63,13 @@ class GetMoreWalksProtocol final : public congest::Protocol {
  private:
   enum MsgType : std::uint16_t { kAggregate = 20 };
   /// `count` tokens of generation `gen` standing at a node after `steps`
-  /// hops, having arrived through `slot` (kNoSlot: started or stayed here).
+  /// hops, having arrived through `slot` (kNoSlot: started or stayed here);
+  /// `order` is its place among the node's arrivals of the round.
   struct Arrival {
     std::uint32_t gen;
     std::uint32_t steps;
     std::uint32_t slot;
-    NodeId source;
+    std::uint32_t order;
     std::uint64_t count;
   };
   /// Handles one (gen, steps) group of a round's arrivals and emits at most
@@ -121,8 +83,9 @@ class GetMoreWalksProtocol final : public congest::Protocol {
   TrajectoryStore* trajectories_;
   std::uint32_t gen_base_;
   TransitionModel model_;
-  /// Aggregated self-loop stays per node, carried to the next round locally
-  /// (no message) with their hop count already advanced.
+  /// Tokens standing at each node for its next round, carried locally (no
+  /// message): the node's own entries before round 0, then aggregated
+  /// self-loop stays with their hop count already advanced.
   std::vector<std::vector<Arrival>> staying_;
 };
 

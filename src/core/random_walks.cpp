@@ -90,29 +90,19 @@ void StitchEngine::prepare(std::uint64_t k, std::uint64_t l) {
   naive_mode_ = lambda_ > l;
   if (naive_mode_) return;
 
-  std::vector<ShortWalkPhaseProtocol::Job> jobs;
+  // Phase 1 is one GET-MORE-WALKS run with an entry per node (walks_per_node
+  // is at least 1), so on this fresh store node v's walks are generation v.
+  std::vector<TopUp> plan;
+  plan.reserve(g.node_count());
+  std::uint64_t prepared_count = 0;
   for (NodeId v = 0; v < g.node_count(); ++v) {
-    const std::uint32_t count =
-        params_.walks_per_node(g.degree(v), l, diameter_);
-    Rng& rng = net_->node_rng(v);
-    for (std::uint32_t i = 0; i < count; ++i) {
-      const auto extra =
-          params_.random_lengths
-              ? static_cast<std::uint32_t>(rng.next_below(lambda_))
-              : 0u;
-      jobs.push_back(ShortWalkPhaseProtocol::Job{v, lambda_ + extra});
-    }
+    plan.push_back(
+        TopUp{v, params_.walks_per_node(g.degree(v), l, diameter_)});
+    prepared_count += plan.back().count;
   }
-  const auto prepared_count = static_cast<std::uint64_t>(jobs.size());
-  ShortWalkPhaseProtocol phase1(
-      g, std::move(jobs), store_,
-      params_.record_trajectories ? &trajectories_ : nullptr,
-      params_.transition);
-  const congest::RunStats stats = net_->run(phase1);
-  if (params_.record_trajectories) trajectories_.sort_records();
-  total_ += stats;
   // Stash Phase-1 cost so the next walk() can report it.
-  pending_phase1_ = stats;
+  pending_phase1_ = run_topups(std::move(plan));
+  trajectories_.records_kept = trajectories_.gmw_record_count();
   pending_prepared_ = prepared_count;
 }
 
@@ -174,6 +164,10 @@ congest::RunStats StitchEngine::replenish(std::vector<TopUp> topups) {
   if (topups.empty()) return {};
   obs::Span span(obs::Name::kEngineReplenish, obs::kPidService, 0,
                  topups.size());
+  return run_topups(std::move(topups));
+}
+
+congest::RunStats StitchEngine::run_topups(std::vector<TopUp> topups) {
   const bool record = params_.record_trajectories;
   const TrajectoryStore::Mark mark =
       record ? trajectories_.mark() : TrajectoryStore::Mark{};

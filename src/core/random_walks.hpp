@@ -343,6 +343,8 @@ class StitchEngine {
   WalkResult complete_walk(NodeId source, std::uint64_t l,
                            std::uint32_t walk_id, std::uint64_t start_step,
                            bool record_positions);
+  /// One GET-MORE-WALKS run of `topups` into the store (Phase 1, replenish).
+  congest::RunStats run_topups(std::vector<TopUp> topups);
 
   congest::Network* net_;
   Params params_;

@@ -19,26 +19,26 @@ namespace {
 using congest::Network;
 using congest::RunStats;
 
-TEST(ShortWalkPhase, StoresEveryWalkWithItsLength) {
+// Phase 1's plan: an entry per node, so without trajectories (generation
+// base 0) node v's walks are generation v.
+TEST(GetMoreWalks, PhaseOnePlanStoresEveryWalkWithItsLength) {
   Rng rng(3);
   const Graph g = gen::erdos_renyi_connected(25, 0.2, rng);
   Network net(g, 11);
   WalkStore store(g.node_count());
-  std::vector<ShortWalkPhaseProtocol::Job> jobs;
+  std::vector<TopUp> plan;
   std::size_t expected = 0;
   for (NodeId v = 0; v < g.node_count(); ++v) {
-    for (std::uint32_t i = 0; i < g.degree(v); ++i) {
-      jobs.push_back(ShortWalkPhaseProtocol::Job{v, 4 + (i % 4)});
-      ++expected;
-    }
+    plan.push_back(TopUp{v, g.degree(v)});
+    expected += g.degree(v);
   }
-  ShortWalkPhaseProtocol protocol(g, jobs, store, nullptr);
+  GetMoreWalksProtocol protocol(g, plan, 4, true, store, nullptr);
   net.run(protocol);
   std::size_t stored = 0;
   for (NodeId v = 0; v < g.node_count(); ++v) {
     for (const HeldToken& t : store.held[v]) {
       EXPECT_FALSE(t.used);
-      EXPECT_EQ(t.seq, t.source);  // no trajectories: generation base 0
+      EXPECT_EQ(t.seq, t.source);
       EXPECT_GE(t.length, 4u);
       EXPECT_LE(t.length, 7u);
       ++stored;
@@ -47,18 +47,8 @@ TEST(ShortWalkPhase, StoresEveryWalkWithItsLength) {
   EXPECT_EQ(stored, expected);
 }
 
-TEST(ShortWalkPhase, ZeroLengthWalkStaysAtItsOrigin) {
-  const Graph g = gen::cycle(4);
-  Network net(g, 29);
-  WalkStore store(g.node_count());
-  ShortWalkPhaseProtocol protocol(g, {{2, 0}}, store, nullptr);
-  const RunStats stats = net.run(protocol);
-  EXPECT_EQ(store.held[2].size(), 1u);
-  EXPECT_EQ(stats.messages, 0u);
-}
-
-TEST(ShortWalkPhase, SingleWalkEndpointMatchesOracleDistribution) {
-  // A single short walk of length l is a plain random walk; its endpoint
+TEST(GetMoreWalks, SingleTokenEndpointMatchesOracleDistribution) {
+  // A single walk of fixed length l is a plain random walk; its endpoint
   // must be distributed as P^l e_s.
   const Graph g = gen::lollipop(4, 3);
   const MarkovOracle oracle(g);
@@ -69,7 +59,7 @@ TEST(ShortWalkPhase, SingleWalkEndpointMatchesOracleDistribution) {
   for (int r = 0; r < 4000; ++r) {
     Network net(g, 1000 + r);
     WalkStore store(g.node_count());
-    ShortWalkPhaseProtocol protocol(g, {{0, l}}, store, nullptr);
+    GetMoreWalksProtocol protocol(g, {{0, 1}}, l, false, store, nullptr);
     net.run(protocol);
     for (NodeId v = 0; v < g.node_count(); ++v) {
       if (!store.held[v].empty()) ++counts[v];
@@ -79,16 +69,16 @@ TEST(ShortWalkPhase, SingleWalkEndpointMatchesOracleDistribution) {
   EXPECT_GT(result.p_value, 1e-4) << "chi2=" << result.statistic;
 }
 
-TEST(ShortWalkPhase, WalksCrossingOneEdgeSerialize) {
-  // q one-hop walks over a single edge pay one round each (Lemma 2.1's
-  // congestion is emergent): rounds >= q.
+TEST(GetMoreWalks, GenerationsCrossingOneEdgeSerialize) {
+  // q one-token generations over a single edge pay one round each (Lemma
+  // 2.1's congestion is emergent): only one generation's aggregate shares
+  // a message, so rounds >= q.
   const Graph g = gen::path(2);
   Network net(g, 31);
   WalkStore store(g.node_count());
   const std::uint32_t q = 25;
-  std::vector<ShortWalkPhaseProtocol::Job> jobs;
-  for (std::uint32_t i = 0; i < q; ++i) jobs.push_back({0, 1});
-  ShortWalkPhaseProtocol protocol(g, jobs, store, nullptr);
+  const std::vector<TopUp> plan(q, TopUp{0, 1});
+  GetMoreWalksProtocol protocol(g, plan, 1, false, store, nullptr);
   const RunStats stats = net.run(protocol);
   EXPECT_EQ(store.held[1].size(), q);
   EXPECT_GE(stats.rounds, q);
@@ -300,25 +290,28 @@ TEST(GetMoreWalks, MultiSourceRunKeepsEachSourcesLaw) {
 }
 
 // Phase 1 and two GET-MORE-WALKS runs record into one TrajectoryStore.
-// Phase 1 takes one generation per source (ids 0..n-1) and the runs take n
-// and n+1. Phase-1 tokens queue and the runs, as lanes of one mux,
-// interleave their records at shared nodes, so records arrive out of
-// (gen, hop) order and the first lookup at a node sorts them once. Every
-// token of all three replays backward to its own source along graph edges,
-// spending each record it passes once, and freeing covers every generation.
+// Phase 1 takes one generation per node (ids 0..n-1; every third node has
+// walks) and the runs take n and n+1. Phase-1 generations queue and the
+// runs, as lanes of one mux, interleave their records at shared nodes, so
+// records arrive out of (gen, hop) order and the first lookup at a node
+// sorts them once. Every token of all three replays backward to its own
+// source along graph edges, spending each record it passes once, and
+// freeing covers every generation.
 TEST(GetMoreWalks, InterleavedGenerationsReplayToTheirSources) {
   const Graph g = gen::torus(4, 4);
   const auto n = static_cast<NodeId>(g.node_count());
   Network net(g, 21);
   WalkStore store(n);
   TrajectoryStore traj(n);
-  std::vector<ShortWalkPhaseProtocol::Job> phase1_jobs;
+  std::vector<TopUp> plan;
   std::vector<std::uint8_t> expected_live(n + 2, 0);
-  for (NodeId v = 0; v < n; v += 3) {
-    for (std::uint32_t i = 0; i < 3; ++i) phase1_jobs.push_back({v, 5 + i});
-    expected_live[v] = 1;
+  std::size_t phase1_walks = 0;
+  for (NodeId v = 0; v < n; ++v) {
+    plan.push_back(TopUp{v, v % 3 == 0 ? 3u : 0u});
+    expected_live[v] = v % 3 == 0 ? 1 : 0;
+    phase1_walks += plan.back().count;
   }
-  ShortWalkPhaseProtocol phase1(g, phase1_jobs, store, &traj);
+  GetMoreWalksProtocol phase1(g, plan, 5, true, store, &traj);
   net.run(phase1);
   EXPECT_EQ(traj.next_generation, n);
   GetMoreWalksProtocol first(g, {{0, 12}}, 5, true, store, &traj);
@@ -351,7 +344,7 @@ TEST(GetMoreWalks, InterleavedGenerationsReplayToTheirSources) {
       sources.push_back(t.source);
     }
   }
-  ASSERT_EQ(jobs.size(), phase1_jobs.size() + 24);
+  ASSERT_EQ(jobs.size(), phase1_walks + 24);
   PositionTable positions(n);
   RegenerateProtocol regen(g, jobs, traj, positions, 77);
   net.run(regen);
@@ -380,11 +373,38 @@ TEST(GetMoreWalks, InterleavedGenerationsReplayToTheirSources) {
   EXPECT_EQ(traj.gmw_record_count(), 0u);
 }
 
+// The records' radix sort gives std::stable_sort's order past the start it
+// is given: ties keep their arrival order (prev_slot numbers the records),
+// and keys of one, two and three bytes take one pass per byte.
+TEST(TrajectoryStore, StableSortFromMatchesStableSort) {
+  Rng rng(41);
+  // (generations, hops): keys below 2^8, 2^16 and 2^24.
+  const std::pair<std::uint32_t, std::uint32_t> ranges[] = {
+      {3, 20}, {40, 30}, {5000, 2000}};
+  for (const auto& [gens, hops] : ranges) {
+    std::vector<GmwRecord> records;
+    for (std::uint32_t i = 0; i < 3000; ++i) {
+      records.push_back(GmwRecord{
+          70000 + static_cast<std::uint32_t>(rng.next_below(gens)),
+          static_cast<std::uint32_t>(rng.next_below(hops)), i, 0});
+    }
+    std::vector<GmwRecord> expected = records;
+    std::stable_sort(expected.begin() + 100, expected.end());
+    TrajectoryStore::stable_sort_from(records, 100);
+    for (std::size_t i = 0; i < records.size(); ++i) {
+      ASSERT_EQ(records[i].gen, expected[i].gen) << i;
+      ASSERT_EQ(records[i].hop, expected[i].hop) << i;
+      ASSERT_EQ(records[i].prev_slot, expected[i].prev_slot) << i;
+    }
+  }
+}
+
 // The replay is exact per token, not only pooled over tokens. One uniformly
 // chosen token of a 30-token generation -- a GET-MORE-WALKS run, a
 // GET-MORE-WALKS run that also tops up two neighbouring sources (their
-// generations' aggregates share edges and queue), or the Phase-1 tokens of
-// one source -- is replayed alone, and its position at hop t must follow
+// generations' aggregates share edges and queue), or source 0's entry of a
+// Phase-1 plan (an entry per node) -- is replayed alone, and its position at
+// hop t must follow
 // P^t(source, .) for every t < lambda. Taking the first
 // matching record instead of a uniform one favours the predecessors whose
 // tokens arrived first (low ids) and fails on all three graphs. Seeds are
@@ -421,11 +441,13 @@ TEST(Regenerate, OneTokenOfAGenerationReplaysAnExactPath) {
         WalkStore store(n);
         TrajectoryStore traj(n);
         if (run_kind == Run::kPhase1) {
-          std::vector<ShortWalkPhaseProtocol::Job> jobs;
-          for (std::uint32_t i = 0; i < kTokens; ++i) {
-            jobs.push_back({0, kLambda + i % kLambda});
+          // The engine's plan: an entry per node, deg(v) walks each, but
+          // kTokens from source 0.
+          std::vector<TopUp> plan;
+          for (NodeId v = 0; v < n; ++v) {
+            plan.push_back(TopUp{v, v == 0 ? kTokens : c.g.degree(v)});
           }
-          ShortWalkPhaseProtocol run(c.g, jobs, store, &traj);
+          GetMoreWalksProtocol run(c.g, plan, kLambda, true, store, &traj);
           net.run(run);
         } else if (run_kind == Run::kMultiSource) {
           // Source 0's generation is the middle one of three.
