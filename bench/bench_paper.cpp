@@ -853,11 +853,7 @@ void e11a_lambda_sweep(Gates& gates) {
 // Phase 1: about 530 stitches. Connectors are visited in proportion to
 // degree (Lemma 2.6), so eta*deg(v) tokens run dry at about the same time
 // everywhere, after about 2m = 1062 visits, while a flat supply runs dry at
-// a hub after about 2m * avg deg / deg(hub), 520 visits at degree 17. The
-// old design, 8 walks from node 0 (about 130 stitches, and deg(0) = avg
-// deg, so both supplies gave the walks' own source 8 tokens), could not
-// tell the supplies apart: its ratio read 0.75 at 6 reps and 1.08 at 60.
-// This one reads 0.29 to 0.66 at rep-seed bases 800 to 5800.
+// a hub after about 2m * avg deg / deg(hub), 520 visits at degree 17.
 void e11b_eta_ablation(Gates& gates) {
   const std::uint64_t l = 8192;
   constexpr std::uint32_t kWalks = 32;

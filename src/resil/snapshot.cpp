@@ -4,7 +4,6 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <bit>
 #include <cerrno>
 #include <cstdio>
@@ -104,7 +103,7 @@ void write_gmw_side(Writer& w, const core::TrajectoryStore& trajectories,
         kept.push_back(rec);
       }
     }
-    std::stable_sort(kept.begin(), kept.end());
+    core::TrajectoryStore::stable_sort_from(kept, 0);
     w.u64(kept.size());
     for (const core::GmwRecord& rec : kept) {
       w.u32(rec.gen);
