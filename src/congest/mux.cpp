@@ -2,6 +2,7 @@
 
 #include "obs/trace.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace drw::congest {
@@ -15,8 +16,7 @@ constexpr std::uint64_t kLaneSalt = 0x6d75786c616e6531ULL;  // "muxlane1"
 ProtocolMux::ProtocolMux(std::size_t node_count)
     : node_count_(node_count) {}
 
-unsigned ProtocolMux::add_lane(Protocol& protocol,
-                               std::vector<Rng>* lane_rngs) {
+unsigned ProtocolMux::add_lane(Protocol& protocol, NodeStreams* lane_rngs) {
   if (lanes_.size() >= Network::kMaxLanes) {
     throw std::invalid_argument("ProtocolMux: too many lanes");
   }
@@ -27,16 +27,10 @@ unsigned ProtocolMux::add_lane(Protocol& protocol,
   return static_cast<unsigned>(lanes_.size() - 1);
 }
 
-std::vector<Rng> ProtocolMux::derive_lane_rngs(std::uint64_t seed,
-                                               std::uint64_t key,
-                                               std::size_t node_count) {
-  const Rng lane_master = Rng(seed ^ kLaneSalt).split_key(key);
-  std::vector<Rng> rngs;
-  rngs.reserve(node_count);
-  for (std::size_t v = 0; v < node_count; ++v) {
-    rngs.push_back(lane_master.split_key(v));
-  }
-  return rngs;
+NodeStreams ProtocolMux::derive_lane_rngs(std::uint64_t seed,
+                                          std::uint64_t key,
+                                          std::size_t node_count) {
+  return NodeStreams(Rng(seed ^ kLaneSalt).split_key(key), node_count);
 }
 
 void ProtocolMux::on_run_start(unsigned workers) {
@@ -58,20 +52,36 @@ void ProtocolMux::on_run_start(unsigned workers) {
   for (const Lane& lane : lanes_) lane.protocol->on_run_start(workers);
 }
 
+std::span<const NodeId> ProtocolMux::start_nodes(
+    std::span<const NodeId> all) {
+  start_.clear();
+  for (const Lane& lane : lanes_) {
+    const std::span<const NodeId> set = lane.protocol->start_nodes(all);
+    if (set.size() == all.size()) return all;
+    start_.insert(start_.end(), set.begin(), set.end());
+  }
+  std::sort(start_.begin(), start_.end());
+  start_.erase(std::unique(start_.begin(), start_.end()), start_.end());
+  return start_;
+}
+
 void ProtocolMux::dispatch_lane(Context& ctx, WorkerSlot& slot, unsigned l,
                                 NodeId v, std::span<const Delivery> sub) {
-  // A lane runs when it has deliveries, asked to be woken, or during the
-  // round-0 global wake -- exactly the solo activation rule, per lane.
+  // A lane runs when it has deliveries, asked to be woken, or at every
+  // node of round 0's start set (the union of the lanes' sets; a node
+  // outside the lane's own set does nothing then) -- the solo activation
+  // rule, per lane.
   std::uint8_t& wake = wake_[static_cast<std::size_t>(l) * node_count_ + v];
   const bool has_wake = wake != 0;
   if (ctx.round() != 0 && sub.empty() && !has_wake) return;
   wake = 0;
   ctx.lane_ = static_cast<std::uint16_t>(l);
-  ctx.lane_rng_ = lanes_[l].rngs != nullptr ? &(*lanes_[l].rngs)[v]
-                                            : nullptr;
+  NodeStreams* const shared = ctx.streams_;
+  if (lanes_[l].rngs != nullptr) ctx.streams_ = lanes_[l].rngs;
   ctx.lane_woke_ = false;
   ctx.inbox_ = sub;
   lanes_[l].protocol->on_round(ctx);
+  ctx.streams_ = shared;
   if (ctx.lane_woke_) {
     wake = 1;
     slot.woke_flag[l] = 1;
@@ -124,7 +134,6 @@ void ProtocolMux::on_round(Context& ctx) {
     dispatch_lane(ctx, slot, l, v, sub);
   }
   ctx.lane_ = 0;
-  ctx.lane_rng_ = nullptr;
   ctx.inbox_ = inbox;
 }
 

@@ -65,25 +65,27 @@ class ProtocolMux final : public Protocol {
   /// `lane_rngs` (owned by the caller, outliving the run) supplies the
   /// lane's per-node random streams; nullptr shares the network's streams
   /// -- only isolation-preserving for protocols that draw no randomness.
-  unsigned add_lane(Protocol& protocol, std::vector<Rng>* lane_rngs);
+  unsigned add_lane(Protocol& protocol, NodeStreams* lane_rngs);
 
   unsigned lane_count() const noexcept {
     return static_cast<unsigned>(lanes_.size());
   }
 
-  /// Derives the per-node random streams for a lane keyed by `key` from a
-  /// network master seed. The derivation is independent of scheduling, so
-  /// the same (seed, key) yields the same streams whether the lane runs
-  /// muxed, solo, or grouped differently -- the root of the bit-identity
-  /// guarantee across multiplexing widths.
-  static std::vector<Rng> derive_lane_rngs(std::uint64_t seed,
-                                           std::uint64_t key,
-                                           std::size_t node_count);
+  /// The per-node random streams for a lane keyed by `key` from a network
+  /// master seed (each derived on its node's first draw). The derivation is
+  /// independent of scheduling, so the same (seed, key) yields the same
+  /// streams whether the lane runs muxed, solo, or grouped differently --
+  /// the root of the bit-identity guarantee across multiplexing widths.
+  static NodeStreams derive_lane_rngs(std::uint64_t seed, std::uint64_t key,
+                                      std::size_t node_count);
 
   /// Valid after the run.
   const LaneStats& lane_stats(unsigned lane) const { return stats_[lane]; }
 
   void on_run_start(unsigned workers) override;
+  /// The union of the lanes' start sets (each lane runs at every node of
+  /// it in round 0; the start-set contract makes that safe).
+  std::span<const NodeId> start_nodes(std::span<const NodeId> all) override;
   /// Splits the node's mixed inbox by Message::lane and dispatches each
   /// lane in ascending id order on its own slice: an inbox that holds one
   /// lane's messages is passed through uncopied, a mixed one is copied by
@@ -98,7 +100,7 @@ class ProtocolMux final : public Protocol {
  private:
   struct Lane {
     Protocol* protocol = nullptr;
-    std::vector<Rng>* rngs = nullptr;
+    NodeStreams* rngs = nullptr;
   };
 
   /// Per-executor-worker scratch, cache-line separated: sub-inboxes reused
@@ -119,6 +121,7 @@ class ProtocolMux final : public Protocol {
 
   std::size_t node_count_;
   std::vector<Lane> lanes_;
+  std::vector<NodeId> start_;  ///< the union start_nodes() returns
   /// wake_[lane * node_count_ + v]: lane asked to run at v next round.
   /// Node-indexed writes only (shard safety).
   std::vector<std::uint8_t> wake_;

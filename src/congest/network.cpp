@@ -13,6 +13,7 @@
 #include <functional>
 #include <limits>
 #include <mutex>
+#include <numeric>
 #include <stdexcept>
 #include <thread>
 
@@ -86,7 +87,7 @@ void Context::wake_me() {
 }
 
 Rng& Context::rng() {
-  return lane_rng_ != nullptr ? *lane_rng_ : net_->node_rngs_[self_];
+  return streams_ != nullptr ? (*streams_)[self_] : net_->node_rngs_[self_];
 }
 
 // --------------------------------------------------------------- WorkerPool
@@ -185,11 +186,12 @@ struct Network::WorkerPool {
 // ------------------------------------------------------------------ Network
 
 Network::Network(const Graph& g, std::uint64_t seed)
-    : graph_(&g), seed_(seed) {
+    : graph_(&g), seed_(seed), all_nodes_(g.node_count()) {
   const std::size_t n = g.node_count();
   Rng master(seed);
   node_rngs_.reserve(n);
   for (NodeId v = 0; v < n; ++v) node_rngs_.push_back(master.split_key(v));
+  std::iota(all_nodes_.begin(), all_nodes_.end(), NodeId{0});
 
   edge_endpoints_.resize(g.directed_edge_count());
   for (NodeId v = 0; v < n; ++v) {
@@ -299,11 +301,9 @@ void Network::build_partition() {
   for (; cut < workers_; ++cut) shard_begin_[cut] = static_cast<NodeId>(n);
 
   std::vector<std::uint32_t> node_shard(n);
-  round0_work_.assign(workers_, 0);
   for (unsigned s = 0; s < workers_; ++s) {
     for (NodeId v = shard_begin_[s]; v < shard_begin_[s + 1]; ++v) {
       node_shard[v] = s;
-      round0_work_[s] += 1 + graph_->degree(v);
     }
   }
 
@@ -398,6 +398,7 @@ void Network::compute_phase(unsigned worker) {
   ctx.net_ = this;
   ctx.round_ = round_;
   ctx.worker_ = worker;
+  ctx.streams_ = run_streams_;
   for (const NodeId v : shards_[worker].active) {
     std::vector<Delivery>& in = inbox_[v];
     lane.deliveries += in.size();
@@ -588,18 +589,17 @@ RunStats Network::run(Protocol& protocol, std::uint64_t max_rounds) {
   return run_with_lanes(protocol, 1, max_rounds);
 }
 
-RunStats Network::run(Protocol& protocol, std::vector<Rng>& node_streams,
+RunStats Network::run(Protocol& protocol, NodeStreams& node_streams,
                       std::uint64_t max_rounds) {
   if (node_streams.size() != node_rngs_.size()) {
     throw std::invalid_argument("Network::run: one stream per node required");
   }
-  struct SwapBack {
-    std::vector<Rng>& a;
-    std::vector<Rng>& b;
-    ~SwapBack() { a.swap(b); }
+  struct Reset {
+    NodeStreams*& streams;
+    ~Reset() { streams = nullptr; }
   };
-  node_rngs_.swap(node_streams);
-  const SwapBack restore{node_rngs_, node_streams};
+  run_streams_ = &node_streams;
+  const Reset reset{run_streams_};
   return run_with_lanes(protocol, 1, max_rounds);
 }
 
@@ -634,6 +634,7 @@ RunStats Network::run_with_lanes(Protocol& protocol, unsigned lanes,
     sh.transmitted = 0;
   }
   for (WorkerLane& lane : lanes_) lane.merge_ns = 0.0;
+  node_steps_ = 0;
   running_ = &protocol;
   protocol.on_run_start(workers_);
   try {
@@ -667,6 +668,7 @@ RunStats Network::run_with_lanes(Protocol& protocol, unsigned lanes,
     auto& reg = obs::Registry::global();
     reg.counter("executor.runs").add(1);
     reg.counter("executor.rounds").add(stats.rounds);
+    reg.counter("executor.node_steps").add(node_steps_);
     reg.counter("executor.messages").add(stats.messages);
     reg.gauge("executor.threads").set(double(workers_));
     reg.histogram("arena.backlog_run_max").record(stats.max_backlog);
@@ -674,11 +676,30 @@ RunStats Network::run_with_lanes(Protocol& protocol, unsigned lanes,
   return stats;
 }
 
+void Network::install_start_set(Protocol& protocol) {
+  const std::span<const NodeId> start = protocol.start_nodes(all_nodes_);
+  for (std::size_t i = 0; i < start.size(); ++i) {
+    if (start[i] >= all_nodes_.size() || (i > 0 && start[i] <= start[i - 1])) {
+      throw std::logic_error(
+          "Network::run: start set must be ascending node ids below n");
+    }
+  }
+  auto first = start.begin();
+  for (unsigned s = 0; s < workers_; ++s) {
+    const auto last = std::lower_bound(first, start.end(), shard_begin_[s + 1]);
+    Shard& sh = shards_[s];
+    sh.active.assign(first, last);
+    sh.work = 0;
+    for (const NodeId v : sh.active) sh.work += 1 + graph_->degree(v);
+    first = last;
+  }
+}
+
 void Network::run_loop(Protocol& protocol, std::uint64_t max_rounds,
                        RunStats& stats) {
-  // Round 0 activates every node once so protocols can initialize; this
-  // forced wake does not by itself count as a round.
-  global_wake_ = true;
+  // Round 0 activates the protocol's start set once so it can initialize;
+  // this forced wake does not by itself count as a round.
+  install_start_set(protocol);
 
   // Observability is resolved once per run: a mid-run toggle takes effect
   // at the next run, which keeps the loop's disabled path at a single
@@ -696,21 +717,12 @@ void Network::run_loop(Protocol& protocol, std::uint64_t max_rounds,
     const auto round_start =
         round_hist != nullptr ? Clock::now() : Clock::time_point{};
 
-    if (global_wake_) {
-      // Round 0: every node active, weighed by 1 + degree.
-      for (unsigned s = 0; s < workers_; ++s) {
-        Shard& sh = shards_[s];
-        sh.active.clear();
-        for (NodeId v = shard_begin_[s]; v < shard_begin_[s + 1]; ++v) {
-          sh.active.push_back(v);
-        }
-        sh.work = round0_work_[s];
-      }
-    }
-
     // Compute: every worker runs its own shard's active nodes.
     std::size_t active_work = 0;
-    for (const Shard& sh : shards_) active_work += sh.work;
+    for (const Shard& sh : shards_) {
+      active_work += sh.work;
+      node_steps_ += sh.active.size();
+    }
     for (WorkerLane& lane : lanes_) {
       lane.deliveries = 0;
       lane.sends = 0;
@@ -727,7 +739,6 @@ void Network::run_loop(Protocol& protocol, std::uint64_t max_rounds,
       dispatch(active_work, &Network::compute_phase);
     }
     stats.compute_ms += ms_since(compute_start);
-    global_wake_ = false;
 
     std::uint64_t deliveries = 0;
     std::uint64_t sends = 0;

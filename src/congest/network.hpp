@@ -61,9 +61,10 @@
 //   overhead vs a probed per-node visit cost; DRW_PARALLEL_GRAIN overrides.
 //
 // Protocols are event-driven: a node's `on_round` runs when it received
-// messages this round, asked to be woken, or during round 0 (all nodes wake
-// once so protocols can initialize). Per-node randomness comes from streams
-// split off the network's master seed, so runs are deterministic.
+// messages this round, asked to be woken, or during round 0 if the protocol
+// names it in its start set (Protocol::start_nodes; every node by default).
+// Per-node randomness comes from streams split off the network's master
+// seed, so runs are deterministic.
 #pragma once
 
 #include <cstdint>
@@ -171,14 +172,15 @@ class Context {
 
  private:
   friend class Network;
-  friend class ProtocolMux;  ///< retargets lane_/lane_rng_ per lane dispatch
+  friend class ProtocolMux;  ///< retargets lane_/streams_ per lane dispatch
   Network* net_ = nullptr;
   NodeId self_ = kInvalidNode;
   std::uint64_t round_ = 0;
   unsigned worker_ = 0;  ///< executor worker (= shard) running this node
   std::span<const Delivery> inbox_;
   std::uint16_t lane_ = 0;    ///< stamped onto every send
-  Rng* lane_rng_ = nullptr;   ///< overrides the shared node stream when set
+  /// Streams overriding the network's own (a run's or a lane's), or null.
+  NodeStreams* streams_ = nullptr;
   bool lane_woke_ = false;    ///< wake_me() happened during a lane dispatch
 };
 
@@ -203,7 +205,19 @@ class Protocol {
   /// to size per-worker scratch.
   virtual void on_run_start(unsigned workers) { (void)workers; }
 
-  /// Called for every active node each round (round 0 activates all nodes).
+  /// Round 0's start set: the nodes that act in round 0, as ascending ids
+  /// below the node count. Called once per run on the driver thread, after
+  /// on_run_start; the span must stay valid until round 0 has run. `all`
+  /// lists every node and is the default. CONTRACT: a node outside the set
+  /// does nothing in round 0 if it is woken anyway -- no send, wake, draw
+  /// or write -- so a superset of the acting nodes runs the same protocol
+  /// (a ProtocolMux reports the union of its lanes' sets).
+  virtual std::span<const NodeId> start_nodes(std::span<const NodeId> all) {
+    return all;
+  }
+
+  /// Called for every active node each round: in round 0 the start set,
+  /// later the nodes that received messages or asked to be woken.
   virtual void on_round(Context& ctx) = 0;
 
   /// Optional early-stop: checked after each round. The default runs until
@@ -246,11 +260,10 @@ class Network {
   RunStats run(Protocol& protocol, std::uint64_t max_rounds = 10'000'000);
 
   /// Like run(), but Context::rng draws from `node_streams` (one per node)
-  /// instead of the network's own streams: the two vectors are swapped for
-  /// the run and swapped back afterwards, also when the protocol throws.
-  /// A protocol run this way draws exactly what it would draw as a
-  /// ProtocolMux lane holding the same streams, without the mux.
-  RunStats run(Protocol& protocol, std::vector<Rng>& node_streams,
+  /// instead of the network's own streams. A protocol run this way draws
+  /// exactly what it would draw as a ProtocolMux lane holding the same
+  /// streams, without the mux.
+  RunStats run(Protocol& protocol, NodeStreams& node_streams,
                std::uint64_t max_rounds = 10'000'000);
 
   /// Runs a multiplexed protocol (normally a congest::ProtocolMux) with
@@ -267,6 +280,10 @@ class Network {
 
   /// Node-private random stream (stable per node per network instance).
   Rng& node_rng(NodeId v) { return node_rngs_[v]; }
+
+  /// Top-level on_round calls of the last run (its round-0 start set plus
+  /// every later active node); the registry's executor.node_steps sums it.
+  std::uint64_t last_node_steps() const noexcept { return node_steps_; }
 
   /// The master seed this network's per-node streams were split from;
   /// multiplexed drivers derive per-lane streams from it (see mux.hpp).
@@ -342,6 +359,11 @@ class Network {
   void transmit_phase(unsigned shard);
   void run_loop(Protocol& protocol, std::uint64_t max_rounds,
                 RunStats& stats);
+  /// Installs the protocol's round-0 start set as the shards' active lists,
+  /// split at shard_begin_ and weighed by (1 + degree) per node (init work
+  /// is typically degree-proportional). Throws std::logic_error unless the
+  /// set is strictly ascending and below the node count.
+  void install_start_set(Protocol& protocol);
   /// Clears backlogs, inboxes, wake flags and staged sends so the network
   /// can host the next protocol run; invoked on normal AND exception exit.
   /// `aborted` (exception path) additionally sweeps every inbox and wake
@@ -352,6 +374,9 @@ class Network {
   const Graph* graph_;
   std::uint64_t seed_ = 0;
   std::vector<Rng> node_rngs_;
+  /// The streams run(protocol, node_streams) draws from, or null.
+  NodeStreams* run_streams_ = nullptr;
+  std::vector<NodeId> all_nodes_;  ///< 0..n-1: the default start set
   /// Per directed edge, target in the low word and source in the high
   /// word: the transmit hot loop needs both per delivery, and one 8-byte
   /// load halves its random-access cache traffic versus separate
@@ -378,10 +403,6 @@ class Network {
   /// staged_[worker][owner_shard]: every send buffered during compute, in
   /// the worker's (ascending-node) staging order.
   std::vector<std::vector<std::vector<PendingSend>>> staged_;
-  /// Per-shard (1 + degree) weight: round 0's dispatch work, when every
-  /// node is active with an empty inbox (init work is typically
-  /// degree-proportional). Rebuilt with the partition.
-  std::vector<std::uint64_t> round0_work_;
   /// One inbox per node, holding every lane's deliveries in arrival
   /// order. Written only by the node's owner shard.
   std::vector<std::vector<Delivery>> inbox_;
@@ -400,7 +421,7 @@ class Network {
 
   Protocol* running_ = nullptr;  ///< current protocol during run()
   std::uint64_t round_ = 0;
-  bool global_wake_ = false;  ///< round 0: every node is active
+  std::uint64_t node_steps_ = 0;  ///< top-level on_round calls this run
 };
 
 }  // namespace drw::congest

@@ -59,6 +59,10 @@ struct BfsTree {
 class BfsTreeProtocol final : public Protocol {
  public:
   BfsTreeProtocol(const Graph& g, NodeId root);
+  /// The root.
+  std::span<const NodeId> start_nodes(std::span<const NodeId>) override {
+    return {&root_, 1};
+  }
   void on_round(Context& ctx) override;
 
   /// Valid after the run completes; throws if some node was never reached.
@@ -119,6 +123,10 @@ class BroadcastProtocol final : public Protocol {
  public:
   BroadcastProtocol(const BfsTree& tree, Message payload,
                     std::function<void(NodeId, const Message&)> on_receive);
+  /// The root.
+  std::span<const NodeId> start_nodes(std::span<const NodeId>) override {
+    return {&tree_->root, 1};
+  }
   void on_round(Context& ctx) override;
 
  private:

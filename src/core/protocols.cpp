@@ -1,6 +1,7 @@
 #include "core/protocols.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <stdexcept>
 
 #include "util/rng.hpp"
@@ -10,6 +11,14 @@ namespace drw::core {
 namespace {
 
 constexpr std::uint32_t kNoSlot = static_cast<std::uint32_t>(-1);
+
+/// Sorts `nodes` ascending without repeats: a round-0 start set.
+void make_start_set(std::vector<NodeId>& nodes) {
+  if (!std::is_sorted(nodes.begin(), nodes.end())) {
+    std::sort(nodes.begin(), nodes.end());
+  }
+  nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
+}
 
 }  // namespace
 
@@ -41,7 +50,9 @@ GetMoreWalksProtocol::GetMoreWalksProtocol(const Graph& g,
     if (topup.count == 0) continue;
     staying_[topup.source].push_back(
         Arrival{gen_base_ + i, 0, kNoSlot, 0, topup.count});
+    start_.push_back(topup.source);
   }
+  make_start_set(start_);
 }
 
 void GetMoreWalksProtocol::process(congest::Context& ctx,
@@ -185,6 +196,18 @@ SampleConvergecast::SampleConvergecast(const congest::BfsTree& tree,
   via_.resize(n);
 }
 
+std::span<const NodeId> SampleConvergecast::start_nodes(
+    std::span<const NodeId> all) {
+  if (sweep_ == Sweep::kFirst) return all;
+  // Round 0 acts only where an own candidate can exist and at the root,
+  // which has to stay awake until round `height`.
+  const std::span<const NodeId> holders = store_->holders_of(source_);
+  start_.assign(holders.begin(), holders.end());
+  const auto at = std::lower_bound(start_.begin(), start_.end(), tree_->root);
+  if (at == start_.end() || *at != tree_->root) start_.insert(at, tree_->root);
+  return start_;
+}
+
 void SampleConvergecast::absorb(congest::Context& ctx, NodeId from,
                                 const Candidate& incoming) {
   Candidate& acc = acc_[ctx.self()];
@@ -305,7 +328,9 @@ NaiveSegmentProtocol::NaiveSegmentProtocol(const Graph& g,
   destinations_.assign(jobs_.size(), kInvalidNode);
   for (std::uint32_t j = 0; j < jobs_.size(); ++j) {
     jobs_by_node_[jobs_[j].start].push_back(j);
+    start_.push_back(jobs_[j].start);
   }
+  make_start_set(start_);
 }
 
 void NaiveSegmentProtocol::advance(congest::Context& ctx, std::uint32_t job,
@@ -375,7 +400,11 @@ RegenerateProtocol::RegenerateProtocol(const Graph& g, std::vector<Job> jobs,
                                        std::uint64_t salt)
     : jobs_by_node_(g.node_count()), trajectories_(&trajectories),
       positions_(&positions), salt_(salt) {
-  for (const Job& job : jobs) jobs_by_node_[job.holder].push_back(job);
+  for (const Job& job : jobs) {
+    jobs_by_node_[job.holder].push_back(job);
+    start_.push_back(job.holder);
+  }
+  make_start_set(start_);
 }
 
 void RegenerateProtocol::step(congest::Context& ctx, std::uint32_t walk_id,
@@ -414,6 +443,18 @@ void RegenerateProtocol::on_round(congest::Context& ctx) {
     }
     step(ctx, walk_id, gen, d.msg.f[2], hop, prev_slot);
   }
+}
+
+// ------------------------------------------------------------------ finish
+
+std::span<const NodeId> FinishProtocol::start_nodes(
+    std::span<const NodeId> all) {
+  const std::span<const NodeId> tails = tails_->start_nodes(all);
+  const std::span<const NodeId> regen = regen_->start_nodes(all);
+  start_.clear();
+  std::set_union(tails.begin(), tails.end(), regen.begin(), regen.end(),
+                 std::back_inserter(start_));
+  return start_;
 }
 
 }  // namespace drw::core

@@ -58,6 +58,10 @@ class GetMoreWalksProtocol final : public congest::Protocol {
                        std::uint32_t lambda, bool extend, WalkStore& store,
                        TrajectoryStore* trajectories,
                        TransitionModel model = TransitionModel::kSimple);
+  /// The entries' sources (round 0 acts only where tokens stand).
+  std::span<const NodeId> start_nodes(std::span<const NodeId>) override {
+    return start_;
+  }
   void on_round(congest::Context& ctx) override;
 
  private:
@@ -87,6 +91,7 @@ class GetMoreWalksProtocol final : public congest::Protocol {
   /// message): the node's own entries before round 0, then aggregated
   /// self-loop stays with their hop count already advanced.
   std::vector<std::vector<Arrival>> staying_;
+  std::vector<NodeId> start_;
 };
 
 /// Sweep 2 of SAMPLE-DESTINATION (Algorithm 3): a convergecast up `tree`
@@ -107,7 +112,8 @@ class GetMoreWalksProtocol final : public congest::Protocol {
 /// round `height` as it would have to in any case. Both kinds cost exactly
 /// `height` rounds and make the same draws, so they return the same
 /// candidate and path; a kSilent sweep's messages are the non-root nodes
-/// whose subtree holds an unused source-v token.
+/// whose subtree holds an unused source-v token, and its round 0 runs only
+/// at the root and the holders WalkStore::holders_of lists.
 class SampleConvergecast final : public congest::Protocol {
  public:
   struct Candidate {
@@ -121,6 +127,9 @@ class SampleConvergecast final : public congest::Protocol {
 
   SampleConvergecast(const congest::BfsTree& tree, const WalkStore& store,
                      NodeId source, Sweep sweep);
+  /// Every node for kFirst (each reports); the root plus the source's
+  /// holders for kSilent.
+  std::span<const NodeId> start_nodes(std::span<const NodeId> all) override;
   void on_round(congest::Context& ctx) override;
 
   /// Root's result after the run; count == 0 means "no unused walks left"
@@ -140,6 +149,7 @@ class SampleConvergecast final : public congest::Protocol {
   Sweep sweep_;
   std::vector<Candidate> acc_;
   std::vector<NodeId> via_;
+  std::vector<NodeId> start_;
 };
 
 /// Sweep 3 of SAMPLE-DESTINATION: only the holder of the sampled short
@@ -152,6 +162,10 @@ class SampleCommit final : public congest::Protocol {
  public:
   SampleCommit(NodeId root, std::vector<NodeId> via, WalkStore& store,
                const SampleConvergecast::Candidate& sampled);
+  /// The root.
+  std::span<const NodeId> start_nodes(std::span<const NodeId>) override {
+    return {&root_, 1};
+  }
   void on_round(congest::Context& ctx) override;
 
  private:
@@ -188,6 +202,10 @@ class NaiveSegmentProtocol final : public congest::Protocol {
   NaiveSegmentProtocol(const Graph& g, std::vector<Job> jobs,
                        PositionTable* positions,
                        TransitionModel model = TransitionModel::kSimple);
+  /// The jobs' start nodes.
+  std::span<const NodeId> start_nodes(std::span<const NodeId>) override {
+    return start_;
+  }
   void on_round(congest::Context& ctx) override;
 
   /// Destination of each job (valid after the run).
@@ -209,6 +227,7 @@ class NaiveSegmentProtocol final : public congest::Protocol {
   std::vector<NodeId> destinations_;
   TransitionModel model_;
   std::vector<std::vector<Pending>> staying_;
+  std::vector<NodeId> start_;
 };
 
 /// Regeneration (Section 2.2): every stitched short walk is replayed
@@ -234,6 +253,10 @@ class RegenerateProtocol final : public congest::Protocol {
   RegenerateProtocol(const Graph& g, std::vector<Job> jobs,
                      TrajectoryStore& trajectories, PositionTable& positions,
                      std::uint64_t salt);
+  /// The jobs' holders (each replay starts at its endpoint).
+  std::span<const NodeId> start_nodes(std::span<const NodeId>) override {
+    return start_;
+  }
   void on_round(congest::Context& ctx) override;
 
  private:
@@ -246,6 +269,27 @@ class RegenerateProtocol final : public congest::Protocol {
   TrajectoryStore* trajectories_;
   PositionTable* positions_;
   std::uint64_t salt_;
+  std::vector<NodeId> start_;
+};
+
+/// The deferred naive tails and the regeneration as one protocol
+/// (StitchEngine::run_deferred): every node runs both, and each skips the
+/// other's message types.
+class FinishProtocol final : public congest::Protocol {
+ public:
+  FinishProtocol(NaiveSegmentProtocol& tails, RegenerateProtocol& regen)
+      : tails_(&tails), regen_(&regen) {}
+  /// The union of the two protocols' start sets.
+  std::span<const NodeId> start_nodes(std::span<const NodeId> all) override;
+  void on_round(congest::Context& ctx) override {
+    tails_->on_round(ctx);
+    regen_->on_round(ctx);
+  }
+
+ private:
+  NaiveSegmentProtocol* tails_;
+  RegenerateProtocol* regen_;
+  std::vector<NodeId> start_;
 };
 
 }  // namespace drw::core

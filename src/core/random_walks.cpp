@@ -9,26 +9,6 @@
 
 namespace drw::core {
 
-namespace {
-
-/// The deferred tails and the regeneration as one protocol: every node
-/// runs both, and each skips the other's message types.
-class FinishProtocol final : public congest::Protocol {
- public:
-  FinishProtocol(NaiveSegmentProtocol& tails, RegenerateProtocol& regen)
-      : tails_(&tails), regen_(&regen) {}
-  void on_round(congest::Context& ctx) override {
-    tails_->on_round(ctx);
-    regen_->on_round(ctx);
-  }
-
- private:
-  NaiveSegmentProtocol* tails_;
-  RegenerateProtocol* regen_;
-};
-
-}  // namespace
-
 WalkCounters& WalkCounters::operator+=(const WalkCounters& other) noexcept {
   lambda = other.lambda != 0 ? other.lambda : lambda;
   walks_prepared += other.walks_prepared;

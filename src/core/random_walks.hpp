@@ -169,9 +169,10 @@ class StitchEngine {
     std::uint32_t walk_id() const noexcept { return walk_id_; }
     /// The next traversal to run (valid while !finished()).
     congest::Protocol& protocol() noexcept { return *protocol_; }
-    /// Per-node lane streams for this walk (hand to ProtocolMux::add_lane;
-    /// valid while !finished()).
-    std::vector<Rng>& lane_rngs() noexcept { return rngs_; }
+    /// Per-node lane streams for this walk, each derived at its node's
+    /// first draw (hand to ProtocolMux::add_lane; valid while
+    /// !finished()).
+    NodeStreams& lane_rngs() noexcept { return rngs_; }
     /// True while the task holds a sampled token it has not committed: no
     /// other task may sample its connector's pool until the commit runs.
     bool holds_token() const noexcept { return step_ == Step::kCommit; }
@@ -211,7 +212,7 @@ class StitchEngine {
     Step step_ = Step::kDone;
     NodeId current_ = kInvalidNode;
     std::uint64_t completed_ = 0;
-    std::vector<Rng> rngs_;
+    NodeStreams rngs_;
     std::unique_ptr<congest::Protocol> protocol_;
     /// The connector's BFS tree: the engine's cached one, or own_tree_
     /// when the cache is full. Heap-held either way, so the address stays

@@ -51,6 +51,8 @@ struct HeldToken {
 struct WalkStore {
   explicit WalkStore(std::size_t n) : held(n) {}
   std::vector<std::vector<HeldToken>> held;  // indexed by holder node
+  /// compact() calls so far (holders_of's staleness check).
+  std::uint64_t compactions = 0;
 
   /// Drops every used token, keeping the others in order. Only between
   /// batches: no task may hold a held_index across it. SAMPLE-DESTINATION
@@ -59,6 +61,34 @@ struct WalkStore {
     for (auto& tokens : held) {
       std::erase_if(tokens, [](const HeldToken& t) { return t.used; });
     }
+    ++compactions;
+  }
+
+  /// The nodes that held an unused source-`source` token when the held
+  /// lists were last scanned, ascending: where a silent SAMPLE-DESTINATION
+  /// sweep starts. The scan reruns only when the total held count or the
+  /// compaction count moved since the last one: between compactions tokens
+  /// are only appended and a used flag only ever turns on, so each list
+  /// stays a superset of the current holders. Driver thread only (a
+  /// protocol's start_nodes), never during a run's rounds.
+  std::span<const NodeId> holders_of(NodeId source) const {
+    std::uint64_t total = 0;
+    for (const auto& tokens : held) total += tokens.size();
+    if (holders_.size() != held.size() || total != holders_held_ ||
+        compactions != holders_compactions_) {
+      holders_.resize(held.size());
+      for (auto& nodes : holders_) nodes.clear();
+      for (NodeId v = 0; v < held.size(); ++v) {
+        for (const HeldToken& t : held[v]) {
+          if (t.used) continue;
+          std::vector<NodeId>& nodes = holders_[t.source];
+          if (nodes.empty() || nodes.back() != v) nodes.push_back(v);
+        }
+      }
+      holders_held_ = total;
+      holders_compactions_ = compactions;
+    }
+    return holders_[source];
   }
 
   /// One flag per generation id in [0, generations)
@@ -76,6 +106,12 @@ struct WalkStore {
     }
     return live;
   }
+
+ private:
+  /// holders_of's lists by source, and the counts they were scanned at.
+  mutable std::vector<std::vector<NodeId>> holders_;
+  mutable std::uint64_t holders_held_ = 0;
+  mutable std::uint64_t holders_compactions_ = 0;
 };
 
 /// One anonymous routing record at a node: a token of generation

@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cassert>
+#include <type_traits>
 
 namespace drw {
 
@@ -100,6 +101,38 @@ std::size_t Rng::pick_weighted(std::span<const double> weights) noexcept {
     if (weights[i] > 0.0) return i;
   }
   return weights.size() - 1;
+}
+
+// Slots are raw storage: a stream needs no destructor, and copying one is
+// copying its state.
+static_assert(std::is_trivially_destructible_v<Rng> &&
+              std::is_trivially_copyable_v<Rng>);
+
+NodeStreams::NodeStreams(const Rng& master, std::size_t size)
+    : master_(master), size_(size),
+      slots_(std::make_unique_for_overwrite<Slot[]>(size)),
+      ready_(std::make_unique<std::uint8_t[]>(size)) {}
+
+NodeStreams::NodeStreams(const NodeStreams& other)
+    : master_(other.master_), size_(other.size_),
+      slots_(std::make_unique_for_overwrite<Slot[]>(other.size_)),
+      ready_(std::make_unique<std::uint8_t[]>(other.size_)) {
+  for (std::size_t v = 0; v < size_; ++v) {
+    if (other.ready_[v] == 0) continue;
+    ready_[v] = 1;
+    ::new (slots_[v].bytes) Rng(*std::launder(
+        reinterpret_cast<const Rng*>(other.slots_[v].bytes)));
+  }
+}
+
+Rng& NodeStreams::derive(std::size_t v) noexcept {
+  ready_[v] = 1;
+  return *::new (slots_[v].bytes) Rng(master_.split_key(v));
+}
+
+NodeStreams& NodeStreams::operator=(const NodeStreams& other) {
+  if (this != &other) *this = NodeStreams(other);
+  return *this;
 }
 
 }  // namespace drw

@@ -11,7 +11,10 @@
 #include <array>
 #include <cstdint>
 #include <limits>
+#include <memory>
+#include <new>
 #include <span>
+#include <utility>
 #include <vector>
 
 namespace drw {
@@ -87,6 +90,51 @@ class Rng {
 
  private:
   std::array<std::uint64_t, 4> state_{};
+};
+
+/// One random stream per node, split from one master: stream v is
+/// master.split_key(v), derived the first time it is used, so a run that
+/// touches a few nodes pays for a few streams. Stream v is touched only by
+/// node v's logic (the protocol shard-safety rule), so concurrent workers
+/// derive disjoint entries.
+class NodeStreams {
+ public:
+  NodeStreams() = default;
+  NodeStreams(const Rng& master, std::size_t size);
+  NodeStreams(const NodeStreams& other);
+  NodeStreams& operator=(const NodeStreams& other);
+  /// A moved-from NodeStreams is empty.
+  NodeStreams(NodeStreams&& other) noexcept
+      : master_(other.master_), size_(std::exchange(other.size_, 0)),
+        slots_(std::move(other.slots_)), ready_(std::move(other.ready_)) {}
+  NodeStreams& operator=(NodeStreams&& other) noexcept {
+    master_ = other.master_;
+    size_ = std::exchange(other.size_, 0);
+    slots_ = std::move(other.slots_);
+    ready_ = std::move(other.ready_);
+    return *this;
+  }
+
+  std::size_t size() const noexcept { return size_; }
+  bool empty() const noexcept { return size_ == 0; }
+
+  /// Stream v (v < size()), derived on first use.
+  Rng& operator[](std::size_t v) noexcept {
+    if (ready_[v] == 0) [[unlikely]] return derive(v);
+    return *std::launder(reinterpret_cast<Rng*>(slots_[v].bytes));
+  }
+
+ private:
+  Rng& derive(std::size_t v) noexcept;
+
+  /// Storage for one stream, left uninitialized until the stream is used.
+  struct Slot {
+    alignas(Rng) unsigned char bytes[sizeof(Rng)];
+  };
+  Rng master_;
+  std::size_t size_ = 0;
+  std::unique_ptr<Slot[]> slots_;
+  std::unique_ptr<std::uint8_t[]> ready_;
 };
 
 /// SplitMix64 step: the canonical 64-bit mixer used for seeding.

@@ -115,7 +115,7 @@ TEST(Mux, LanesBitIdenticalToSoloRuns) {
     const std::size_t n = family.graph.node_count();
     // Per-lane streams are a function of (seed, lane key) only, so solo
     // and muxed executions draw identically by construction.
-    std::vector<std::vector<Rng>> lane_rngs;
+    std::vector<NodeStreams> lane_rngs;
     for (unsigned l = 0; l < kLanes; ++l) {
       lane_rngs.push_back(
           congest::ProtocolMux::derive_lane_rngs(kSeed, l, n));
@@ -127,7 +127,7 @@ TEST(Mux, LanesBitIdenticalToSoloRuns) {
       congest::Network net(family.graph, kSeed);
       DigestStorm storm(n, 1 + l % 3, 12 + 4 * l);
       congest::ProtocolMux mux(n);
-      std::vector<Rng> rngs = lane_rngs[l];  // fresh copy: streams advance
+      NodeStreams rngs = lane_rngs[l];  // fresh copy: streams advance
       mux.add_lane(storm, &rngs);
       const congest::RunStats stats = net.run_multiplexed(mux, 1);
       solo[l].digest = storm.digest();
@@ -141,7 +141,7 @@ TEST(Mux, LanesBitIdenticalToSoloRuns) {
       congest::Network net(family.graph, kSeed);
       net.set_threads(threads);
       std::vector<std::unique_ptr<DigestStorm>> storms;
-      std::vector<std::vector<Rng>> rngs;
+      std::vector<NodeStreams> rngs;
       congest::ProtocolMux mux(n);
       for (unsigned l = 0; l < kLanes; ++l) {
         storms.push_back(
@@ -215,7 +215,7 @@ TEST(Mux, ThrowingLaneLeavesNoStaleDeliveries) {
   // `net` and returns their outcomes.
   const auto run_storms = [&](congest::Network& net) {
     std::vector<std::unique_ptr<DigestStorm>> storms;
-    std::vector<std::vector<Rng>> rngs;
+    std::vector<NodeStreams> rngs;
     congest::ProtocolMux mux(n);
     for (unsigned l = 0; l < kStormLanes; ++l) {
       storms.push_back(std::make_unique<DigestStorm>(n, 1 + l % 3, 12));
@@ -245,7 +245,7 @@ TEST(Mux, ThrowingLaneLeavesNoStaleDeliveries) {
       // Storm lanes first and the thrower last, so the throw strands
       // the storms' deliveries of the same round at later nodes.
       std::vector<std::unique_ptr<DigestStorm>> storms;
-      std::vector<std::vector<Rng>> rngs;
+      std::vector<NodeStreams> rngs;
       congest::ProtocolMux mux(n);
       for (unsigned l = 0; l < kStormLanes; ++l) {
         storms.push_back(std::make_unique<DigestStorm>(n, 2, 20));
@@ -286,7 +286,7 @@ TEST(Mux, TracingOnDoesNotPerturbLanes) {
   const std::string trace_file = ::testing::TempDir() + "obs_mux_trace.json";
 
   for (const unsigned width : kWidths) {
-    std::vector<std::vector<Rng>> lane_rngs;
+    std::vector<NodeStreams> lane_rngs;
     for (unsigned l = 0; l < width; ++l) {
       lane_rngs.push_back(
           congest::ProtocolMux::derive_lane_rngs(kSeed, l, n));
@@ -297,7 +297,7 @@ TEST(Mux, TracingOnDoesNotPerturbLanes) {
       congest::Network net(g, kSeed);
       net.set_threads(threads);
       std::vector<std::unique_ptr<DigestStorm>> storms;
-      std::vector<std::vector<Rng>> rngs;
+      std::vector<NodeStreams> rngs;
       congest::ProtocolMux mux(n);
       for (unsigned l = 0; l < width; ++l) {
         storms.push_back(

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -372,6 +374,76 @@ TEST(Network, WidePayloadWordsArriveBitExact) {
     }
     EXPECT_EQ(net.run_multiplexed(mux, kLanes).messages, kLanes * per_lane);
     for (const WideBurst& lane : lanes) lane.expect_bursts_exact(g);
+  }
+}
+
+/// Names its round-0 start set and records which nodes ran in round 0.
+class NamedStart final : public Protocol {
+ public:
+  NamedStart(std::size_t n, std::vector<NodeId> start)
+      : start_(std::move(start)), ran_(n, 0) {}
+  std::span<const NodeId> start_nodes(std::span<const NodeId>) override {
+    return start_;
+  }
+  void on_round(Context& ctx) override {
+    if (ctx.round() == 0) ++ran_[ctx.self()];
+  }
+  /// The nodes round 0 ran, ascending.
+  std::vector<NodeId> ran() const {
+    std::vector<NodeId> out;
+    for (NodeId v = 0; v < ran_.size(); ++v) {
+      for (std::uint32_t k = 0; k < ran_[v]; ++k) out.push_back(v);
+    }
+    return out;
+  }
+
+ private:
+  std::vector<NodeId> start_;
+  std::vector<std::uint32_t> ran_;  ///< round-0 calls per node
+};
+
+// Round 0 runs exactly the named start set, once per node, split across
+// the shards at every width; a mux runs the union of its lanes' sets, each
+// lane at every node of it. A set that is not strictly ascending or names
+// a node >= n throws std::logic_error and leaves the network reusable.
+TEST(Network, RoundZeroRunsExactlyTheStartSet) {
+  const Graph g = gen::grid(6, 6);
+  const auto n = static_cast<NodeId>(g.node_count());
+  std::vector<NodeId> every(n);
+  for (NodeId v = 0; v < n; ++v) every[v] = v;
+  const std::vector<std::vector<NodeId>> sets = {
+      {}, {0}, {35}, {3, 17, 18, 35}, every};
+  for (const unsigned threads : {1u, 4u}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    Network net(g, 3);
+    net.set_threads(threads);
+    for (const std::vector<NodeId>& set : sets) {
+      NamedStart protocol(n, set);
+      net.run(protocol);
+      EXPECT_EQ(protocol.ran(), set);
+      EXPECT_EQ(net.last_node_steps(), set.size());
+    }
+
+    ProtocolMux mux(n);
+    NamedStart a(n, {1, 5, 30});
+    NamedStart b(n, {5, 9});
+    mux.add_lane(a, nullptr);
+    mux.add_lane(b, nullptr);
+    net.run_multiplexed(mux, 2);
+    const std::vector<NodeId> both = {1, 5, 9, 30};
+    EXPECT_EQ(a.ran(), both);
+    EXPECT_EQ(b.ran(), both);
+    EXPECT_EQ(net.last_node_steps(), both.size());
+
+    for (const std::vector<NodeId>& bad :
+         {std::vector<NodeId>{4, 4}, std::vector<NodeId>{7, 2},
+          std::vector<NodeId>{n}, std::vector<NodeId>{0, n + 5}}) {
+      NamedStart protocol(n, bad);
+      EXPECT_THROW(net.run(protocol), std::logic_error);
+    }
+    NamedStart after(n, {2, 3});
+    net.run(after);
+    EXPECT_EQ(after.ran(), (std::vector<NodeId>{2, 3}));
   }
 }
 

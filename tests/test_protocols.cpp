@@ -3,11 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
+#include <functional>
+#include <map>
+#include <memory>
 #include <string>
 
 #include "congest/mux.hpp"
 #include "congest/primitives.hpp"
+#include "core/random_walks.hpp"
+#include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
 #include "graph/markov.hpp"
 #include "util/stats.hpp"
@@ -318,9 +324,9 @@ TEST(GetMoreWalks, InterleavedGenerationsReplayToTheirSources) {
   GetMoreWalksProtocol second(g, {{5, 12}}, 5, true, store, &traj);
   EXPECT_EQ(traj.next_generation, n + 2);
   expected_live[n] = expected_live[n + 1] = 1;
-  std::vector<Rng> first_rngs =
+  NodeStreams first_rngs =
       congest::ProtocolMux::derive_lane_rngs(net.seed(), 1, n);
-  std::vector<Rng> second_rngs =
+  NodeStreams second_rngs =
       congest::ProtocolMux::derive_lane_rngs(net.seed(), 2, n);
   congest::ProtocolMux mux(n);
   mux.add_lane(first, &first_rngs);
@@ -615,10 +621,10 @@ TEST(SampleConvergecast, SilentSweepSendsOnlyFromHolderSubtrees) {
       const auto expected_messages = static_cast<std::uint64_t>(
           std::count(reports.begin(), reports.end(), 1));
 
-      const std::vector<Rng> streams =
+      const NodeStreams streams =
           congest::ProtocolMux::derive_lane_rngs(91, root, n);
-      std::vector<Rng> first_streams = streams;
-      std::vector<Rng> silent_streams = streams;
+      NodeStreams first_streams = streams;
+      NodeStreams silent_streams = streams;
       SampleConvergecast first(tree, store, root, Sweep::kFirst);
       const RunStats first_stats = net.run(first, first_streams);
       SampleConvergecast silent(tree, store, root, Sweep::kSilent);
@@ -725,6 +731,468 @@ TEST(SampleCommit, FlipsOnlyTheSampledTokenInDepthMessages) {
       EXPECT_TRUE(root_held) << "root " << root;
     }
   }
+}
+
+// ------------------------------------------------------ round-0 start sets
+
+/// Runs a protocol with the default round-0 start set, every node: the
+/// reference the protocol's own, smaller set must reproduce.
+class DefaultStart final : public congest::Protocol {
+ public:
+  explicit DefaultStart(congest::Protocol& inner) : inner_(&inner) {}
+  void on_run_start(unsigned workers) override {
+    inner_->on_run_start(workers);
+  }
+  void on_round(congest::Context& ctx) override { inner_->on_round(ctx); }
+  bool done() const override { return inner_->done(); }
+
+ private:
+  congest::Protocol* inner_;
+};
+
+/// What the stitch protocols write: the short-walk store, the routing
+/// records and the positions.
+struct World {
+  explicit World(std::size_t n) : store(n), traj(n), positions(n) {}
+  WalkStore store;
+  TrajectoryStore traj;
+  PositionTable positions;
+};
+
+using Digest = std::vector<std::uint64_t>;
+
+void append_world(const World& w, Digest& out) {
+  for (NodeId v = 0; v < w.store.held.size(); ++v) {
+    out.push_back(0xa11ce000u + v);
+    for (const HeldToken& t : w.store.held[v]) {
+      out.insert(out.end(), {t.source, t.seq, t.length, t.arrival_slot,
+                             std::uint64_t{t.used}});
+    }
+    for (const GmwRecord& r : w.traj.gmw[v]) {
+      out.insert(out.end(), {r.gen, r.hop, r.prev_slot, r.next_slot});
+    }
+    for (const WalkPosition& p : w.positions[v]) {
+      out.insert(out.end(), {p.walk, p.step});
+    }
+  }
+}
+
+/// One protocol under test, built on a World; `outputs` appends the
+/// results it keeps itself (destinations, candidate, path, tree).
+struct Built {
+  std::shared_ptr<congest::Protocol> protocol;
+  std::function<void(Digest&)> outputs;
+};
+using Factory = std::function<Built(World&)>;
+
+/// A 64-node graph whose store, records and trees every case starts from:
+/// six Phase-1 walks from each node, with trajectories.
+struct StartSetFixture {
+  static constexpr std::uint32_t kLambda = 4;
+  Graph g;
+  World base;
+  std::vector<congest::BfsTree> trees;  ///< rooted at kRoots
+
+  static constexpr std::array<NodeId, 3> kRoots = {3, 10, 21};
+  static Graph make_graph() {
+    Rng rng(29);
+    return gen::random_regular(64, 4, rng);
+  }
+  StartSetFixture() : g(make_graph()), base(g.node_count()) {
+    Network net(g, 5);
+    std::vector<TopUp> plan;
+    for (NodeId v = 0; v < g.node_count(); ++v) plan.push_back(TopUp{v, 6});
+    GetMoreWalksProtocol phase1(g, plan, kLambda, true, base.store,
+                                &base.traj);
+    net.run(phase1);
+    for (const NodeId root : kRoots) {
+      RunStats build;
+      trees.push_back(congest::build_bfs_tree(net, root, build));
+    }
+  }
+  const congest::BfsTree& tree(NodeId root) const {
+    return trees[static_cast<std::size_t>(
+        std::find(kRoots.begin(), kRoots.end(), root) - kRoots.begin())];
+  }
+
+  /// Replays of the unused tokens whose generation is `residue` mod 3.
+  static std::vector<RegenerateProtocol::Job> replays(const World& w,
+                                                      std::uint32_t residue,
+                                                      std::uint32_t walk_id) {
+    std::vector<RegenerateProtocol::Job> jobs;
+    for (NodeId v = 0; v < w.store.held.size(); ++v) {
+      for (const HeldToken& t : w.store.held[v]) {
+        if (t.used || t.seq % 3 != residue) continue;
+        jobs.push_back(RegenerateProtocol::Job{v, t.seq, t.length,
+                                               t.arrival_slot, 0, walk_id++});
+      }
+    }
+    return jobs;
+  }
+  static std::vector<NaiveSegmentProtocol::Job> tails(std::uint32_t walk_id) {
+    return {{5, 30, walk_id, 100, true, true},
+            {5, 12, walk_id + 1, 7, false, true},
+            {60, 0, walk_id + 2, 3, true, true},
+            {33, 25, walk_id + 3, 0, true, false}};
+  }
+
+  std::map<std::string, Factory> cases() const {
+    std::map<std::string, Factory> out;
+    out["bfs"] = [this](World&) {
+      auto p = std::make_shared<congest::BfsTreeProtocol>(g, 7);
+      return Built{p, [p](Digest& d) {
+                     const congest::BfsTree t = p->take_tree();
+                     d.insert(d.end(), t.parent.begin(), t.parent.end());
+                     d.insert(d.end(), t.subtree_height.begin(),
+                              t.subtree_height.end());
+                   }};
+    };
+    out["broadcast"] = [this](World&) {
+      auto got = std::make_shared<Digest>(g.node_count(), 0);
+      auto p = std::make_shared<congest::BroadcastProtocol>(
+          tree(3), congest::Message{0, {9, 0, 0, 0}},
+          [got](NodeId v, const congest::Message& m) { (*got)[v] += m.f[0]; });
+      return Built{p, [got](Digest& d) {
+                     d.insert(d.end(), got->begin(), got->end());
+                   }};
+    };
+    out["get-more-walks"] = [this](World& w) {
+      auto p = std::make_shared<GetMoreWalksProtocol>(
+          g, std::vector<TopUp>{{40, 9}, {11, 0}, {3, 5}, {40, 2}}, kLambda,
+          true, w.store, &w.traj);
+      return Built{p, [](Digest&) {}};
+    };
+    out["silent-sweep"] = [this](World& w) {
+      auto p = std::make_shared<SampleConvergecast>(
+          tree(10), w.store, 10, SampleConvergecast::Sweep::kSilent);
+      return Built{p, [p](Digest& d) {
+                     const SampleConvergecast::Candidate c = p->result();
+                     d.insert(d.end(), {c.holder, c.count, c.length, c.seq,
+                                        c.held_index});
+                     const std::vector<NodeId> via = p->take_path();
+                     for (NodeId u = 10; via[u] != u; u = via[u]) {
+                       d.push_back(via[u]);
+                     }
+                   }};
+    };
+    out["commit"] = [this](World& w) {
+      Network scratch(g, 99);
+      SampleConvergecast sample(tree(21), w.store, 21,
+                                SampleConvergecast::Sweep::kFirst);
+      scratch.run(sample);
+      auto p = std::make_shared<SampleCommit>(21, sample.take_path(), w.store,
+                                              sample.result());
+      return Built{p, [](Digest&) {}};
+    };
+    out["naive"] = [this](World& w) {
+      auto p = std::make_shared<NaiveSegmentProtocol>(g, tails(100),
+                                                      &w.positions);
+      return Built{p, [p](Digest& d) {
+                     d.insert(d.end(), p->destinations().begin(),
+                              p->destinations().end());
+                   }};
+    };
+    out["regenerate"] = [this](World& w) {
+      auto p = std::make_shared<RegenerateProtocol>(g, replays(w, 0, 200),
+                                                    w.traj, w.positions, 77);
+      return Built{p, [](Digest&) {}};
+    };
+    out["finish"] = [this](World& w) {
+      auto naive = std::make_shared<NaiveSegmentProtocol>(g, tails(300),
+                                                          &w.positions);
+      auto regen = std::make_shared<RegenerateProtocol>(
+          g, replays(w, 1, 400), w.traj, w.positions, 78);
+      auto p = std::make_shared<FinishProtocol>(*naive, *regen);
+      return Built{p, [naive, regen](Digest& d) {
+                     d.insert(d.end(), naive->destinations().begin(),
+                              naive->destinations().end());
+                   }};
+    };
+    return out;
+  }
+};
+
+/// One run's observable outcome.
+struct StartSetOutcome {
+  std::uint64_t rounds = 0;
+  std::uint64_t messages = 0;
+  std::uint64_t node_steps = 0;
+  Digest results;  ///< protocol outputs, then the World
+  Digest draws;    ///< every stream's next draw after the run
+
+  friend bool operator==(const StartSetOutcome& a, const StartSetOutcome& b) {
+    return a.rounds == b.rounds && a.messages == b.messages &&
+           a.results == b.results && a.draws == b.draws;
+  }
+};
+
+/// Runs `lanes` on a copy of the fixture's world: one lane solo on the
+/// network's own streams, several as lanes of one mux on their own streams.
+/// `wrapped` runs each inside DefaultStart.
+StartSetOutcome run_start_set_case(const StartSetFixture& f,
+                                   const std::vector<Factory>& lanes,
+                                   unsigned threads, bool wrapped) {
+  const std::size_t n = f.g.node_count();
+  World w = f.base;
+  Network net(f.g, 17);
+  net.set_threads(threads);
+  std::vector<Built> built;
+  for (const Factory& make : lanes) built.push_back(make(w));
+  std::vector<std::unique_ptr<DefaultStart>> wrappers;
+  std::vector<congest::Protocol*> run;
+  for (const Built& b : built) {
+    run.push_back(b.protocol.get());
+    if (wrapped) {
+      wrappers.push_back(std::make_unique<DefaultStart>(*b.protocol));
+      run.back() = wrappers.back().get();
+    }
+  }
+  StartSetOutcome out;
+  std::vector<NodeStreams> streams;
+  if (run.size() == 1) {
+    const RunStats stats = net.run(*run[0]);
+    out.rounds = stats.rounds;
+    out.messages = stats.messages;
+  } else {
+    congest::ProtocolMux mux(n);
+    streams.reserve(run.size());
+    for (std::size_t l = 0; l < run.size(); ++l) {
+      streams.push_back(
+          congest::ProtocolMux::derive_lane_rngs(net.seed(), l, n));
+      mux.add_lane(*run[l], &streams.back());
+    }
+    const RunStats stats =
+        net.run_multiplexed(mux, static_cast<unsigned>(run.size()));
+    out.rounds = stats.rounds;
+    out.messages = stats.messages;
+    for (unsigned l = 0; l < run.size(); ++l) {
+      out.results.push_back(mux.lane_stats(l).rounds);
+      out.results.push_back(mux.lane_stats(l).messages);
+    }
+  }
+  out.node_steps = net.last_node_steps();
+  for (const Built& b : built) b.outputs(out.results);
+  append_world(w, out.results);
+  for (NodeId v = 0; v < n; ++v) out.draws.push_back(net.node_rng(v)());
+  for (NodeStreams& lane : streams) {
+    for (NodeId v = 0; v < n; ++v) out.draws.push_back(lane[v]());
+  }
+  return out;
+}
+
+// The start-set contract: every protocol that names a round-0 start set
+// behaves exactly as with the default set (every node) -- same
+// destinations, held tokens, routing records, positions, rounds, messages
+// and next draws of every stream -- solo and as lanes of a 4-lane mux, at
+// 1 and 4 threads, while running fewer node steps.
+TEST(StartSets, MatchTheDefaultSetSoloAndAsMuxLanes) {
+  const StartSetFixture f;
+  const std::map<std::string, Factory> cases = f.cases();
+  const std::vector<std::vector<std::string>> groups = {
+      {"bfs"}, {"broadcast"}, {"get-more-walks"}, {"silent-sweep"},
+      {"commit"}, {"naive"}, {"regenerate"}, {"finish"},
+      {"get-more-walks", "bfs", "silent-sweep", "commit"},
+      {"naive", "regenerate", "broadcast", "finish"}};
+  for (const unsigned threads : {1u, 4u}) {
+    for (const std::vector<std::string>& group : groups) {
+      std::string name;
+      std::vector<Factory> lanes;
+      for (const std::string& lane : group) {
+        name += lane + " ";
+        lanes.push_back(cases.at(lane));
+      }
+      SCOPED_TRACE(name + "at threads " + std::to_string(threads));
+      const StartSetOutcome own = run_start_set_case(f, lanes, threads, false);
+      const StartSetOutcome every =
+          run_start_set_case(f, lanes, threads, true);
+      EXPECT_TRUE(own == every);
+      EXPECT_GT(own.rounds, 0u);
+      EXPECT_LT(own.node_steps, every.node_steps);
+    }
+  }
+}
+
+// ------------------------------------------------------------ holder list
+
+/// The nodes holding an unused source-`source` token that holders_of()
+/// does not list, over every source.
+std::uint64_t unlisted_holders(const WalkStore& store) {
+  std::uint64_t missing = 0;
+  for (NodeId v = 0; v < store.held.size(); ++v) {
+    for (const HeldToken& t : store.held[v]) {
+      if (t.used) continue;
+      const std::span<const NodeId> listed = store.holders_of(t.source);
+      missing += !std::binary_search(listed.begin(), listed.end(), v);
+    }
+  }
+  return missing;
+}
+
+std::uint64_t held_total(const WalkStore& store) {
+  std::uint64_t total = 0;
+  for (const auto& tokens : store.held) total += tokens.size();
+  return total;
+}
+
+Params scarce_params() {
+  Params params;
+  params.lambda_override = 3;
+  params.eta = 0.25;
+  return params;
+}
+
+// WalkStore::holders_of rescans only when the held lists changed. It must
+// list every holder a scan finds after a GET-MORE-WALKS run, after
+// compact_store -- also when a top-up brings the held total back to what
+// it was before the compaction -- and after a warm restart adopts a
+// released store.
+TEST(HolderList, ListsEveryHolderAfterTopUpsCompactionAndRestart) {
+  Rng graph_rng(31);
+  const Graph g = gen::random_regular(64, 4, graph_rng);
+  const std::uint32_t diameter = exact_diameter(g);
+  Network net(g, 23);
+  StitchEngine engine(net, scarce_params(), diameter);
+  engine.prepare(4, 60);
+  EXPECT_EQ(unlisted_holders(engine.store()), 0u) << "after Phase 1";
+  engine.replenish({{5, 20}, {9, 3}});
+  EXPECT_EQ(unlisted_holders(engine.store()), 0u)
+      << "after a GET-MORE-WALKS run";
+
+  for (std::uint32_t i = 0; i < 6; ++i) {
+    engine.walk_deferring_tail(static_cast<NodeId>(i * 7), 60, i);
+  }
+  engine.run_deferred();
+  EXPECT_EQ(unlisted_holders(engine.store()), 0u) << "after walks";
+  // No lookup between the compaction and the top-up: the lists were last
+  // scanned at the total the top-up restores, so only the compaction count
+  // tells them apart.
+  const std::uint64_t before = held_total(engine.store());
+  engine.compact_store();
+  const std::uint64_t dropped = before - held_total(engine.store());
+  ASSERT_GT(dropped, 0u);
+  engine.replenish({{17, static_cast<std::uint32_t>(dropped)}});
+  ASSERT_EQ(held_total(engine.store()), before);
+  EXPECT_EQ(unlisted_holders(engine.store()), 0u)
+      << "after compact_store and a top-up back to the old total";
+
+  StitchEngine::EngineState state = engine.release_state();
+  StitchEngine restarted(net, scarce_params(), diameter);
+  restarted.prepare(4, 60);
+  EXPECT_EQ(unlisted_holders(restarted.store()), 0u) << "before adopt_state";
+  restarted.adopt_state(std::move(state));
+  EXPECT_EQ(unlisted_holders(restarted.store()), 0u) << "after adopt_state";
+  restarted.replenish({{30, 12}});
+  EXPECT_EQ(unlisted_holders(restarted.store()), 0u)
+      << "after a top-up of the adopted store";
+}
+
+/// A WalkTask's traversal as a mux lane that checks, when a silent sweep's
+/// run starts, that its start set names every node then holding an unused
+/// token of the sampled source.
+class CheckedSweepLane final : public congest::Protocol {
+ public:
+  struct Tally {
+    std::uint64_t sweeps = 0;
+    std::uint64_t after_top_up = 0;  ///< at a connector a top-up ran at
+    std::uint64_t missing = 0;
+    std::vector<std::uint8_t> topped_up;  ///< by connector
+  };
+  CheckedSweepLane(StitchEngine::WalkTask& task, const WalkStore& store,
+                   Tally& tally)
+      : inner_(&task.protocol()), source_(task.connector()), store_(&store),
+        tally_(&tally) {}
+  std::span<const NodeId> start_nodes(std::span<const NodeId> all) override {
+    const std::span<const NodeId> set = inner_->start_nodes(all);
+    if (dynamic_cast<SampleConvergecast*>(inner_) != nullptr &&
+        set.size() < all.size()) {
+      ++tally_->sweeps;
+      tally_->after_top_up += tally_->topped_up[source_];
+      for (NodeId v = 0; v < store_->held.size(); ++v) {
+        for (const HeldToken& t : store_->held[v]) {
+          if (t.used || t.source != source_) continue;
+          tally_->missing += !std::binary_search(set.begin(), set.end(), v);
+          break;
+        }
+      }
+    }
+    return set;
+  }
+  void on_run_start(unsigned workers) override {
+    inner_->on_run_start(workers);
+  }
+  void on_round(congest::Context& ctx) override { inner_->on_round(ctx); }
+  bool done() const override { return inner_->done(); }
+
+ private:
+  congest::Protocol* inner_;
+  NodeId source_;
+  const WalkStore* store_;
+  Tally* tally_;
+};
+
+// Walks stitched four lanes a wave on a scarce store: in-walk
+// GET-MORE-WALKS lanes add tokens at their connectors, and the next wave
+// resamples there with a silent sweep, whose start set must already hold
+// the new tokens' holders.
+TEST(HolderList, SilentSweepAfterAMuxedTopUpStartsAtEveryHolder) {
+  Rng graph_rng(37);
+  const Graph g = gen::random_regular(64, 4, graph_rng);
+  const auto n = static_cast<NodeId>(g.node_count());
+  Network net(g, 41);
+  StitchEngine engine(net, scarce_params(), exact_diameter(g));
+  engine.prepare(8, 120);
+  std::vector<StitchEngine::WalkTask> tasks;
+  tasks.reserve(8);
+  for (std::uint32_t i = 0; i < 8; ++i) {
+    tasks.push_back(
+        engine.start_walk_task(static_cast<NodeId>(i * 8), 120, i, false));
+  }
+  CheckedSweepLane::Tally tally;
+  tally.topped_up.assign(n, 0);
+  std::uint64_t muxed_top_ups = 0;
+  for (;;) {
+    // A wave: up to four tasks on distinct connectors, token holders first
+    // (the batch scheduler's conflict rule).
+    std::vector<std::size_t> group;
+    std::vector<NodeId> claimed;
+    for (const bool holders : {true, false}) {
+      for (std::size_t i = 0; i < tasks.size() && group.size() < 4; ++i) {
+        if (tasks[i].finished() || tasks[i].holds_token() != holders ||
+            std::count(claimed.begin(), claimed.end(),
+                       tasks[i].connector()) != 0) {
+          continue;
+        }
+        claimed.push_back(tasks[i].connector());
+        group.push_back(i);
+      }
+    }
+    if (group.empty()) break;
+    congest::ProtocolMux mux(n);
+    std::vector<std::unique_ptr<CheckedSweepLane>> lanes;
+    std::vector<NodeId> top_ups;
+    for (const std::size_t i : group) {
+      if (dynamic_cast<GetMoreWalksProtocol*>(&tasks[i].protocol())) {
+        top_ups.push_back(tasks[i].connector());
+      }
+      lanes.push_back(
+          std::make_unique<CheckedSweepLane>(tasks[i], engine.store(), tally));
+      mux.add_lane(*lanes.back(), &tasks[i].lane_rngs());
+    }
+    net.run_multiplexed(mux, static_cast<unsigned>(group.size()));
+    for (unsigned l = 0; l < group.size(); ++l) {
+      RunStats lane;
+      lane.rounds = mux.lane_stats(l).rounds;
+      lane.messages = mux.lane_stats(l).messages;
+      tasks[group[l]].advance(lane);
+    }
+    for (const NodeId c : top_ups) tally.topped_up[c] = 1;
+    if (group.size() > 1) muxed_top_ups += top_ups.size();
+  }
+  engine.run_deferred();
+  EXPECT_EQ(tally.missing, 0u);
+  EXPECT_GT(tally.sweeps, 0u);
+  EXPECT_GT(tally.after_top_up, 0u);
+  EXPECT_GT(muxed_top_ups, 0u);
 }
 
 TEST(NaiveSegment, DestinationMatchesPositions) {

@@ -194,6 +194,23 @@ for path, rounds, messages in [(sys.argv[1], 1159224, 9185335),
           f"({life['rounds'] / rounds:.3f} x {rounds}), "
           f"{life['messages']} messages")
 PY
+  # Node-step gate: executor.node_steps counts the top-level on_round
+  # calls. When every run woke all 512 nodes in round 0, these batches took
+  # 14,314,430 node steps at --mux=1 and 10,135,112 at --mux=4, where a
+  # wave's lanes already shared one round 0. Round 0 now runs only each
+  # protocol's start set: 8,215,818 and 8,018,370 steps. What remains is
+  # mostly token hops and tree floods, which waves do not share, so the
+  # --mux=4 count cannot fall as far; it is gated at 0.8x.
+  python3 - stats_gmw.json stats_gmw_mux4.json <<'PY'
+import json, sys
+for path, parent, bound in [(sys.argv[1], 14314430, 0.6),
+                            (sys.argv[2], 10135112, 0.8)]:
+    steps = json.load(open(path))["registry"]["executor.node_steps"]
+    if steps > bound * parent:
+        sys.exit(f"{path}: {steps} node steps > {bound} x {parent}")
+    print(f"node-step gate: {path}: {steps} node steps "
+          f"({steps / parent:.3f} x {parent})")
+PY
   python3 - stats_gmw.json <<'PY'
 import json, sys
 stats = json.load(open(sys.argv[1]))
