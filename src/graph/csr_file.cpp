@@ -16,8 +16,7 @@
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "resil/failpoint.hpp"
-#include "resil/snapshot.hpp"  // resil::crc32
+#include "resil/snapshot.hpp"  // crc32, write_file_atomically
 
 namespace drw::csr {
 namespace {
@@ -50,29 +49,6 @@ bool file_has_csr_magic(const std::string& path) {
 bool verify_enabled() {
   const char* env = std::getenv("DRW_CSR_VERIFY");
   return env == nullptr || std::strcmp(env, "0") != 0;
-}
-
-/// Budgeted write loop. `budget` caps payload bytes (the "csr.write"
-/// short-write failpoint); on IO failure closes fd, unlinks tmp, throws.
-void write_capped(int fd, const std::string& tmp, const void* data,
-                  std::size_t size, std::uint64_t& budget) {
-  const std::size_t want =
-      static_cast<std::size_t>(std::min<std::uint64_t>(size, budget));
-  budget -= want;
-  const auto* p = static_cast<const std::uint8_t*>(data);
-  std::size_t written = 0;
-  while (written < want) {
-    const ssize_t n = ::write(fd, p + written, want - written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      const int err = errno;
-      ::close(fd);
-      ::unlink(tmp.c_str());
-      throw std::runtime_error("csr: write to " + tmp + " failed: " +
-                               std::strerror(err));
-    }
-    written += static_cast<std::size_t>(n);
-  }
 }
 
 LoadedGraph load_text(const std::string& path, unsigned threads,
@@ -157,46 +133,13 @@ void write_csr_file(const std::string& path, const Graph& g,
   std::memcpy(header + 16, &payload_size, 8);
   std::memcpy(header + 24, &crc, 4);
 
-  // A short_write arming truncates the payload AFTER the header promised
-  // the full size: the torn file renames into place and the reader's
-  // size/CRC validation must reject it.
-  std::uint64_t budget = ~std::uint64_t{0};
-  if (resil::failpoint("csr.write")) budget = payload_size / 2;
-
-  const std::string tmp = path + ".tmp";
-  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) {
-    throw std::runtime_error("csr: cannot open " + tmp + ": " +
-                             std::strerror(errno));
-  }
-  std::uint64_t header_budget = ~std::uint64_t{0};
-  write_capped(fd, tmp, header, sizeof header, header_budget);
-  write_capped(fd, tmp, meta, sizeof meta, budget);
-  write_capped(fd, tmp, g.offsets().data(), (n + 1) * 8, budget);
-  write_capped(fd, tmp, g.adjacency().data(), ac * 4, budget);
-  if (flags != 0) write_capped(fd, tmp, new_to_old.data(), n * 4, budget);
-  if (::fsync(fd) != 0 || ::close(fd) != 0) {
-    ::unlink(tmp.c_str());
-    throw std::runtime_error("csr: fsync/close of " + tmp + " failed");
-  }
-  // The kill-mid-convert window: a crash here leaves only the stray .tmp,
-  // never a half-renamed cache file.
-  resil::failpoint("csr.commit");
-  if (::rename(tmp.c_str(), path.c_str()) != 0) {
-    const int err = errno;
-    ::unlink(tmp.c_str());
-    throw std::runtime_error("csr: rename to " + path + " failed: " +
-                             std::strerror(err));
-  }
-  const std::size_t slash = path.find_last_of('/');
-  const std::string dir = slash == std::string::npos
-                              ? std::string(".")
-                              : path.substr(0, slash == 0 ? 1 : slash);
-  const int dfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (dfd >= 0) {
-    ::fsync(dfd);
-    ::close(dfd);
-  }
+  std::vector<resil::ByteRun> payload = {
+      {meta, sizeof meta},
+      {g.offsets().data(), (n + 1) * 8},
+      {g.adjacency().data(), ac * 4}};
+  if (flags != 0) payload.push_back({new_to_old.data(), n * 4});
+  resil::write_file_atomically(path, "csr", "csr.write", "csr.commit",
+                               {header, sizeof header}, payload);
 }
 
 ReadOutcome read_csr_file(const std::string& path) {

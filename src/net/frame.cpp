@@ -165,33 +165,43 @@ std::optional<ResponseFrame> decode_response(const std::uint8_t* p,
   return f;
 }
 
+std::vector<std::uint8_t> frame_bytes(
+    FrameType type, const std::vector<std::uint8_t>& payload) {
+  std::vector<std::uint8_t> out;
+  out.reserve(kFrameHeaderSize + payload.size());
+  put_u32(out, static_cast<std::uint32_t>(payload.size()));
+  put_u8(out, static_cast<std::uint8_t>(type));
+  out.insert(out.end(), payload.begin(), payload.end());
+  return out;
+}
+
+bool parse_frame_header(const std::uint8_t* header, FrameType* type,
+                        std::uint32_t* payload_len) {
+  std::uint32_t len = 0;
+  for (int i = 0; i < 4; ++i) len |= std::uint32_t(header[i]) << (8 * i);
+  if (len > kMaxFramePayload || header[4] < 1 || header[4] > 3) return false;
+  *type = static_cast<FrameType>(header[4]);
+  *payload_len = len;
+  return true;
+}
+
 bool write_frame(Socket& s, FrameType type,
                  const std::vector<std::uint8_t>& payload, int timeout_ms) {
   if (payload.size() > kMaxFramePayload) return false;
-  std::vector<std::uint8_t> header;
-  header.reserve(5);
-  put_u32(header, static_cast<std::uint32_t>(payload.size()));
-  put_u8(header, static_cast<std::uint8_t>(type));
-  if (!send_all(s, header.data(), header.size(), timeout_ms)) return false;
-  if (payload.empty()) return true;
-  return send_all(s, payload.data(), payload.size(), timeout_ms);
+  const std::vector<std::uint8_t> frame = frame_bytes(type, payload);
+  return send_all(s, frame.data(), frame.size(), timeout_ms);
 }
 
 bool read_frame(Socket& s, FrameType* type,
                 std::vector<std::uint8_t>* payload, int timeout_ms) {
-  std::uint8_t header[5];
-  if (!recv_all(s, header, sizeof(header), timeout_ms)) return false;
+  std::uint8_t header[kFrameHeaderSize];
   std::uint32_t len = 0;
-  for (int i = 0; i < 4; ++i) len |= std::uint32_t(header[i]) << (8 * i);
-  const std::uint8_t raw_type = header[4];
-  if (len > kMaxFramePayload) return false;
-  if (raw_type < 1 || raw_type > 3) return false;
-  payload->resize(len);
-  if (len != 0 && !recv_all(s, payload->data(), len, timeout_ms)) {
+  if (!recv_all(s, header, sizeof(header), timeout_ms) ||
+      !parse_frame_header(header, type, &len)) {
     return false;
   }
-  *type = static_cast<FrameType>(raw_type);
-  return true;
+  payload->resize(len);
+  return len == 0 || recv_all(s, payload->data(), len, timeout_ms);
 }
 
 }  // namespace drw::net

@@ -47,6 +47,7 @@ namespace drw::net {
 inline constexpr std::uint32_t kProtocolVersion = 1;
 inline constexpr std::uint32_t kMaxFramePayload = 16u << 20;
 inline constexpr std::uint64_t kNotAdmitted = ~std::uint64_t{0};
+inline constexpr std::size_t kFrameHeaderSize = 5;  ///< u32 len | u8 type
 
 enum class FrameType : std::uint8_t {
   kHello = 1,
@@ -91,13 +92,21 @@ std::optional<RequestFrame> decode_request(const std::uint8_t* p,
 std::optional<ResponseFrame> decode_response(const std::uint8_t* p,
                                              std::size_t n);
 
-/// Writes one frame (header + payload) with send_all semantics.
+/// One whole frame on the wire: header + payload.
+std::vector<std::uint8_t> frame_bytes(FrameType type,
+                                      const std::vector<std::uint8_t>& payload);
+
+/// Parses a frame header; false on a length prefix above kMaxFramePayload
+/// or an unknown type byte (every frame reader applies these checks).
+bool parse_frame_header(const std::uint8_t* header, FrameType* type,
+                        std::uint32_t* payload_len);
+
+/// Writes one frame with send_all semantics.
 bool write_frame(Socket& s, FrameType type,
                  const std::vector<std::uint8_t>& payload, int timeout_ms);
 
-/// Reads one frame. Returns false on EOF, timeout, an oversized length
-/// prefix, or an unknown type byte; *type / *payload are only valid on
-/// true.
+/// Reads one frame. Returns false on EOF, timeout, or a header that
+/// parse_frame_header rejects; *type / *payload are only valid on true.
 bool read_frame(Socket& s, FrameType* type,
                 std::vector<std::uint8_t>* payload, int timeout_ms);
 

@@ -41,14 +41,16 @@ bool wait_fd(int fd, short events, int timeout_ms) {
   }
 }
 
-/// Every data socket runs non-blocking: send/recv return EAGAIN instead of
-/// blocking, so the poll() in send_all/recv_all is the ONLY place a thread
-/// waits -- and it always carries the io timeout. A blocking socket would
-/// make send_all's timeout dead code (::send just parks until the peer
+/// Every socket runs non-blocking, so a poll() with a timeout is the ONLY
+/// place a thread waits (a blocking ::send just parks until the peer
 /// drains its receive window).
 void set_nonblocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
   ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
+}
+
+bool would_block() {
+  return errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR;
 }
 
 }  // namespace
@@ -58,14 +60,6 @@ void Socket::close() noexcept {
     ::close(fd_);
     fd_ = -1;
   }
-}
-
-void Socket::shutdown_read() noexcept {
-  if (fd_ >= 0) ::shutdown(fd_, SHUT_RD);
-}
-
-void Socket::shutdown_both() noexcept {
-  if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
 }
 
 Socket tcp_listen(const std::string& host, std::uint16_t port, int backlog) {
@@ -86,6 +80,7 @@ Socket tcp_listen(const std::string& host, std::uint16_t port, int backlog) {
     throw std::runtime_error(std::string("net: listen: ") +
                              std::strerror(errno));
   }
+  set_nonblocking(s.fd());
   return s;
 }
 
@@ -135,20 +130,12 @@ Socket tcp_connect(const std::string& host, std::uint16_t port,
   return s;
 }
 
-Socket accept_one(Socket& listener, int wake_fd, int timeout_ms) {
-  pollfd pfds[2];
-  pfds[0] = {listener.fd(), POLLIN, 0};
-  nfds_t n = 1;
-  if (wake_fd >= 0) {
-    pfds[1] = {wake_fd, POLLIN, 0};
-    n = 2;
+Socket accept_one(Socket& listener, int timeout_ms) {
+  if (timeout_ms > 0 && !wait_fd(listener.fd(), POLLIN, timeout_ms)) {
+    return Socket();
   }
-  const int rc = ::poll(pfds, n, timeout_ms);
-  if (rc <= 0) return Socket();                       // timeout / EINTR
-  if (n == 2 && (pfds[1].revents & POLLIN)) return Socket();  // woken
-  if (!(pfds[0].revents & POLLIN)) return Socket();
   const int fd = ::accept(listener.fd(), nullptr, nullptr);
-  if (fd < 0) return Socket();  // transient (peer gone, fd pressure)
+  if (fd < 0) return Socket();  // none pending, peer gone, fd pressure
   Socket s(fd);
   if (resil::failpoint("net.accept")) return Socket();  // injected drop
   set_nonblocking(s.fd());
@@ -157,57 +144,40 @@ Socket accept_one(Socket& listener, int wake_fd, int timeout_ms) {
   return s;
 }
 
+long send_some(Socket& s, const void* data, std::size_t n) {
+  // Torn write: push out half the bytes, then report the send failed. The
+  // peer sees a truncated frame; its frame reader fails cleanly.
+  const bool torn = resil::failpoint("net.write");
+  const ssize_t w = ::send(s.fd(), data, torn ? n / 2 : n, MSG_NOSIGNAL);
+  return torn ? -1 : w >= 0 ? w : would_block() ? 0 : -1;
+}
+
+long recv_some(Socket& s, void* data, std::size_t n) {
+  if (resil::failpoint("net.read")) return -1;
+  const ssize_t r = ::recv(s.fd(), data, n, 0);
+  return r > 0 ? r : r < 0 && would_block() ? 0 : -1;  // r == 0: EOF
+}
+
 bool send_all(Socket& s, const void* data, std::size_t n, int timeout_ms) {
   const char* p = static_cast<const char*>(data);
-  if (resil::failpoint("net.write")) {
-    // Torn write: push out half the bytes, then report the send failed.
-    // The peer sees a truncated frame; its read_frame fails cleanly.
-    n /= 2;
-    std::size_t sent = 0;
-    while (sent < n) {
-      const ssize_t w = ::send(s.fd(), p + sent, n - sent, MSG_NOSIGNAL);
-      if (w > 0) {
-        sent += static_cast<std::size_t>(w);
-        continue;
-      }
-      if (w < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-        if (!wait_fd(s.fd(), POLLOUT, timeout_ms)) break;
-        continue;
-      }
-      break;
-    }
-    return false;
-  }
   std::size_t sent = 0;
   while (sent < n) {
-    const ssize_t w = ::send(s.fd(), p + sent, n - sent, MSG_NOSIGNAL);
-    if (w > 0) {
-      sent += static_cast<std::size_t>(w);
-      continue;
-    }
-    if (w < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      if (!wait_fd(s.fd(), POLLOUT, timeout_ms)) return false;
-      continue;
-    }
-    if (w < 0 && errno == EINTR) continue;
-    return false;
+    const long w = send_some(s, p + sent, n - sent);
+    if (w < 0) return false;
+    if (w == 0 && !wait_fd(s.fd(), POLLOUT, timeout_ms)) return false;
+    sent += static_cast<std::size_t>(w);
   }
   return true;
 }
 
 bool recv_all(Socket& s, void* data, std::size_t n, int timeout_ms) {
-  if (resil::failpoint("net.read")) return false;
   char* p = static_cast<char*>(data);
   std::size_t got = 0;
   while (got < n) {
     if (!wait_fd(s.fd(), POLLIN, timeout_ms)) return false;
-    const ssize_t r = ::recv(s.fd(), p + got, n - got, 0);
-    if (r > 0) {
-      got += static_cast<std::size_t>(r);
-      continue;
-    }
-    if (r < 0 && (errno == EINTR || errno == EAGAIN)) continue;
-    return false;  // EOF or hard error
+    const long r = recv_some(s, p + got, n - got);
+    if (r < 0) return false;
+    got += static_cast<std::size_t>(r);
   }
   return true;
 }
@@ -217,10 +187,7 @@ WakePipe::WakePipe() {
     fds_[0] = fds_[1] = -1;
     return;
   }
-  for (int fd : fds_) {
-    const int flags = ::fcntl(fd, F_GETFL, 0);
-    ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-  }
+  for (int fd : fds_) set_nonblocking(fd);
 }
 
 WakePipe::~WakePipe() {

@@ -1,16 +1,13 @@
 // drw::net -- minimal POSIX TCP plumbing for the always-on walk server.
 //
-// Everything here is deliberately boring: RAII fds, non-blocking data
-// sockets (accept_one and tcp_connect both set O_NONBLOCK for the life of
-// the socket) with poll()-based timeouts on every wait -- a stuck peer
-// must never wedge a reader or writer thread forever; a full send buffer
-// surfaces as EAGAIN and the poll carries the timeout, so a dead client
-// marks its connection dead instead of parking ::send -- and a self-pipe
-// so an async-signal-safe
-// request_stop() can wake a poll()ing accept loop. Failpoint sites
-// ("net.accept", "net.read", "net.write" -- see resil/failpoint.hpp) are
-// planted on each path so the crash harness and tests can inject
-// connection-level faults against the real server.
+// Everything here is deliberately boring: RAII fds, non-blocking sockets
+// (set by tcp_listen, accept_one and tcp_connect) whose every wait is a
+// poll() with a timeout -- so a stuck peer can never park a thread in
+// ::send or ::recv -- and a self-pipe so an async-signal-safe
+// request_stop() can wake a poll()ing loop. Failpoint sites ("net.accept",
+// "net.read", "net.write" -- see resil/failpoint.hpp) sit on each path so
+// the crash harness and tests can inject connection-level faults against
+// the real server.
 //
 // The framing protocol built on top lives in net/frame.hpp.
 #pragma once
@@ -42,11 +39,6 @@ class Socket {
   int fd() const noexcept { return fd_; }
   bool valid() const noexcept { return fd_ >= 0; }
   void close() noexcept;
-  /// shutdown(SHUT_RD): wakes a peer thread blocked in recv/poll on this
-  /// socket without closing the fd out from under it (the clean-shutdown
-  /// path stops readers this way, then lets writers finish).
-  void shutdown_read() noexcept;
-  void shutdown_both() noexcept;
 
  private:
   int fd_ = -1;
@@ -64,22 +56,27 @@ std::uint16_t local_port(const Socket& s);
 Socket tcp_connect(const std::string& host, std::uint16_t port,
                    int timeout_ms);
 
-/// Waits for one connection on `listener`, also watching `wake_fd` (< 0 =
-/// none; typically WakePipe::read_fd). Returns an invalid Socket on
-/// timeout, wake, or transient accept failure. Failpoint "net.accept"
-/// (short_write action drops the accepted connection).
-Socket accept_one(Socket& listener, int wake_fd, int timeout_ms);
+/// Accepts one connection, waiting up to `timeout_ms` for it (0 = only if
+/// one is already pending). Returns an invalid Socket on timeout or a
+/// transient accept failure. Failpoint "net.accept" (short_write action
+/// drops the accepted connection).
+Socket accept_one(Socket& listener, int timeout_ms);
+
+/// One non-blocking send / recv: the bytes moved, 0 if the socket would
+/// block, -1 on EOF or error (the connection is done). Failpoints
+/// "net.write" (short_write sends half the bytes and reports failure, so
+/// the peer sees a torn frame) and "net.read" (short_write fails the read).
+long send_some(Socket& s, const void* data, std::size_t n);
+long recv_some(Socket& s, void* data, std::size_t n);
 
 /// Fully sends / receives exactly n bytes, poll()ing with `timeout_ms` per
 /// wait. Returns false on EOF, timeout, or error -- the caller treats the
-/// connection as dead; no partial-progress state escapes. Failpoints
-/// "net.write" (short_write truncates the send and reports failure, so the
-/// peer sees a torn frame) and "net.read" (short_write fails the read).
+/// connection as dead; no partial-progress state escapes.
 bool send_all(Socket& s, const void* data, std::size_t n, int timeout_ms);
 bool recv_all(Socket& s, void* data, std::size_t n, int timeout_ms);
 
 /// Self-pipe (both ends non-blocking). wake() is async-signal-safe: a
-/// SIGTERM handler calls it to break the accept loop out of poll().
+/// SIGTERM handler calls it to break a poll loop out of poll().
 class WakePipe {
  public:
   WakePipe();

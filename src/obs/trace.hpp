@@ -62,7 +62,7 @@ enum class Name : std::uint16_t {
   kIngestWrite,       ///< span: binary CSR serialization + atomic commit
   kIngestLoad,        ///< span: CSR open + validate + mmap (arg = bytes)
   kServerDrain,       ///< span: one admission drain + serve (arg = admitted)
-  kServerRespond,     ///< span: response encode + write (arg = admitted idx)
+  kServerRespond,     ///< span: response encode + outbox (arg = admitted idx)
   kCount
 };
 

@@ -4,6 +4,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <bit>
 #include <cerrno>
 #include <cstdio>
@@ -294,56 +295,54 @@ std::uint64_t graph_fingerprint(const Graph& g, std::uint64_t seed) {
   return h;
 }
 
-void write_snapshot_file(const std::string& path,
-                         const ServiceSnapshot& snap) {
-  std::vector<std::uint8_t> payload = encode_payload(snap);
-
-  std::vector<std::uint8_t> file(kHeaderSize);
-  std::memcpy(file.data(), kMagic, sizeof kMagic);
-  const std::uint32_t version = kSnapshotVersion;
-  std::memcpy(file.data() + 8, &version, 4);
-  const std::uint64_t payload_size = payload.size();
-  std::memcpy(file.data() + 16, &payload_size, 8);
-  const std::uint32_t checksum = crc32(payload.data(), payload.size());
-  std::memcpy(file.data() + 24, &checksum, 4);
-  // A short_write arming truncates the payload AFTER the header promised
-  // the full size: the torn file renames into place and the reader's
-  // size/CRC validation must reject it.
-  if (failpoint("snapshot.write")) payload.resize(payload.size() / 2);
-  file.insert(file.end(), payload.begin(), payload.end());
-
+void write_file_atomically(const std::string& path, const char* what,
+                           const char* write_site, const char* commit_site,
+                           ByteRun header, const std::vector<ByteRun>& payload) {
+  std::uint64_t budget = ~std::uint64_t{0};
+  if (failpoint(write_site)) {
+    std::uint64_t total = 0;
+    for (const ByteRun& run : payload) total += run.size;
+    budget = total / 2;
+  }
   const std::string tmp = path + ".tmp";
   const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) {
-    throw std::runtime_error("snapshot: cannot open " + tmp + ": " +
-                             std::strerror(errno));
+    throw std::runtime_error(std::string(what) + ": cannot open " + tmp +
+                             ": " + std::strerror(errno));
   }
-  std::size_t written = 0;
-  while (written < file.size()) {
-    const ssize_t n = ::write(fd, file.data() + written,
-                              file.size() - written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      const int err = errno;
-      ::close(fd);
-      ::unlink(tmp.c_str());
-      throw std::runtime_error("snapshot: write to " + tmp + " failed: " +
-                               std::strerror(err));
+  const auto put = [&](ByteRun run, std::uint64_t& cap) {
+    const std::size_t want =
+        static_cast<std::size_t>(std::min<std::uint64_t>(run.size, cap));
+    cap -= want;
+    const auto* p = static_cast<const std::uint8_t*>(run.data);
+    std::size_t written = 0;
+    while (written < want) {
+      const ssize_t n = ::write(fd, p + written, want - written);
+      if (n < 0) {
+        if (errno == EINTR) continue;
+        const int err = errno;
+        ::close(fd);
+        ::unlink(tmp.c_str());
+        throw std::runtime_error(std::string(what) + ": write to " + tmp +
+                                 " failed: " + std::strerror(err));
+      }
+      written += static_cast<std::size_t>(n);
     }
-    written += static_cast<std::size_t>(n);
-  }
+  };
+  std::uint64_t header_cap = ~std::uint64_t{0};
+  put(header, header_cap);
+  for (const ByteRun& run : payload) put(run, budget);
   if (::fsync(fd) != 0 || ::close(fd) != 0) {
     ::unlink(tmp.c_str());
-    throw std::runtime_error("snapshot: fsync/close of " + tmp + " failed");
+    throw std::runtime_error(std::string(what) + ": fsync/close of " + tmp +
+                             " failed");
   }
-  // The kill-mid-snapshot window: a crash here leaves the previous
-  // complete snapshot in place plus a stray .tmp (never a torn snapshot).
-  failpoint("snapshot.commit");
+  failpoint(commit_site);
   if (::rename(tmp.c_str(), path.c_str()) != 0) {
     const int err = errno;
     ::unlink(tmp.c_str());
-    throw std::runtime_error("snapshot: rename to " + path + " failed: " +
-                             std::strerror(err));
+    throw std::runtime_error(std::string(what) + ": rename to " + path +
+                             " failed: " + std::strerror(err));
   }
   // Durability of the rename itself: fsync the containing directory.
   const std::size_t slash = path.find_last_of('/');
@@ -355,6 +354,22 @@ void write_snapshot_file(const std::string& path,
     ::fsync(dfd);
     ::close(dfd);
   }
+}
+
+void write_snapshot_file(const std::string& path,
+                         const ServiceSnapshot& snap) {
+  const std::vector<std::uint8_t> payload = encode_payload(snap);
+  std::uint8_t header[kHeaderSize] = {};
+  std::memcpy(header, kMagic, sizeof kMagic);
+  const std::uint32_t version = kSnapshotVersion;
+  std::memcpy(header + 8, &version, 4);
+  const std::uint64_t payload_size = payload.size();
+  std::memcpy(header + 16, &payload_size, 8);
+  const std::uint32_t checksum = crc32(payload.data(), payload.size());
+  std::memcpy(header + 24, &checksum, 4);
+  write_file_atomically(path, "snapshot", "snapshot.write", "snapshot.commit",
+                        {header, sizeof header},
+                        {{payload.data(), payload.size()}});
 }
 
 ReadOutcome read_snapshot_file(const std::string& path) {

@@ -90,6 +90,25 @@ std::uint64_t graph_fingerprint(const Graph& g, std::uint64_t seed);
 std::uint32_t crc32(const void* data, std::size_t size,
                     std::uint32_t seed = 0);
 
+/// One contiguous run of bytes for write_file_atomically.
+struct ByteRun {
+  const void* data = nullptr;
+  std::size_t size = 0;
+};
+
+/// The durable commit both on-disk formats share: writes `header` then the
+/// `payload` runs to <path>.tmp, fsyncs and closes it, passes failpoint
+/// `commit_site` (the kill-mid-commit window: a crash there leaves the old
+/// file plus a stray .tmp, never a torn file at `path`), renames it over
+/// `path` and fsyncs the directory. On an IO error the .tmp is unlinked and
+/// a std::runtime_error prefixed with `what` is thrown. A short_write
+/// arming of `write_site` truncates the payload to half its size AFTER the
+/// header promised all of it: the torn file renames into place and the
+/// reader's size/CRC validation must reject it.
+void write_file_atomically(const std::string& path, const char* what,
+                           const char* write_site, const char* commit_site,
+                           ByteRun header, const std::vector<ByteRun>& payload);
+
 /// Atomically writes `snap` to `path` (tmp + fsync + rename). Throws
 /// std::runtime_error on IO failure. Failpoints: "snapshot.write"
 /// (short_write truncates the payload -- a simulated torn file that the

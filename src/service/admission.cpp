@@ -34,7 +34,7 @@ void AdmissionQueue::set_class_quantum(std::uint32_t class_id,
 }
 
 std::string AdmissionQueue::class_name(std::uint32_t class_id) const {
-  // By value: intern_class (reader threads, any HELLO) can reallocate
+  // By value: intern_class (the I/O thread, on any HELLO) can reallocate
   // class_names_ at any time, so a reference would dangle once mu_ drops.
   std::lock_guard<std::mutex> lock(mu_);
   return class_names_[class_id < class_names_.size() ? class_id : 0];

@@ -38,7 +38,7 @@
 // parameters), so deadline behavior is deterministic in tests.
 //
 // Thread safety: every method is safe to call concurrently (the server's
-// per-connection reader threads enqueue; one serving thread drains).
+// I/O thread enqueues; one serving thread drains).
 // Determinism: the admitted order is a pure function of the queue
 // contents -- flows cycle in ascending flow id, FIFO within a flow, so a
 // logged admitted order replays bit-identically (see tools/drw request

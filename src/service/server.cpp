@@ -1,12 +1,30 @@
 #include "service/server.hpp"
 
+#include <poll.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <optional>
 #include <stdexcept>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace drw::service {
+namespace {
+
+/// A request answered before admission (admission_index kNotAdmitted).
+net::ResponseFrame reject_frame(std::uint64_t tag, RequestStatus status,
+                                bool record) {
+  net::ResponseFrame frame;
+  frame.tag = tag;
+  frame.status = static_cast<std::uint8_t>(status);
+  frame.record = record;
+  return frame;
+}
+
+}  // namespace
+
 WalkServer::WalkServer(WalkService& service, const csr::LoadedGraph& graph,
                        ServerConfig config)
     : service_(service),
@@ -29,7 +47,7 @@ WalkServer::WalkServer(WalkService& service, const csr::LoadedGraph& graph,
 
 WalkServer::~WalkServer() {
   request_stop();
-  if (accept_thread_.joinable() || serve_thread_.joinable()) join();
+  if (io_thread_.joinable() || serve_thread_.joinable()) join();
   if (log_ != nullptr) std::fclose(log_);
 }
 
@@ -47,38 +65,14 @@ void WalkServer::start() {
     }
   }
   epoch_ = std::chrono::steady_clock::now();
-  accept_thread_ = std::thread([this] { accept_loop(); });
+  io_thread_ = std::thread([this] { io_loop(); });
   serve_thread_ = std::thread([this] { serve_loop(); });
 }
 
 void WalkServer::join() {
-  if (accept_thread_.joinable()) accept_thread_.join();
-  // Accepting has stopped. Wake every reader (a blocked recv sees EOF via
-  // SHUT_RD), join them, then close the queue so the serving thread can
-  // drain the remainder and exit.
-  {
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    for (auto& conn : conns_) conn->socket.shutdown_read();
-  }
-  for (;;) {
-    Conn* pending = nullptr;
-    {
-      std::lock_guard<std::mutex> lock(conns_mu_);
-      for (auto& conn : conns_) {
-        if (conn->reader.joinable()) {
-          pending = conn.get();
-          break;
-        }
-      }
-    }
-    if (pending == nullptr) break;
-    pending->reader.join();
-  }
-  queue_.close();
   if (serve_thread_.joinable()) serve_thread_.join();
-  if (log_ != nullptr) {
-    std::fflush(log_);
-  }
+  if (io_thread_.joinable()) io_thread_.join();
+  if (log_ != nullptr) std::fflush(log_);
   // Snapshot-on-SIGTERM: persist serving state accumulated since the last
   // batch boundary (no-op without ServiceConfig.snapshot_path).
   service_.checkpoint();
@@ -89,184 +83,195 @@ ServerStats WalkServer::stats() const {
   return stats_;
 }
 
-std::size_t WalkServer::open_connections() const {
-  std::lock_guard<std::mutex> lock(conns_mu_);
-  return conns_.size();
+void WalkServer::count(std::uint64_t ServerStats::*field, std::uint64_t n) {
+  std::lock_guard<std::mutex> lock(stats_mu_);
+  stats_.*field += n;
 }
 
-void WalkServer::accept_loop() {
+void WalkServer::io_loop() {
   auto& connections = obs::Registry::global().counter("server.connections");
-  while (!stopping()) {
-    net::Socket sock =
-        net::accept_one(listener_, wake_.read_fd(), /*timeout_ms=*/250);
-    reap_connections();
-    if (stopping()) break;
-    if (!sock.valid()) continue;
-    connections.add(1);
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++stats_.connections;
+  const double timeout = config_.io_timeout_ms;
+  std::vector<pollfd> fds;
+  bool draining = false;
+  for (;;) {
+    // Input until stop, output wherever some is pending. A negative fd is
+    // skipped, so an idle socket's hangup cannot spin the draining loop.
+    fds.assign({{wake_.read_fd(), POLLIN, 0}, {listener_.fd(), POLLIN, 0}});
+    for (const Conn& c : conns_) {
+      const short events = static_cast<short>((draining ? 0 : POLLIN) |
+                                              (c.out.empty() ? 0 : POLLOUT));
+      fds.push_back({events != 0 ? c.socket.fd() : -1, events, 0});
     }
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    auto conn = std::make_shared<Conn>();
-    conn->socket = std::move(sock);
-    conn->id = next_conn_id_++;
-    Conn* raw = conn.get();
-    conns_.push_back(std::move(conn));
-    raw->reader = std::thread([this, raw] { reader_loop(raw); });
-  }
-}
+    ::poll(fds.data(), fds.size(), /*timeout_ms=*/250);
+    const double now = now_ms();
+    char wakes[256];
+    while (::read(wake_.read_fd(), wakes, sizeof wakes) > 0) {
+    }
+    if (!draining && stopping()) {
+      // Accept and read nothing more; the serving thread drains what is
+      // queued, and the loop stays up to deliver it.
+      draining = true;
+      listener_.close();
+      queue_.close();
+    }
+    const bool served = serve_done_.load(std::memory_order_acquire);
+    std::vector<std::pair<std::uint64_t, std::vector<std::uint8_t>>> ready;
+    {
+      std::lock_guard<std::mutex> lock(outbox_mu_);
+      ready.swap(outbox_);
+    }
+    for (const auto& [id, frame] : ready) {
+      const auto it = std::lower_bound(
+          conns_.begin(), conns_.end(), id,
+          [](const Conn& c, std::uint64_t want) { return c.id < want; });
+      // A closed connection's response is dropped; the batch result stands.
+      if (it != conns_.end() && it->id == id) it->push(frame, now);
+    }
 
-void WalkServer::reap_connections() {
-  // Collect under the lock, tear down outside it: readers call respond(),
-  // which takes conns_mu_, so joining a reader under conns_mu_ deadlocks.
-  std::vector<std::shared_ptr<Conn>> dead;
-  {
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    auto it = conns_.begin();
-    while (it != conns_.end()) {
-      if ((*it)->dead.load(std::memory_order_relaxed)) {
-        dead.push_back(std::move(*it));
-        it = conns_.erase(it);
-      } else {
-        ++it;
+    for (std::size_t i = 0; i < conns_.size(); ++i) {
+      Conn& c = conns_[i];
+      const bool readable =
+          !draining && (fds[i + 2].revents & (POLLIN | POLLHUP | POLLERR));
+      c.closed = (readable && !read_from(c, now)) ||
+                 (!c.out.empty() && !write_to(c, now)) ||
+                 (!draining && now - c.last_read_ms > timeout) ||
+                 (!c.out.empty() && now - c.last_write_ms > timeout);
+      if (c.closed) queue_.release_flow(c.id);
+    }
+    conns_.erase(std::remove_if(conns_.begin(), conns_.end(),
+                                [](const Conn& c) { return c.closed; }),
+                 conns_.end());
+    if (!draining && (fds[1].revents & POLLIN)) {
+      for (net::Socket s; (s = net::accept_one(listener_, 0)).valid();) {
+        connections.add(1);
+        count(&ServerStats::connections);
+        Conn& c = conns_.emplace_back();
+        c.socket = std::move(s);
+        c.id = next_conn_id_++;
+        c.last_read_ms = c.last_write_ms = now;
       }
     }
+    open_connections_ = conns_.size();
+    if (draining && served &&
+        std::all_of(conns_.begin(), conns_.end(),
+                    [](const Conn& c) { return c.out.empty(); })) {
+      break;
+    }
   }
-  for (auto& conn : dead) {
-    // A writer-marked-dead connection may still have its reader parked in
-    // poll(POLLIN); shutdown makes that recv return EOF immediately.
-    conn->socket.shutdown_both();
-    if (conn->reader.joinable()) conn->reader.join();
-    queue_.release_flow(conn->id);
-    // The socket fd closes when the last shared_ptr (possibly one pinned
-    // by an in-flight respond()) drops.
-  }
+  for (const Conn& c : conns_) queue_.release_flow(c.id);
+  conns_.clear();
+  open_connections_ = 0;
 }
 
-void WalkServer::reader_loop(Conn* conn) {
+bool WalkServer::write_to(Conn& conn, double now) {
+  const long sent = net::send_some(conn.socket, conn.out.data() + conn.sent,
+                                   conn.out.size() - conn.sent);
+  if (sent <= 0) return sent == 0;  // 0: the socket buffer is full
+  conn.last_write_ms = now;
+  conn.sent += static_cast<std::size_t>(sent);
+  if (2 * conn.sent >= conn.out.size()) {  // amortized O(1) per byte
+    conn.out.erase(conn.out.begin(), conn.out.begin() + conn.sent);
+    conn.sent = 0;
+  }
+  return true;
+}
+
+bool WalkServer::read_from(Conn& conn, double now) {
+  std::uint8_t buf[64 << 10];
+  const long got = net::recv_some(conn.socket, buf, sizeof buf);
+  if (got <= 0) return got == 0;  // -1: EOF, reset, or an injected fault
+  conn.last_read_ms = now;
+  conn.in.insert(conn.in.end(), buf, buf + got);
+  std::size_t at = 0;
   net::FrameType type{};
-  std::vector<std::uint8_t> payload;
-  // HELLO handshake first: names the admission class, checks the version.
-  if (!net::read_frame(conn->socket, &type, &payload,
-                       config_.io_timeout_ms) ||
-      type != net::FrameType::kHello) {
-    conn->dead.store(true, std::memory_order_relaxed);
-    return;
+  std::uint32_t len = 0;
+  while (conn.in.size() - at >= net::kFrameHeaderSize) {
+    if (!net::parse_frame_header(conn.in.data() + at, &type, &len)) {
+      return false;
+    }
+    const std::size_t end = at + net::kFrameHeaderSize + len;
+    if (end > conn.in.size()) break;  // the rest is still in flight
+    if (!handle_frame(conn, type, conn.in.data() + end - len, len, now)) {
+      return false;
+    }
+    at = end;
   }
-  const auto hello = net::decode_hello(payload.data(), payload.size());
-  if (!hello || hello->version != net::kProtocolVersion) {
-    conn->dead.store(true, std::memory_order_relaxed);
-    return;
-  }
-  conn->class_id = queue_.intern_class(hello->klass);
-  {
-    net::HelloFrame reply;
-    reply.version = net::kProtocolVersion;
-    reply.node_count = user_node_count_;
-    std::lock_guard<std::mutex> lock(conn->write_mu);
-    if (!net::write_frame(conn->socket, net::FrameType::kHello,
-                          net::encode_hello(reply), config_.io_timeout_ms)) {
-      conn->dead.store(true, std::memory_order_relaxed);
-      return;
-    }
-  }
-
-  while (!stopping()) {
-    if (!net::read_frame(conn->socket, &type, &payload,
-                         config_.io_timeout_ms) ||
-        type != net::FrameType::kRequest) {
-      break;  // EOF, timeout, torn frame, or protocol violation
-    }
-    const auto req = net::decode_request(payload.data(), payload.size());
-    if (!req) break;
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++stats_.requests;
-    }
-
-    // Pre-admission validation: structural rejects never enter the
-    // admission log, so the log replays without them.
-    const NodeId internal =
-        req->source <= std::uint64_t{kInvalidNode}
-            ? graph_.to_internal(static_cast<NodeId>(req->source))
-            : kInvalidNode;
-    RequestStatus reject = RequestStatus::kOk;
-    if (internal == kInvalidNode) {
-      reject = RequestStatus::kSourceOutOfRange;
-    } else if (req->record && !service_.config().enable_paths) {
-      reject = RequestStatus::kPathsDisabled;
-    }
-    if (reject == RequestStatus::kOk) {
-      PendingRequest pending;
-      pending.request.source = internal;
-      pending.request.length = req->length;
-      pending.request.count = req->count;
-      pending.request.record_positions = req->record;
-      pending.user_source = req->source;
-      pending.flow = conn->id;
-      pending.tag = req->tag;
-      pending.class_id = conn->class_id;
-      pending.arrival_ms = now_ms();
-      pending.deadline_ms = req->deadline_ms;
-      const RequestStatus st = queue_.enqueue(std::move(pending));
-      if (st == RequestStatus::kOk) continue;
-      reject = st;
-    }
-
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      if (reject == RequestStatus::kQueueFull) {
-        ++stats_.rejected_queue_full;
-      } else {
-        ++stats_.rejected_invalid;
-      }
-    }
-    obs::Registry::global()
-        .counter(reject == RequestStatus::kQueueFull
-                     ? "server.rejected.queue_full"
-                     : "server.rejected.invalid")
-        .add(1);
-    respond(conn->id, reject_frame(req->tag, reject, req->record));
-  }
-  conn->dead.store(true, std::memory_order_relaxed);
+  conn.in.erase(conn.in.begin(), conn.in.begin() + at);
+  return true;
 }
 
-net::ResponseFrame WalkServer::reject_frame(std::uint64_t tag,
-                                            RequestStatus status,
-                                            bool record) const {
-  net::ResponseFrame frame;
-  frame.tag = tag;
-  frame.admission_index = net::kNotAdmitted;
-  frame.status = static_cast<std::uint8_t>(status);
-  frame.record = record;
-  return frame;
+bool WalkServer::handle_frame(Conn& conn, net::FrameType type,
+                              const std::uint8_t* payload, std::uint32_t len,
+                              double now) {
+  if (!conn.greeted) {
+    // HELLO handshake first: names the admission class, checks the version.
+    const auto hello = type == net::FrameType::kHello
+                           ? net::decode_hello(payload, len)
+                           : std::nullopt;
+    if (!hello || hello->version != net::kProtocolVersion) return false;
+    conn.class_id = queue_.intern_class(hello->klass);
+    conn.greeted = true;
+    net::HelloFrame reply;  // version: kProtocolVersion
+    reply.node_count = user_node_count_;
+    conn.push(net::frame_bytes(net::FrameType::kHello,
+                               net::encode_hello(reply)),
+              now);
+    return true;
+  }
+  const auto req = type == net::FrameType::kRequest
+                       ? net::decode_request(payload, len)
+                       : std::nullopt;
+  if (!req) return false;  // protocol violation
+  count(&ServerStats::requests);
+
+  // Pre-admission validation: structural rejects never enter the
+  // admission log, so the log replays without them.
+  const NodeId internal =
+      req->source <= std::uint64_t{kInvalidNode}
+          ? graph_.to_internal(static_cast<NodeId>(req->source))
+          : kInvalidNode;
+  RequestStatus reject =
+      internal == kInvalidNode ? RequestStatus::kSourceOutOfRange
+      : req->record && !service_.config().enable_paths
+          ? RequestStatus::kPathsDisabled
+          : RequestStatus::kOk;
+  if (reject == RequestStatus::kOk) {
+    const RequestStatus st = queue_.enqueue(PendingRequest{
+        .request = {internal, req->length, req->count, req->record},
+        .user_source = req->source,
+        .flow = conn.id,
+        .tag = req->tag,
+        .class_id = conn.class_id,
+        .arrival_ms = now,
+        .deadline_ms = req->deadline_ms});
+    if (st == RequestStatus::kOk) return true;
+    reject = st;
+  }
+
+  const bool full = reject == RequestStatus::kQueueFull;
+  count(full ? &ServerStats::rejected_queue_full
+             : &ServerStats::rejected_invalid);
+  obs::Registry::global()
+      .counter(full ? "server.rejected.queue_full" : "server.rejected.invalid")
+      .add(1);
+  conn.push(net::frame_bytes(net::FrameType::kResponse,
+                             net::encode_response(reject_frame(
+                                 req->tag, reject, req->record))),
+            now);
+  return true;
 }
 
 void WalkServer::respond(std::uint64_t conn_id,
                          const net::ResponseFrame& frame) {
-  std::shared_ptr<Conn> conn;  // pins the Conn past a concurrent reap
   {
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    for (auto& c : conns_) {
-      if (c->id == conn_id) {
-        conn = c;
-        break;
-      }
-    }
+    obs::Span span(obs::Name::kServerRespond, obs::kPidServer, 0,
+                   frame.admission_index);
+    std::vector<std::uint8_t> bytes = net::frame_bytes(
+        net::FrameType::kResponse, net::encode_response(frame));
+    std::lock_guard<std::mutex> lock(outbox_mu_);
+    outbox_.emplace_back(conn_id, std::move(bytes));
   }
-  if (conn == nullptr || conn->dead.load(std::memory_order_relaxed)) return;
-  obs::Span span(obs::Name::kServerRespond, obs::kPidServer, 0,
-                 frame.admission_index);
-  std::lock_guard<std::mutex> lock(conn->write_mu);
-  if (!net::write_frame(conn->socket, net::FrameType::kResponse,
-                        net::encode_response(frame),
-                        config_.io_timeout_ms)) {
-    // The client is gone or the link is torn; the connection is done but
-    // the batch result stands (deterministic replay is unaffected).
-    conn->dead.store(true, std::memory_order_relaxed);
-    conn->socket.shutdown_both();
-  }
+  wake_.wake();
 }
 
 void WalkServer::serve_loop() {
@@ -282,10 +287,7 @@ void WalkServer::serve_loop() {
 
     for (const AdmissionReject& rej : rejects) {
       deadline_counter.add(1);
-      {
-        std::lock_guard<std::mutex> lock(stats_mu_);
-        ++stats_.rejected_deadline;
-      }
+      count(&ServerStats::rejected_deadline);
       respond(rej.request.flow,
               reject_frame(rej.request.tag, rej.status,
                            rej.request.request.record_positions));
@@ -309,11 +311,8 @@ void WalkServer::serve_loop() {
     }
     const BatchReport report = service_.flush();
     admitted_counter.add(batch.size());
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      stats_.admitted += batch.size();
-      ++stats_.batches;
-    }
+    count(&ServerStats::admitted, batch.size());
+    count(&ServerStats::batches);
 
     const double done_ms = now_ms();
     for (std::size_t i = 0; i < batch.size(); ++i) {
@@ -342,6 +341,9 @@ void WalkServer::serve_loop() {
           .record(static_cast<std::uint64_t>(sojourn));
     }
   }
+  // The I/O loop flushes the outbox, then exits.
+  serve_done_.store(true, std::memory_order_release);
+  wake_.wake();
 }
 
 }  // namespace drw::service

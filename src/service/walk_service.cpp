@@ -41,6 +41,29 @@ void WalkService::submit(const WalkRequest& request) {
   pending_.push_back(request);
 }
 
+BatchCounters& BatchCounters::operator+=(const BatchCounters& b) noexcept {
+  stats += b.stats;
+  requests += b.requests;
+  walks += b.walks;
+  stitches += b.stitches;
+  inventory_hits += b.inventory_hits;
+  engine_gmw_calls += b.engine_gmw_calls;
+  tree_builds += b.tree_builds;
+  tree_reuses += b.tree_reuses;
+  replenishments += b.replenishments;
+  replenished_walks += b.replenished_walks;
+  naive_rounds_estimate += b.naive_rounds_estimate;
+  mux_groups += b.mux_groups;
+  mux_lanes += b.mux_lanes;
+  mux_conflicts += b.mux_conflicts;
+  rejected += b.rejected;
+  held_tokens = b.held_tokens;
+  unused_tokens = b.unused_tokens;
+  gmw_records = b.gmw_records;
+  gmw_records_freed += b.gmw_records_freed;
+  return *this;
+}
+
 BatchReport WalkService::serve(const std::vector<WalkRequest>& requests) {
   for (const WalkRequest& r : requests) submit(r);
   return flush();
@@ -119,10 +142,8 @@ BatchReport WalkService::flush() {
     report.held_tokens = lifetime_.held_tokens;
     report.unused_tokens = lifetime_.unused_tokens;
     report.gmw_records = lifetime_.gmw_records;
+    lifetime_ += report;
     ++lifetime_.batches;
-    lifetime_.requests += report.requests;
-    lifetime_.walks += report.walks;
-    lifetime_.rejected += report.rejected;
     return report;
   }
 
@@ -204,27 +225,9 @@ BatchReport WalkService::flush() {
     inventory_.refresh(engine_);
   }
 
+  lifetime_ += report;
   ++lifetime_.batches;
-  lifetime_.requests += report.requests;
-  lifetime_.walks += report.walks;
-  lifetime_.rejected += report.rejected;
-  lifetime_.stats += report.stats;
   if (report.full_prepare) ++lifetime_.full_prepares;
-  lifetime_.replenishments += report.replenishments;
-  lifetime_.replenished_walks += report.replenished_walks;
-  lifetime_.stitches += report.stitches;
-  lifetime_.inventory_hits += report.inventory_hits;
-  lifetime_.engine_gmw_calls += report.engine_gmw_calls;
-  lifetime_.tree_builds += report.tree_builds;
-  lifetime_.tree_reuses += report.tree_reuses;
-  lifetime_.naive_rounds_estimate += report.naive_rounds_estimate;
-  lifetime_.mux_groups += report.mux_groups;
-  lifetime_.mux_lanes += report.mux_lanes;
-  lifetime_.mux_conflicts += report.mux_conflicts;
-  lifetime_.held_tokens = report.held_tokens;
-  lifetime_.unused_tokens = report.unused_tokens;
-  lifetime_.gmw_records = report.gmw_records;
-  lifetime_.gmw_records_freed += report.gmw_records_freed;
 
   if (obs::Registry::global().enabled()) {
     auto& reg = obs::Registry::global();

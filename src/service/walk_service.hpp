@@ -93,16 +93,13 @@ struct ServiceConfig {
   std::string graph_source;
 };
 
-/// Per-batch serving report.
-struct BatchReport {
-  std::vector<RequestResult> results;   ///< submission order
-  congest::RunStats stats;              ///< total cost of this batch
+/// The counters a batch adds to the service's lifetime totals: BatchReport
+/// carries one batch's, ServiceStats their sum, and `drw serve
+/// --stats-json` writes both with one writer.
+struct BatchCounters {
+  congest::RunStats stats;              ///< total cost
   std::uint64_t requests = 0;
   std::uint64_t walks = 0;
-  std::uint32_t lambda = 0;             ///< lambda the batch ran with
-  bool naive_mode = false;              ///< lambda > max length: token walks
-  bool full_prepare = false;            ///< Phase 1 actually ran (a naive-
-                                        ///< mode prepare creates nothing)
   std::uint64_t stitches = 0;
   std::uint64_t inventory_hits = 0;     ///< stitches served from stock
   std::uint64_t engine_gmw_calls = 0;   ///< in-walk emergency top-ups
@@ -117,7 +114,6 @@ struct BatchReport {
   /// Model cost of serving the same requests one naive token walk at a
   /// time (sum of length over all walks; a naive walk is exactly l rounds).
   std::uint64_t naive_rounds_estimate = 0;
-  std::uint32_t mux_width = 0;       ///< lanes the scheduler could open (1 = off)
   std::uint64_t mux_groups = 0;      ///< multiplexed traversal waves executed
   std::uint64_t mux_lanes = 0;       ///< lanes summed over waves (avg width
                                      ///< per wave = mux_lanes / mux_groups)
@@ -126,11 +122,31 @@ struct BatchReport {
   /// The short-walk store after the batch (StitchEngine::compact_store):
   /// tokens held, of them unused (equal once used ones are dropped), and
   /// routing records (Phase-1 and GET-MORE-WALKS generations alike) stored
-  /// / freed by this batch's pass.
+  /// -- gauges: a sum keeps the latest value -- and freed by the batch's
+  /// pass (summed).
   std::uint64_t held_tokens = 0;
   std::uint64_t unused_tokens = 0;
   std::uint64_t gmw_records = 0;
   std::uint64_t gmw_records_freed = 0;
+
+  /// Adds `b`'s counters; the store gauges take `b`'s values.
+  BatchCounters& operator+=(const BatchCounters& b) noexcept;
+  /// Fraction of stitches served without an in-walk GET-MORE-WALKS stall.
+  double inventory_hit_rate() const {
+    return stitches == 0 ? 1.0
+                         : static_cast<double>(inventory_hits) /
+                               static_cast<double>(stitches);
+  }
+};
+
+/// Per-batch serving report.
+struct BatchReport : BatchCounters {
+  std::vector<RequestResult> results;   ///< submission order
+  std::uint32_t lambda = 0;             ///< lambda the batch ran with
+  bool naive_mode = false;              ///< lambda > max length: token walks
+  bool full_prepare = false;            ///< Phase 1 actually ran (a naive-
+                                        ///< mode prepare creates nothing)
+  std::uint32_t mux_width = 0;       ///< lanes the scheduler could open (1 = off)
 
   double rounds_per_request() const {
     return requests == 0 ? 0.0
@@ -142,46 +158,12 @@ struct BatchReport {
                          : static_cast<double>(stats.messages) /
                                static_cast<double>(requests);
   }
-  /// Fraction of stitches served without an in-walk GET-MORE-WALKS stall.
-  double inventory_hit_rate() const {
-    return stitches == 0 ? 1.0
-                         : static_cast<double>(inventory_hits) /
-                               static_cast<double>(stitches);
-  }
 };
 
-/// Lifetime aggregates across all served batches. Mirrors BatchReport
-/// field-for-field so `drw serve --stats-json` can emit both without
-/// translation.
-struct ServiceStats {
+/// Lifetime aggregates across all served batches.
+struct ServiceStats : BatchCounters {
   std::uint64_t batches = 0;
-  std::uint64_t requests = 0;
-  std::uint64_t walks = 0;
-  congest::RunStats stats;
   std::uint64_t full_prepares = 0;
-  std::uint64_t replenishments = 0;
-  std::uint64_t replenished_walks = 0;
-  std::uint64_t stitches = 0;
-  std::uint64_t inventory_hits = 0;
-  std::uint64_t engine_gmw_calls = 0;
-  std::uint64_t tree_builds = 0;
-  std::uint64_t tree_reuses = 0;
-  std::uint64_t naive_rounds_estimate = 0;
-  std::uint64_t mux_groups = 0;
-  std::uint64_t mux_lanes = 0;
-  std::uint64_t mux_conflicts = 0;
-  std::uint64_t rejected = 0;
-  /// The store's size after the latest batch, and records freed in total.
-  std::uint64_t held_tokens = 0;
-  std::uint64_t unused_tokens = 0;
-  std::uint64_t gmw_records = 0;
-  std::uint64_t gmw_records_freed = 0;
-
-  double inventory_hit_rate() const {
-    return stitches == 0 ? 1.0
-                         : static_cast<double>(inventory_hits) /
-                               static_cast<double>(stitches);
-  }
 };
 
 class WalkService {

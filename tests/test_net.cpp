@@ -7,8 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <filesystem>
 #include <optional>
 #include <thread>
 #include <vector>
@@ -154,7 +160,7 @@ TEST(NetFrame, ReadFrameRejectsOversizedAndUnknownFrames) {
   net::Socket listener = net::tcp_listen("127.0.0.1", 0);
   const std::uint16_t port = net::local_port(listener);
   net::Socket client = net::tcp_connect("127.0.0.1", port, 2000);
-  net::Socket server_side = net::accept_one(listener, -1, 2000);
+  net::Socket server_side = net::accept_one(listener, 2000);
   ASSERT_TRUE(server_side.valid());
 
   // Oversized length prefix: rejected before any allocation.
@@ -166,7 +172,7 @@ TEST(NetFrame, ReadFrameRejectsOversizedAndUnknownFrames) {
 
   // Unknown type byte on a fresh connection.
   net::Socket client2 = net::tcp_connect("127.0.0.1", port, 2000);
-  net::Socket server_side2 = net::accept_one(listener, -1, 2000);
+  net::Socket server_side2 = net::accept_one(listener, 2000);
   ASSERT_TRUE(server_side2.valid());
   std::uint8_t unknown[5] = {0, 0, 0, 0, 42};  // len 0, type 42
   ASSERT_TRUE(net::send_all(client2, unknown, sizeof(unknown), 2000));
@@ -182,7 +188,7 @@ TEST(NetSocket, SendAllTimesOutInsteadOfBlockingOnStuckPeer) {
   net::Socket listener = net::tcp_listen("127.0.0.1", 0);
   net::Socket client = net::tcp_connect("127.0.0.1",
                                         net::local_port(listener), 2000);
-  net::Socket server_side = net::accept_one(listener, -1, 2000);
+  net::Socket server_side = net::accept_one(listener, 2000);
   ASSERT_TRUE(server_side.valid());
 
   // Nobody reads from `client`, so this can never fully transmit: the
@@ -239,6 +245,38 @@ std::vector<Exchange> drive(WalkServer& server, const std::string& klass,
     }
   }
   return out;
+}
+
+/// Sends a HELLO for `klass` and reads the server's reply.
+void handshake(net::Socket& sock, const std::string& klass,
+               std::uint64_t* node_count = nullptr) {
+  net::HelloFrame hello;
+  hello.klass = klass;
+  EXPECT_TRUE(net::write_frame(sock, net::FrameType::kHello,
+                               net::encode_hello(hello), 5000));
+  net::FrameType type;
+  std::vector<std::uint8_t> payload;
+  EXPECT_TRUE(net::read_frame(sock, &type, &payload, 5000));
+  EXPECT_EQ(type, net::FrameType::kHello);
+  const auto reply = net::decode_hello(payload.data(), payload.size());
+  EXPECT_TRUE(reply.has_value());
+  if (node_count != nullptr && reply.has_value()) {
+    *node_count = reply->node_count;
+  }
+}
+
+/// One awaited request/response exchange; returns the response.
+std::optional<net::ResponseFrame> exchange(net::Socket& sock,
+                                           const net::RequestFrame& r) {
+  net::FrameType type;
+  std::vector<std::uint8_t> payload;
+  if (!net::write_frame(sock, net::FrameType::kRequest,
+                        net::encode_request(r), 5000) ||
+      !net::read_frame(sock, &type, &payload, 5000) ||
+      type != net::FrameType::kResponse) {
+    return std::nullopt;
+  }
+  return net::decode_response(payload.data(), payload.size());
 }
 
 TEST(WalkServerLoopback, ServedResponsesMatchInProcessReplay) {
@@ -399,6 +437,133 @@ TEST(WalkServerLoopback, ReapsDeadConnectionsAndTheirFlows) {
   server.join();
   EXPECT_EQ(server.stats().connections, 3u);
   EXPECT_EQ(server.stats().admitted, 3u);
+}
+
+std::size_t thread_count() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ++n;
+  }
+  return n;
+}
+
+TEST(WalkServerLoopback, ThreadCountIsIndependentOfConnections) {
+  // One I/O thread serves every socket: opening connections adds none.
+  if (!std::filesystem::exists("/proc/self/task")) {
+    GTEST_SKIP() << "no /proc/self/task to count threads";
+  }
+  csr::LoadedGraph lg;
+  lg.graph = gen::grid(4, 4);
+  congest::Network net_live(lg.graph, 3);
+  WalkService service(net_live, exact_diameter(lg.graph));
+  WalkServer server(service, lg, ServerConfig{});
+  server.start();
+  const std::size_t before = thread_count();
+
+  std::vector<net::Socket> clients;
+  for (int i = 0; i < 32; ++i) {
+    clients.push_back(net::tcp_connect("127.0.0.1", server.port(), 5000));
+    handshake(clients.back(), "idle");  // the server has read it
+  }
+  EXPECT_EQ(server.open_connections(), 32u);
+  EXPECT_EQ(thread_count(), before);
+
+  server.request_stop();
+  server.join();
+  EXPECT_EQ(server.stats().connections, 32u);
+}
+
+TEST(WalkServerLoopback, StalledReaderDelaysNoOtherClient) {
+  // A client that queues large path-recording requests and never reads
+  // fills both socket buffers. Its responses wait on its own connection;
+  // a light client is still answered promptly, and the stalled connection
+  // is closed (its flow released) once io_timeout_ms passes.
+  csr::LoadedGraph lg;
+  lg.graph = gen::torus(4, 4);
+  ServiceConfig sc;
+  sc.enable_paths = true;
+  congest::Network net_live(lg.graph, 11);
+  WalkService service(net_live, exact_diameter(lg.graph), sc);
+  ServerConfig config;
+  config.io_timeout_ms = 3000;
+  WalkServer server(service, lg, config);
+  server.start();
+
+  // A small receive buffer, set before connect so the window stays small.
+  net::Socket stalled(::socket(AF_INET, SOCK_STREAM, 0));
+  ASSERT_TRUE(stalled.valid());
+  const int rcvbuf = 4096;
+  ::setsockopt(stalled.fd(), SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof rcvbuf);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(server.port());
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::connect(stalled.fd(), reinterpret_cast<sockaddr*>(&addr),
+                      sizeof addr),
+            0);
+  net::HelloFrame hello;
+  hello.klass = "stalled";
+  ASSERT_TRUE(net::write_frame(stalled, net::FrameType::kHello,
+                               net::encode_hello(hello), 5000));
+  // 128 responses of 4 recorded 2048-step walks: about 4 MiB of paths,
+  // more than the two socket buffers hold.
+  const std::uint64_t kStalled = 128;
+  for (std::uint64_t i = 0; i < kStalled; ++i) {
+    net::RequestFrame r;
+    r.tag = i;
+    r.source = i % lg.graph.node_count();
+    r.length = 2048;
+    r.count = 4;
+    r.record = true;
+    ASSERT_TRUE(net::write_frame(stalled, net::FrameType::kRequest,
+                                 net::encode_request(r), 5000));
+  }
+
+  // Light requests run back to back while the stalled responses are
+  // produced, and a few more once all of them are out.
+  net::Socket light = net::tcp_connect("127.0.0.1", server.port(), 5000);
+  handshake(light, "light");
+  double worst_ms = 0;
+  std::uint64_t light_served = 0;
+  int after = 0;
+  const auto give_up = std::chrono::steady_clock::now() +
+                       std::chrono::seconds(120);
+  while (after < 5 && std::chrono::steady_clock::now() < give_up) {
+    if (server.stats().admitted >= kStalled + light_served) ++after;
+    net::RequestFrame r;
+    r.tag = 1000 + light_served;
+    r.source = light_served % lg.graph.node_count();
+    r.length = 16;
+    const auto start = std::chrono::steady_clock::now();
+    const auto resp = exchange(light, r);
+    worst_ms = std::max(
+        worst_ms, std::chrono::duration<double, std::milli>(
+                      std::chrono::steady_clock::now() - start)
+                      .count());
+    ASSERT_TRUE(resp.has_value());
+    EXPECT_EQ(resp->tag, r.tag);
+    ++light_served;
+  }
+  EXPECT_EQ(after, 5) << "the stalled requests were never all served";
+  EXPECT_LT(worst_ms, config.io_timeout_ms / 3.0)
+      << "a light request waited on the stalled reader";
+
+  // The stalled socket stays open on this side; the server must give up on
+  // it. The light client leaves too, so both counts fall back to zero.
+  light.close();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(15);
+  while ((server.open_connections() > 0 || server.queue().flow_count() > 0) &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  }
+  EXPECT_EQ(server.open_connections(), 0u);
+  EXPECT_EQ(server.queue().flow_count(), 0u);
+
+  server.request_stop();
+  server.join();
+  EXPECT_EQ(server.stats().admitted, kStalled + light_served);
 }
 
 }  // namespace

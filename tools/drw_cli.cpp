@@ -618,44 +618,45 @@ std::vector<service::WalkRequest> synthetic_requests(
   return requests;
 }
 
-/// Appends the RunStats fields shared by batch and lifetime records.
-void append_run_stats(std::ostringstream& out, const congest::RunStats& s) {
-  out << "\"rounds\":" << s.rounds << ",\"messages\":" << s.messages
+/// Opens a JSON record with the counters batch and lifetime records share
+/// (the caller appends its own fields and the closing brace).
+void append_counters(std::ostringstream& out,
+                     const service::BatchCounters& c) {
+  const congest::RunStats& s = c.stats;
+  out << "{\"rounds\":" << s.rounds << ",\"messages\":" << s.messages
       << ",\"max_backlog\":" << s.max_backlog
       << ",\"threads\":" << s.threads << ",\"wall_ms\":" << s.wall_ms
       << ",\"compute_ms\":" << s.compute_ms
       << ",\"transmit_ms\":" << s.transmit_ms
-      << ",\"merge_ms\":" << s.merge_ms;
+      << ",\"merge_ms\":" << s.merge_ms << ",\"requests\":" << c.requests
+      << ",\"walks\":" << c.walks << ",\"stitches\":" << c.stitches
+      << ",\"inventory_hits\":" << c.inventory_hits
+      << ",\"inventory_hit_rate\":" << c.inventory_hit_rate()
+      << ",\"engine_gmw_calls\":" << c.engine_gmw_calls
+      << ",\"tree_builds\":" << c.tree_builds
+      << ",\"tree_reuses\":" << c.tree_reuses
+      << ",\"replenishments\":" << c.replenishments
+      << ",\"replenished_walks\":" << c.replenished_walks
+      << ",\"naive_rounds_estimate\":" << c.naive_rounds_estimate
+      << ",\"mux_groups\":" << c.mux_groups
+      << ",\"mux_lanes\":" << c.mux_lanes
+      << ",\"mux_conflicts\":" << c.mux_conflicts
+      << ",\"rejected\":" << c.rejected
+      << ",\"held_tokens\":" << c.held_tokens
+      << ",\"unused_tokens\":" << c.unused_tokens
+      << ",\"gmw_records\":" << c.gmw_records
+      << ",\"gmw_records_freed\":" << c.gmw_records_freed;
 }
 
 /// One BatchReport as a JSON object: every scalar the report carries (the
 /// human-readable per-batch line is a subset of this).
 void append_batch_report(std::ostringstream& out,
                          const service::BatchReport& r) {
-  out << "{";
-  append_run_stats(out, r.stats);
-  out << ",\"requests\":" << r.requests << ",\"walks\":" << r.walks
-      << ",\"lambda\":" << r.lambda
+  append_counters(out, r);
+  out << ",\"lambda\":" << r.lambda
       << ",\"naive_mode\":" << (r.naive_mode ? "true" : "false")
       << ",\"full_prepare\":" << (r.full_prepare ? "true" : "false")
-      << ",\"stitches\":" << r.stitches
-      << ",\"inventory_hits\":" << r.inventory_hits
-      << ",\"inventory_hit_rate\":" << r.inventory_hit_rate()
-      << ",\"engine_gmw_calls\":" << r.engine_gmw_calls
-      << ",\"tree_builds\":" << r.tree_builds
-      << ",\"tree_reuses\":" << r.tree_reuses
-      << ",\"replenishments\":" << r.replenishments
-      << ",\"replenished_walks\":" << r.replenished_walks
-      << ",\"naive_rounds_estimate\":" << r.naive_rounds_estimate
-      << ",\"mux_width\":" << r.mux_width
-      << ",\"mux_groups\":" << r.mux_groups
-      << ",\"mux_lanes\":" << r.mux_lanes
-      << ",\"mux_conflicts\":" << r.mux_conflicts
-      << ",\"rejected\":" << r.rejected
-      << ",\"held_tokens\":" << r.held_tokens
-      << ",\"unused_tokens\":" << r.unused_tokens
-      << ",\"gmw_records\":" << r.gmw_records
-      << ",\"gmw_records_freed\":" << r.gmw_records_freed << "}";
+      << ",\"mux_width\":" << r.mux_width << "}";
 }
 
 /// The running server, for the async-signal-safe SIGTERM/SIGINT path.
@@ -859,31 +860,9 @@ int cmd_serve(const Args& args, const CliGraph& cg, std::uint32_t diameter) {
     std::ofstream out(args.stats_json);
     if (!out) usage(("cannot write stats JSON: " + args.stats_json).c_str());
     std::ostringstream lifetime_json;
-    lifetime_json << "{";
-    append_run_stats(lifetime_json, life.stats);
+    append_counters(lifetime_json, life);
     lifetime_json << ",\"batches\":" << life.batches
-                  << ",\"requests\":" << life.requests
-                  << ",\"walks\":" << life.walks
-                  << ",\"full_prepares\":" << life.full_prepares
-                  << ",\"replenishments\":" << life.replenishments
-                  << ",\"replenished_walks\":" << life.replenished_walks
-                  << ",\"stitches\":" << life.stitches
-                  << ",\"inventory_hits\":" << life.inventory_hits
-                  << ",\"inventory_hit_rate\":" << life.inventory_hit_rate()
-                  << ",\"engine_gmw_calls\":" << life.engine_gmw_calls
-                  << ",\"tree_builds\":" << life.tree_builds
-                  << ",\"tree_reuses\":" << life.tree_reuses
-                  << ",\"naive_rounds_estimate\":"
-                  << life.naive_rounds_estimate
-                  << ",\"mux_groups\":" << life.mux_groups
-                  << ",\"mux_lanes\":" << life.mux_lanes
-                  << ",\"mux_conflicts\":" << life.mux_conflicts
-                  << ",\"rejected\":" << life.rejected
-                  << ",\"held_tokens\":" << life.held_tokens
-                  << ",\"unused_tokens\":" << life.unused_tokens
-                  << ",\"gmw_records\":" << life.gmw_records
-                  << ",\"gmw_records_freed\":" << life.gmw_records_freed
-                  << "}";
+                  << ",\"full_prepares\":" << life.full_prepares << "}";
     out << "{\"batches\":[\n" << batches_json.str() << "\n],\n"
         << "\"lifetime\":" << lifetime_json.str() << ",\n"
         << "\"executor\":{\"dispatch_grain\":" << net.dispatch_grain()

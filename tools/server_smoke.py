@@ -3,14 +3,19 @@
 
 Boots a real server process on an ephemeral port, drives it with two
 concurrent `drw request` clients -- a light mixed-class workload (some
-requests recording full paths) racing a 40-request hot-key flood -- then
-stops it with SIGTERM and asserts the serving determinism contract:
+requests recording full paths) racing a 40-request hot-key flood -- beside
+a hostile stalled reader (a small receive buffer, large path-recording
+requests, never a read) and a handful of idle connections, then stops it
+with SIGTERM while the stalled reader still holds its connection, and
+asserts the serving determinism contract:
 
   * every client response carries a unique server-assigned admission index;
   * the admission log + `# batch` markers the server wrote replay through
     `drw serve --requests=LOG --print-results` (same graph, same seed,
-    fresh process) to the BYTE-IDENTICAL `result[...]` lines the clients
-    printed -- destinations, paths, statuses, ordering;
+    fresh process) to the BYTE-IDENTICAL `result[...]` lines the light and
+    flood clients printed -- destinations, paths, statuses, ordering;
+  * the server's thread count stays at SERVER_THREADS or fewer while every
+    connection is open (one I/O thread serves them all);
   * SIGTERM produces the `shutdown: clean | ...` summary with zero
     rejections (nothing in this workload should bounce);
   * the trace the server wrote under DRW_TRACE passes
@@ -36,11 +41,21 @@ import json
 import os
 import shutil
 import signal
+import socket
+import struct
 import subprocess
 import sys
 import time
 
 GRAPH_ARGS = ["--graph=torus:8x8", "--seed=7", "--paths", "--mux=4"]
+# The server runs one executor worker beside its main, I/O and serving
+# threads, and closes a connection that stalls for IO_TIMEOUT_MS.
+SERVER_ARGS = ["--threads=2", "--io-timeout-ms=10000"]
+SERVER_THREADS = 4
+# The stalled reader's requests: 24 x 16 recorded 4096-step walks, about
+# 6 MiB of responses -- more than both socket buffers hold.
+STALLED_REQUESTS = [(s * 5 % 64, 4096, 16) for s in range(24)]
+IDLE_CONNECTIONS = 8
 MUX_PID = 2  # obs::kPidMux, as in validate_trace.py
 VALIDATE_TRACE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                               "validate_trace.py")
@@ -72,6 +87,35 @@ def result_lines(text: str) -> list:
     return [ln for ln in text.splitlines() if ln.startswith("result[")]
 
 
+def by_index(lines: list) -> dict:
+    """Result lines grouped by admission index, in printed order."""
+    groups = {}
+    for ln in lines:
+        groups.setdefault(int(ln.split("]")[0][len("result["):]), []).append(ln)
+    return groups
+
+
+def frame(kind: int, payload: bytes) -> bytes:
+    return struct.pack("<IB", len(payload), kind) + payload
+
+
+def hello(port: int, klass: str, rcvbuf: int = 0) -> socket.socket:
+    """A raw client connection that has sent its HELLO (and reads nothing).
+    A non-zero rcvbuf is set before connecting, so the window stays small."""
+    sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    if rcvbuf:
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, rcvbuf)
+    sock.connect(("127.0.0.1", int(port)))
+    name = klass.encode()
+    sock.sendall(frame(1, struct.pack("<IB", 1, len(name)) + name +
+                       struct.pack("<Q", 0)))
+    return sock
+
+
+def thread_count(pid: int) -> int:
+    return len(os.listdir(f"/proc/{pid}/task"))
+
+
 def main() -> int:
     if len(sys.argv) != 2:
         print(__doc__)
@@ -101,7 +145,7 @@ def main() -> int:
 
     print("server_smoke: booting the live server")
     server = subprocess.Popen(
-        [drw, "serve"] + GRAPH_ARGS +
+        [drw, "serve"] + GRAPH_ARGS + SERVER_ARGS +
         ["--listen=127.0.0.1:0", f"--admission-log={adm_log}"],
         env=server_env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
         text=True)
@@ -120,6 +164,14 @@ def main() -> int:
         check(port is not None, "server prints its listening: HOST:PORT line")
         if port is None:
             raise RuntimeError("no listening line")
+
+        # The stalled reader queues its requests first and never reads; the
+        # idle connections only say HELLO.
+        stalled = hello(port, "stalled", rcvbuf=4096)
+        for tag, (source, length, count) in enumerate(STALLED_REQUESTS):
+            stalled.sendall(frame(2, struct.pack("<QQQIIB", tag, source,
+                                                 length, count, 0, 1)))
+        idle = [hello(port, "idle") for _ in range(IDLE_CONNECTIONS)]
 
         # Flood first so its backlog is queued when the light class arrives;
         # DRR admission must still serve the light requests promptly (the
@@ -143,7 +195,12 @@ def main() -> int:
               "flood client: all 40 requests admitted")
         check("result[" in light.stdout and "] path:" in light.stdout,
               "light client received recorded paths")
+        threads = thread_count(server.pid)
+        check(threads <= SERVER_THREADS,
+              f"server runs {threads} threads (<= {SERVER_THREADS}) with "
+              f"{IDLE_CONNECTIONS + 1} connections open")
 
+        # SIGTERM while the stalled reader still holds its connection.
         server.send_signal(signal.SIGTERM)
         rest, _ = server.communicate(timeout=60)
         server_out.append(rest)
@@ -151,10 +208,16 @@ def main() -> int:
         shutdown = [ln for ln in rest.splitlines()
                     if ln.startswith("shutdown: clean")]
         check(bool(shutdown), "server prints the clean-shutdown summary")
+        total = 45 + len(STALLED_REQUESTS)
         if shutdown:
-            check("requests=45" in shutdown[0] and "admitted=45" in shutdown[0]
-                  and "queue_full=0" in shutdown[0],
-                  f"shutdown summary counts 45/45 admitted ({shutdown[0]})")
+            check(f"requests={total}" in shutdown[0] and
+                  f"admitted={total}" in shutdown[0] and
+                  "queue_full=0" in shutdown[0],
+                  f"shutdown summary counts {total}/{total} admitted "
+                  f"({shutdown[0]})")
+        stalled.close()
+        for sock in idle:
+            sock.close()
     finally:
         if server.poll() is None:
             server.kill()
@@ -191,25 +254,25 @@ def main() -> int:
         f.write(replay.stdout)
     check(replay.returncode == 0, "replay exits 0")
 
-    served = sorted(result_lines(light.stdout) + result_lines(flood_out))
-    replayed = sorted(result_lines(replay.stdout))
+    # The stalled reader's responses were never read; every response the
+    # light and flood clients did read must match its replay line for line.
+    served = result_lines(light.stdout) + result_lines(flood_out)
+    live, replayed = by_index(served), by_index(result_lines(replay.stdout))
     check(len(served) > 0, "clients printed result lines")
-    check(served == replayed,
+    diverged = [i for i in sorted(live) if live[i] != replayed.get(i)]
+    check(not diverged,
           f"replay is byte-identical to the live responses "
-          f"({len(served)} live vs {len(replayed)} replayed lines)")
-    if served != replayed:
-        for live, rep in zip(served, replayed):
-            if live != rep:
-                print(f"    first divergence:\n      live:   {live}\n"
-                      f"      replay: {rep}")
-                break
+          f"({len(served)} live lines, {len(live)} requests)")
+    if diverged:
+        print(f"    first divergence at admission index {diverged[0]}:\n"
+              f"      live:   {live[diverged[0]]}\n"
+              f"      replay: {replayed.get(diverged[0])}")
 
-    # One `result[IDX] source=...` header per request (`result[IDX] path:`
-    # continuation lines reuse the index of their request).
-    indices = sorted(int(ln.split("]")[0][len("result["):])
-                     for ln in served if " source=" in ln)
-    check(indices == list(range(len(indices))) and len(indices) == 45,
-          "admission indices are a dense 0..44 permutation")
+    # One index per request: the live clients' 45 are distinct, and with
+    # the stalled reader's they cover 0..total-1.
+    check(len(live) == 45 and
+          sorted(replayed) == list(range(45 + len(STALLED_REQUESTS))),
+          "admission indices are a dense permutation over all clients")
 
     # Request-file fields are parsed strictly: a negative field (which an
     # unsigned parse would wrap), a count above UINT32_MAX (which would be
