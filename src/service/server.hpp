@@ -138,7 +138,7 @@ class WalkServer {
   void io_loop();
   void serve_loop();
   /// I/O thread: reads what arrived and handles each whole frame / sends
-  /// until the socket would block. false = close the connection.
+  /// what the socket takes. false = close the connection.
   bool read_from(Conn& conn, double now);
   bool handle_frame(Conn& conn, net::FrameType type,
                     const std::uint8_t* payload, std::uint32_t len,
